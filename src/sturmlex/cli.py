@@ -70,15 +70,7 @@ def _widen(w, size: int):
         return UltimatelyPeriodicWord(
             FiniteWord(w.preperiod.data, target), FiniteWord(w.period.data, target)
         )
-    parent = w
-
-    def stream():
-        i = 0
-        while True:
-            yield parent.letter(i)
-            i += 1
-
-    return InfiniteWord(stream(), target, parent.recipe)
+    return InfiniteWord(w._fill, target, w.recipe)
 
 
 def word_from_spec(spec: str):
@@ -483,6 +475,17 @@ def cmd_oracle(args) -> Report:
 # parser
 
 
+def _length(text: str) -> int:
+    """argparse type for --len: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sturmlex",
@@ -498,27 +501,27 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--alpha", required=True)
     g.add_argument("--rho", default="same")
     g.add_argument("--upper", action="store_true", help="use the ceiling variant")
-    g.add_argument("--len", type=int, default=32)
+    g.add_argument("--len", type=_length, default=32)
     g = gen.add_parser("epistandard")
     g.add_argument("--directive", required=True, help='e.g. "abc*" or "ab|cd"')
-    g.add_argument("--len", type=int, default=32)
+    g.add_argument("--len", type=_length, default=32)
     g = gen.add_parser("morphic")
     g.add_argument("--morphism", required=True, help='e.g. "a>ab,b>a"')
     g.add_argument("--word", required=True)
-    g.add_argument("--len", type=int, default=32)
+    g.add_argument("--len", type=_length, default=32)
     g = gen.add_parser("thue-morse")
-    g.add_argument("--len", type=int, default=32)
+    g.add_argument("--len", type=_length, default=32)
     g = gen.add_parser("skew")
     g.add_argument("--morphism", default=None)
     g.add_argument("--x", default="a")
     g.add_argument("--y", default="b")
     g.add_argument("--ell", type=int, default=1)
-    g.add_argument("--len", type=int, default=32)
+    g.add_argument("--len", type=_length, default=32)
     g = gen.add_parser("periodic-balanced")
     g.add_argument("--v", default="")
     g.add_argument("--x", default="a")
     g.add_argument("--y", default="b")
-    g.add_argument("--len", type=int, default=32)
+    g.add_argument("--len", type=_length, default=32)
 
     ana = top.add_parser("analyze", help="factor/balance analysis").add_subparsers(dest="what", required=True)
     a = ana.add_parser("complexity")

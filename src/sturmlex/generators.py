@@ -1,18 +1,25 @@
 """Constructions of the classical word families, all from exact data.
 
-Mechanical words are produced letter by letter from exact surd floors;
-epistandard words by iterated palindromic closure of a directive word;
-morphic images by letterwise substitution.  Everything irrational is a
-quadratic surd, so no floating point enters any construction.
+Every infinite word grows its prefix buffer in chunks, in time linear in the
+prefix length: epistandard words by Justin's formula for iterated
+palindromic closure, characteristic words of irrational slope by standard
+words built from the slope's continued fraction, other mechanical words from
+exact surd floors taken in batches, morphic images by substitution over
+blocks of the parent's letters, and the Thue-Morse word by doubling.
+Everything irrational is a quadratic surd, so no floating point enters any
+construction.  The letter-by-letter constructions these replace live in
+``sturmlex.oracle`` as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .surds import QuadraticSurd
+from .surds import QuadraticSurd, progression_floors
 from .words import (
+    _SWAP,
     BINARY,
+    CHUNK,
     Alphabet,
     FiniteWord,
     InfiniteWord,
@@ -126,11 +133,28 @@ def pal_closure(w: FiniteWord) -> FiniteWord:
     return FiniteWord(_pal_closure_bytes(w.data), w.alphabet)
 
 
+def _justin_step(pal: bytearray, last: dict[int, int], x: int) -> None:
+    """Pal(w) -> Pal(wx) in place, by Justin's formula.
+
+    Pal(wx) = Pal(w) x Pal(w) when x does not occur in w; otherwise
+    Pal(wx) = Pal(w) Pal(w)[|Pal(w')|:], where w' is the prefix of w before its
+    last x (Droubay, Justin & Pirillo, TCS 255, 2001).  ``last`` maps each
+    letter read so far to |Pal(w')|.
+    """
+    m = len(pal)
+    if x in last:
+        pal += pal[last[x] :]
+    else:
+        pal.append(x)
+        pal += pal[:m]
+    last[x] = m
+
+
 def iterated_pal(directive: FiniteWord) -> FiniteWord:
     """Iterated palindromic closure of a finite directive word."""
-    pal = b""
+    pal, last = bytearray(), {}
     for x in directive.data:
-        pal = _pal_closure_bytes(pal + bytes([x]))
+        _justin_step(pal, last, x)
     return FiniteWord(pal, directive.alphabet)
 
 
@@ -140,22 +164,22 @@ def epistandard(delta: DirectiveWord) -> InfiniteWord:
     With a finite directive the word is only defined up to the final closure;
     prefix requests past that point raise ValueError.
     """
+    pal, last = bytearray(), {}
+    read = 0
 
-    def stream():
-        pal = b""
-        emitted = 0
-        i = 0
-        while True:
+    def grow(n: int) -> bytearray:
+        nonlocal read
+        n = max(n, len(pal) + CHUNK)
+        while len(pal) < n:
             try:
-                x = delta.letter(i)
+                x = delta.letter(read)
             except IndexError:
-                return
-            pal = _pal_closure_bytes(pal + bytes([x]))
-            yield from pal[emitted:]
-            emitted = len(pal)
-            i += 1
+                break
+            _justin_step(pal, last, x)
+            read += 1
+        return pal
 
-    return InfiniteWord(stream(), delta.alphabet, f"epistandard({delta.text()})")
+    return InfiniteWord(grow, delta.alphabet, f"epistandard({delta.text()})")
 
 
 def kbonacci(k: int) -> InfiniteWord:
@@ -176,31 +200,77 @@ def _as_surd(x) -> QuadraticSurd:
     return QuadraticSurd.from_fraction(x)
 
 
+def _floor_differences(alpha: QuadraticSurd, rho: QuadraticSurd, use_ceiling: bool):
+    """Grower of value((k+1)*alpha + rho) - value(k*alpha + rho) - floor(alpha), k >= 0.
+
+    value is floor, or ceil when use_ceiling; ceil(x) = -floor(-x).  Floors
+    are taken CHUNK + 1 at a time, so no list longer than a chunk is built.
+    """
+    sign = -1 if use_ceiling else 1
+    a, r = (-alpha, -rho) if use_ceiling else (alpha, rho)
+    base = alpha.floor()
+    buf = bytearray()
+
+    def grow(n: int) -> bytearray:
+        while len(buf) < n:
+            k = len(buf)
+            f = progression_floors(a, r, k, k + CHUNK + 1)
+            buf.extend([sign * (y - x) - base for x, y in zip(f, f[1:])])
+        return buf
+
+    return grow
+
+
+def _standard_word(alpha: QuadraticSurd):
+    """Grower of the characteristic word of an irrational slope, by standard words.
+
+    With frac(alpha) = [0; d1 + 1, d2, d3, ...], s_{-1} = 1, s_0 = 0 and
+    s_k = s_{k-1}^{d_k} s_{k-2}, every s_k with k >= 1 is a prefix of the
+    characteristic word (Lothaire, Algebraic Combinatorics on Words, ch. 2).
+    The buffer always holds s_{k-1}^j for some j <= d_k, a prefix of s_k, so a
+    huge partial quotient costs only the letters requested.
+    """
+    cf = alpha.partial_quotients()
+    next(cf)  # the integer part of the slope does not change the letters
+    buf = bytearray()
+    base, tail = b"\x00", b"\x01"  # s_{k-1}, s_{k-2}
+    reps, done = next(cf) - 1, 0  # d_k, and copies of s_{k-1} in buf
+
+    def grow(n: int) -> bytearray:
+        nonlocal base, tail, reps, done
+        n = max(n, len(buf) + CHUNK)
+        while len(buf) < n:
+            if done < reps:
+                m = min(reps - done, (n - len(buf)) // len(base) + 1)
+                buf.extend(base * m)
+                done += m
+            else:
+                buf.extend(tail)
+                base, tail = bytes(buf), base
+                reps, done = next(cf), 1
+        return buf
+
+    return grow
+
+
 def _mechanical(alpha, rho, use_ceiling: bool, alphabet: Alphabet, kind: str) -> InfiniteWord:
     alpha = _as_surd(alpha)
     rho = _as_surd(rho)
     if alpha.compare(0) <= 0:
         raise ValueError("slope must be positive")
-    floor_alpha = alpha.floor()
-
-    def value(x: QuadraticSurd) -> int:
-        return x.ceil() if use_ceiling else x.floor()
-
-    def stream():
-        acc = rho
-        prev = value(acc)
-        while True:
-            acc2 = acc + alpha
-            cur = value(acc2)
-            yield 0 if cur - prev == floor_alpha else 1
-            acc, prev = acc2, cur
-
+    offset = rho - alpha
+    if alpha.is_irrational and offset.is_rational and offset.as_fraction().denominator == 1:
+        # rho = alpha + m: the floors (and ceilings) of (k+2)*alpha + m differ
+        # as those of (k+2)*alpha, which is irrational, so this is c_alpha
+        grow = _standard_word(alpha)
+    else:
+        grow = _floor_differences(alpha, rho, use_ceiling)
     if alpha.is_rational:
         # slope p/q: the letter sequence repeats with period q from the start
         q = alpha.as_fraction().denominator
-        period = bytes(letter for letter, _ in zip(stream(), range(q)))
+        period = bytes(grow(q)[:q])
         return UltimatelyPeriodicWord.purely_periodic(FiniteWord(period, alphabet))
-    return InfiniteWord(stream(), alphabet, f"{kind}({alpha!r},{rho!r})")
+    return InfiniteWord(grow, alphabet, f"{kind}({alpha!r},{rho!r})")
 
 
 def mechanical_lower(alpha, rho, alphabet: Alphabet = BINARY) -> InfiniteWord:
@@ -293,15 +363,20 @@ class Morphism:
             raise ValueError("cannot apply an erasing morphism to an infinite word")
         if isinstance(w, UltimatelyPeriodicWord):
             return UltimatelyPeriodicWord(self.apply(w.preperiod), self.apply(w.period))
-        parent = w
+        images = [im.data for im in self.images]
+        out = bytearray()
+        read = 0
 
-        def stream():
-            i = 0
-            while True:
-                yield from self.images[parent.letter(i)].data
-                i += 1
+        def grow(n: int) -> bytearray:
+            nonlocal read
+            while len(out) < n:
+                # the parent's own error if it ends here; else its buffer, with slack
+                block = w._fill(read + 1)[read : read + CHUNK]
+                out.extend(b"".join(map(images.__getitem__, block)))
+                read += len(block)
+            return out
 
-        return InfiniteWord(stream(), self.alphabet, f"image({w.recipe})")
+        return InfiniteWord(grow, self.alphabet, f"image({w.recipe})")
 
     def __call__(self, w):
         return self.apply(w)
@@ -320,18 +395,27 @@ class Morphism:
 # ---------------------------------------------------------------------------
 # named families
 
+class _ThueMorseWord(InfiniteWord):
+    """The Thue-Morse word, whose single letters are exact at any index, past the prefix cap."""
+
+    def letter(self, n: int) -> int:
+        if n < 0:
+            raise ValueError(f"letter index must be non-negative, got {n}")
+        return bin(n).count("1") & 1
+
+
 def thue_morse(alphabet: Alphabet = BINARY) -> InfiniteWord:
     """Fixed point starting with 0 of 0 -> 01, 1 -> 10: bit-parity of the index."""
     if alphabet.size != 2:
         raise ValueError("binary alphabet required")
+    buf = bytearray(b"\x00")
 
-    def stream():
-        n = 0
-        while True:
-            yield bin(n).count("1") & 1
-            n += 1
+    def grow(n: int) -> bytearray:
+        while len(buf) < n:  # t_{2^k .. 2^(k+1)-1} is the complement of t_{0 .. 2^k-1}
+            buf.extend(buf.translate(_SWAP))
+        return buf
 
-    return InfiniteWord(stream(), alphabet, "thue_morse", letter_fn=lambda n: bin(n).count("1") & 1)
+    return _ThueMorseWord(grow, alphabet, "thue_morse")
 
 
 def skew_word(mu: Morphism, x: int, y: int, ell: int) -> UltimatelyPeriodicWord:

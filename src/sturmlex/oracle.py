@@ -2,19 +2,25 @@
 
 These routines deliberately avoid the analysis code paths they are used to
 check.  Balance is tested straight from the definition (all pairs of
-equal-length factors), extremal factors by sorting the full factor list, and
-the episturmian corpus by collecting factors of explicitly generated words.
+equal-length factors), extremal factors by sorting the full factor list, the
+episturmian corpus by collecting factors of explicitly generated words, and
+word letters one at a time: epistandard words by one palindromic closure per
+directive letter, mechanical words by one surd floor per letter.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
-from .generators import DirectiveWord, epistandard, kbonacci
+from .generators import DirectiveWord, _pal_closure_bytes, epistandard, kbonacci
+from .surds import QuadraticSurd
 from .words import Alphabet, FiniteWord, InfiniteWord, LexOrder
 
 __all__ = [
+    "closure_letters",
+    "floor_letters",
     "enumerate_balanced",
     "balanced_by_definition",
     "OracleCorpus",
@@ -24,6 +30,38 @@ __all__ = [
 ]
 
 MAX_ENUM_LENGTH = 16
+
+
+def closure_letters(delta: DirectiveWord) -> Iterator[int]:
+    """The letters of epistandard(delta): one palindromic closure per directive letter.
+
+    Quadratic in the prefix length.  Ends after the last closure of a finite
+    directive.
+    """
+    pal = b""
+    i = 0
+    while True:
+        try:
+            x = delta.letter(i)
+        except IndexError:
+            return
+        closed = _pal_closure_bytes(pal + bytes([x]))
+        yield from closed[len(pal) :]
+        pal = closed
+        i += 1
+
+
+def floor_letters(alpha: QuadraticSurd, rho: QuadraticSurd, use_ceiling: bool = False) -> Iterator[int]:
+    """The letters of the lower (or upper) mechanical word: one surd floor (or ceiling) per letter."""
+    floor_alpha = alpha.floor()
+    value = QuadraticSurd.ceil if use_ceiling else QuadraticSurd.floor
+    acc = rho
+    prev = value(acc)
+    while True:
+        acc = acc + alpha
+        cur = value(acc)
+        yield 0 if cur - prev == floor_alpha else 1
+        prev = cur
 
 
 def balanced_by_definition(data: bytes) -> bool:

@@ -11,8 +11,22 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from typing import Iterator
 
-__all__ = ["QuadraticSurd", "surd_floor", "surd_ceil", "surd_compare", "parse_surd"]
+__all__ = [
+    "QuadraticSurd",
+    "surd_floor",
+    "surd_ceil",
+    "surd_compare",
+    "progression_floors",
+    "parse_surd",
+]
+
+
+def _floor(p: int, q: int, d: int, r: int) -> int:
+    """floor((p + q*sqrt(d))/r) for r >= 1 and square-free d (q*sqrt(d) is never a nonzero integer)."""
+    s = math.isqrt(q * q * d)
+    return (p + (s if q >= 0 else -s - 1)) // r
 
 
 def _squarefree(d: int) -> bool:
@@ -128,15 +142,26 @@ class QuadraticSurd:
 
     def floor(self) -> int:
         """Exact floor; uses floor(x/r) == floor(floor(x)/r) for integer r >= 1."""
-        p, q, d, r = self.p, self.q, self.d, self.r
-        if q == 0:
-            return p // r
-        s = math.isqrt(q * q * d)
-        t = s if q > 0 else -s - 1  # floor(q*sqrt(d)); irrational, never an integer
-        return (p + t) // r
+        return _floor(self.p, self.q, self.d, self.r)
 
     def ceil(self) -> int:
         return -((-self).floor())
+
+    def partial_quotients(self) -> Iterator[int]:
+        """The continued fraction [a0; a1, a2, ...] of the value, exactly; finite for rationals."""
+        p, q, d, r = self.p, self.q, self.d, self.r
+        while True:
+            a = _floor(p, q, d, r)
+            yield a
+            p -= a * r
+            if p == 0 and q == 0:
+                return
+            # 1/((p + q*sqrt(d))/r) = r*(p - q*sqrt(d)) / (p^2 - q^2*d)
+            p, q, r = r * p, -r * q, p * p - q * q * d
+            if r < 0:
+                p, q, r = -p, -q, -r
+            g = math.gcd(p, q, r)
+            p, q, r = p // g, q // g, r // g
 
     def __float__(self):
         return (self.p + self.q * math.sqrt(self.d)) / self.r
@@ -180,6 +205,16 @@ def surd_floor(x: QuadraticSurd) -> int:
 
 def surd_ceil(x: QuadraticSurd) -> int:
     return x.ceil()
+
+
+def progression_floors(alpha: QuadraticSurd, rho: QuadraticSurd, start: int, stop: int) -> list[int]:
+    """floor(k*alpha + rho) for start <= k < stop, in integer arithmetic without a surd per term."""
+    alpha, rho = alpha._common(rho)
+    d, r = alpha.d or rho.d, alpha.r * rho.r
+    # k*alpha + rho = (k*ap + bp + (k*aq + bq)*sqrt(d)) / r
+    ap, aq = alpha.p * rho.r, alpha.q * rho.r
+    bp, bq = rho.p * alpha.r, rho.q * alpha.r
+    return [_floor(k * ap + bp, k * aq + bq, d, r) for k in range(start, stop)]
 
 
 def surd_compare(x: QuadraticSurd, y: QuadraticSurd | int | Fraction) -> int:

@@ -2,8 +2,8 @@
 
 Letters are integers 0..size-1; display names are cosmetic.  Finite words are
 immutable byte strings, so factor extraction and lexicographic scans run at
-C speed.  Infinite words are deterministic lazy streams with a memoized
-prefix buffer; every analysis of an infinite word is explicitly performed on
+C speed.  Infinite words grow one memoized prefix buffer in chunks, on
+demand; every analysis of an infinite word is explicitly performed on
 a finite prefix supplied by the caller, and results are only claims about
 that prefix.
 """
@@ -16,7 +16,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "Alphabet",
@@ -50,6 +50,10 @@ __all__ = [
 
 # Safety cap for any single prefix evaluation; overridable via environment.
 MAX_PREFIX = int(os.environ.get("STURMLEX_MAX_LEN", "1000000"))
+
+# Letters a generator adds at least per growth, and most parent letters a
+# morphic image substitutes at a time.
+CHUNK = 4096
 
 _LETTER_POOL = "abcdefgh"
 
@@ -172,69 +176,71 @@ class FiniteWord:
         return self.data == self.data[::-1]
 
     def as_str(self) -> str:
-        return "".join(self.alphabet.names[c] for c in self.data)
+        return self.data.decode("latin-1").translate(_name_table(self.alphabet.names))
 
     def __repr__(self):
         return f"FiniteWord({self.as_str()!r})"
 
 
+@lru_cache(maxsize=None)
+def _name_table(names: tuple[str, ...]) -> dict[int, str]:
+    """str.translate table from letters (decoded as latin-1) to display names."""
+    return dict(enumerate(names))
+
+
 class InfiniteWord:
     """A deterministic lazy infinite word with a memoized prefix buffer.
 
-    ``stream`` yields letters in order; it may be finite, in which case
-    requesting a prefix past the end raises ValueError (the word is only
-    defined up to the material the construction can supply).  Constructions
-    with O(1) random access may supply ``letter_fn``, which bypasses the
-    prefix buffer for single-letter reads.
+    ``grow(n)`` returns a prefix of at least n letters, or the whole word when
+    it ends sooner; the word keeps what it returns as its buffer.  A grower
+    may return the same append-only bytearray on every call, and should
+    extend it by at least CHUNK letters at a time, so that views reading the
+    word a little further at each call copy its buffer once per chunk.  A
+    request past the end of a word that ends raises ValueError (the word is
+    only defined up to the material the construction can supply).
     """
 
-    def __init__(self, stream: Iterable[int], alphabet: Alphabet, recipe: str, letter_fn=None):
+    def __init__(self, grow: Callable[[int], bytes | bytearray], alphabet: Alphabet, recipe: str):
         self.alphabet = alphabet
         self.recipe = recipe
-        self._it = iter(stream)
-        self._buf = bytearray()
+        self._grow = grow
+        self._buf: bytes | bytearray = b""
         self._lock = threading.RLock()
-        self._letter_fn = letter_fn
 
-    def _fill(self, n: int) -> None:
+    def _fill(self, n: int) -> bytes | bytearray:
+        """The buffer, holding at least n letters; ValueError past the cap or the end of the word."""
         if n > MAX_PREFIX:
             raise ValueError(f"prefix request {n} exceeds cap {MAX_PREFIX} (STURMLEX_MAX_LEN)")
         with self._lock:
-            while len(self._buf) < n:
-                try:
-                    self._buf.append(next(self._it))
-                except StopIteration:
-                    raise ValueError(
-                        f"{self.recipe}: word only defined up to length {len(self._buf)}"
-                    ) from None
+            if len(self._buf) < n:
+                self._buf = self._grow(n)
+            buf = self._buf
+        if len(buf) < n:
+            raise ValueError(f"{self.recipe}: word only defined up to length {len(buf)}")
+        return buf
 
     def prefix_bytes(self, n: int) -> bytes:
-        self._fill(n)
-        return bytes(self._buf[:n])
+        if n < 0:
+            raise ValueError(f"prefix length must be non-negative, got {n}")
+        return bytes(self._fill(n)[:n])
 
     def prefix(self, n: int) -> FiniteWord:
         return FiniteWord(self.prefix_bytes(n), self.alphabet)
 
     def letter(self, n: int) -> int:
-        if self._letter_fn is not None and n >= len(self._buf):
-            return self._letter_fn(n)
-        self._fill(n + 1)
-        return self._buf[n]
+        if n < 0:
+            raise ValueError(f"letter index must be non-negative, got {n}")
+        return self._fill(n + 1)[n]
 
     def shifted(self, k: int) -> "InfiniteWord":
         if k < 0:
             raise ValueError("shift must be non-negative")
         if k == 0:
             return self
-        parent = self
-
-        def stream():
-            i = k
-            while True:
-                yield parent.letter(i)
-                i += 1
-
-        return InfiniteWord(stream(), self.alphabet, f"T^{k}({self.recipe})")
+        # past the cap, the parent's error names the first letter it cannot give
+        return InfiniteWord(
+            lambda n: self._fill(min(n + k, MAX_PREFIX + 1))[k:], self.alphabet, f"T^{k}({self.recipe})"
+        )
 
     def __repr__(self):
         return f"InfiniteWord({self.recipe})"
@@ -255,7 +261,7 @@ class UltimatelyPeriodicWord(InfiniteWord):
         label_u = self.preperiod.as_str()
         label_v = self.period.as_str()
         recipe = f"{label_u}|{label_v}" if label_u else f"({label_v})^w"
-        super().__init__(iter(()), alphabet, recipe)
+        super().__init__(lambda n: u + v * ((n + CHUNK - len(u)) // len(v) + 1), alphabet, recipe)
 
     @classmethod
     def purely_periodic(cls, period: FiniteWord) -> "UltimatelyPeriodicWord":
@@ -264,15 +270,6 @@ class UltimatelyPeriodicWord(InfiniteWord):
     @property
     def is_purely_periodic(self) -> bool:
         return len(self.preperiod) == 0
-
-    def _fill(self, n: int) -> None:
-        if n > MAX_PREFIX:
-            raise ValueError(f"prefix request {n} exceeds cap {MAX_PREFIX} (STURMLEX_MAX_LEN)")
-        with self._lock:
-            if len(self._buf) < n:
-                u, v = self.preperiod.data, self.period.data
-                reps = (n - len(u)) // len(v) + 1
-                self._buf = bytearray((u + v * max(reps, 1))[:n])
 
     def shifted(self, k: int) -> "UltimatelyPeriodicWord":
         if k < 0:
@@ -439,24 +436,18 @@ def is_palindrome(w: FiniteWord) -> bool:
     return w.is_palindrome()
 
 
+_SWAP = bytes([1, 0]) + bytes(range(2, 256))
+
+
 def complement(w: FiniteWord | InfiniteWord):
     """Exchange the two letters of a binary word."""
     if w.alphabet.size != 2:
         raise ValueError("complement requires a binary alphabet")
-    swap = bytes([1, 0]) + bytes(range(2, 256))
     if isinstance(w, FiniteWord):
-        return FiniteWord(w.data.translate(swap), w.alphabet)
+        return FiniteWord(w.data.translate(_SWAP), w.alphabet)
     if isinstance(w, UltimatelyPeriodicWord):
         return UltimatelyPeriodicWord(complement(w.preperiod), complement(w.period))
-    parent = w
-
-    def stream():
-        i = 0
-        while True:
-            yield 1 - parent.letter(i)
-            i += 1
-
-    return InfiniteWord(stream(), w.alphabet, f"complement({w.recipe})")
+    return InfiniteWord(lambda n: w._fill(n).translate(_SWAP), w.alphabet, f"complement({w.recipe})")
 
 
 def prepend(head: FiniteWord, tail: InfiniteWord) -> InfiniteWord:
@@ -466,15 +457,9 @@ def prepend(head: FiniteWord, tail: InfiniteWord) -> InfiniteWord:
     if isinstance(tail, UltimatelyPeriodicWord):
         return UltimatelyPeriodicWord(head + tail.preperiod, tail.period)
     data = head.data
-
-    def stream():
-        yield from data
-        i = 0
-        while True:
-            yield tail.letter(i)
-            i += 1
-
-    return InfiniteWord(stream(), tail.alphabet, f"{head.as_str()}.{tail.recipe}")
+    return InfiniteWord(
+        lambda n: data + tail._fill(max(n - len(data), 0)), tail.alphabet, f"{head.as_str()}.{tail.recipe}"
+    )
 
 
 def factors(w: FiniteWord | InfiniteWord, n: int, prefix_length: int | None = None) -> set[FiniteWord]:

@@ -1,0 +1,174 @@
+"""Chunked word production against the letter-by-letter oracle constructions."""
+
+from fractions import Fraction
+from itertools import islice
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sturmlex.cli import main
+from sturmlex.generators import (
+    DirectiveWord,
+    Morphism,
+    characteristic,
+    epistandard,
+    kbonacci,
+    mechanical_lower,
+    mechanical_upper,
+    thue_morse,
+)
+from sturmlex.oracle import closure_letters, floor_letters
+from sturmlex.surds import QuadraticSurd
+from sturmlex.words import (
+    BINARY,
+    Alphabet,
+    FiniteWord,
+    complement,
+    prepend,
+    shift,
+)
+
+N = 10000
+
+# the slopes of the benchmark's workloads, (p, q, d, r) = (p + q*sqrt(d))/r,
+# and one slope above 1
+SLOPES = [
+    (3, -1, 5, 2),
+    (2, -1, 2, 2),
+    (-1, 1, 2, 1),
+    (-1, 1, 3, 2),
+    (2, -1, 3, 1),
+    (-1, 1, 5, 2),
+    (0, 1, 2, 2),
+    (-1, 1, 3, 1),
+    (1, 1, 5, 2),
+]
+
+
+def closure_prefix(delta: DirectiveWord, n: int) -> bytes:
+    return bytes(islice(closure_letters(delta), n))
+
+
+def floor_prefix(alpha, rho, n: int, use_ceiling: bool = False) -> bytes:
+    return bytes(islice(floor_letters(alpha, rho, use_ceiling), n))
+
+
+class TestEpistandardMatchesClosures:
+    @pytest.mark.parametrize("text", ["ab*", "abc*", "aab*", "ab|ba", "abcb*", "a|ab", "ab|b"])
+    def test_directive(self, text):
+        delta = DirectiveWord.from_text(text)
+        assert epistandard(delta).prefix_bytes(N) == closure_prefix(delta, N)
+
+    def test_finite_directive_ends_at_the_same_length(self):
+        delta = DirectiveWord.from_text("abcab")
+        whole = closure_prefix(delta, N)
+        w = epistandard(delta)
+        assert w.prefix_bytes(len(whole)) == whole
+        with pytest.raises(ValueError, match=rf"^epistandard\(abcab\): word only defined up to length {len(whole)}$"):
+            w.prefix_bytes(len(whole) + 1)
+
+    @given(
+        st.lists(st.integers(0, 3), max_size=4),
+        st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_directives(self, pre, cycle):
+        alphabet = Alphabet.of_size(4)
+        delta = DirectiveWord(FiniteWord(pre, alphabet), FiniteWord(cycle, alphabet))
+        assert epistandard(delta).prefix_bytes(2000) == closure_prefix(delta, 2000)
+
+
+class TestMechanicalMatchesFloors:
+    @pytest.mark.parametrize("slope", SLOPES)
+    def test_characteristic(self, slope):
+        alpha = QuadraticSurd(*slope)
+        assert characteristic(alpha).prefix_bytes(N) == floor_prefix(alpha, alpha, N)
+
+    @pytest.mark.parametrize("rho", [Fraction(2, 7), QuadraticSurd(1, 1, 5, 3)])
+    @pytest.mark.parametrize("use_ceiling", [False, True])
+    def test_general_intercept(self, rho, use_ceiling):
+        alpha = QuadraticSurd(*SLOPES[0])
+        make = mechanical_upper if use_ceiling else mechanical_lower
+        surd_rho = rho if isinstance(rho, QuadraticSurd) else QuadraticSurd.from_fraction(rho)
+        assert make(alpha, rho).prefix_bytes(N) == floor_prefix(alpha, surd_rho, N, use_ceiling)
+
+    def test_rational_slope_period(self):
+        alpha = QuadraticSurd.from_fraction(Fraction(5, 12))
+        rho = QuadraticSurd(0, 1, 2, 3)
+        for use_ceiling, make in ((False, mechanical_lower), (True, mechanical_upper)):
+            assert make(alpha, rho).prefix_bytes(120) == floor_prefix(alpha, rho, 120, use_ceiling)
+
+
+class TestViewsMatchParent:
+    def test_shift_complement_prepend(self):
+        alpha = QuadraticSurd(*SLOPES[1])
+        base = floor_prefix(alpha, alpha, N + 37)
+        parent = characteristic(alpha)
+        swap = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+        assert shift(parent, 37).prefix_bytes(N) == base[37:]
+        assert complement(parent).prefix_bytes(N) == base[:N].translate(swap)
+        head = FiniteWord.from_str("10")
+        assert prepend(head, parent).prefix_bytes(N) == b"\x01\x00" + base[: N - 2]
+
+    def test_letter_by_letter_reads_of_a_view(self):
+        parent = epistandard(DirectiveWord.from_text("ab|b"))
+        view = shift(parent, 5)
+        letters = bytes(view.letter(i) for i in range(N))
+        assert letters == closure_prefix(DirectiveWord.from_text("ab|b"), N + 5)[5:]
+
+    def test_morphic_image(self):
+        A3 = Alphabet.of_size(3)
+        delta = DirectiveWord.from_text("ab*", A3)
+        mu = Morphism.from_text("c>c,a>ca,b>cb", A3)
+        images = [im.data for im in mu.images]
+        expected = b"".join(images[x] for x in closure_prefix(delta, N))
+        assert mu.apply(epistandard(delta)).prefix_bytes(N) == expected[:N]
+
+    def test_image_of_a_finite_word_raises_the_parent_error(self):
+        delta = DirectiveWord.from_text("abcab")
+        whole = closure_prefix(delta, N)
+        mu = Morphism.from_text("a>ab,b>a,c>c", Alphabet.of_size(3))
+        image = mu.apply(epistandard(delta))
+        full = b"".join(mu.images[x].data for x in whole)
+        assert image.prefix_bytes(len(full)) == full
+        with pytest.raises(ValueError, match=rf"^epistandard\(abcab\): word only defined up to length {len(whole)}$"):
+            image.prefix_bytes(len(full) + 1)
+
+
+class TestLengths:
+    def test_negative_prefix_rejected(self):
+        w = kbonacci(2)
+        w.prefix_bytes(20)
+        with pytest.raises(ValueError):
+            w.prefix_bytes(-5)
+        with pytest.raises(ValueError):
+            w.prefix(-1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "epistandard", "--directive", "ab*"],
+            ["generate", "mechanical", "--alpha", "2/5"],
+            ["generate", "morphic", "--morphism", "a>ab,b>a", "--word", "fib"],
+            ["generate", "thue-morse"],
+            ["generate", "skew"],
+            ["generate", "periodic-balanced"],
+        ],
+    )
+    def test_negative_len_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--len", "-5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_thue_morse_doubling(self):
+        t = thue_morse().prefix_bytes(N)
+        assert t == bytes(bin(i).count("1") & 1 for i in range(N))
+
+
+def test_as_str_names():
+    names = Alphabet(("α", "x", "☃"))
+    w = FiniteWord(bytes([0, 2, 1, 1, 0]), names)
+    assert w.as_str() == "α☃xxα"
+    assert FiniteWord(b"\x01\x00", BINARY).as_str() == "10"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .generators import characteristic, fibonacci_slope, periodic_balanced
@@ -122,11 +123,15 @@ class BoundedVerdict:
 # extremal factors
 
 
-def _scan_extremal(data: bytes, k: int, order: LexOrder, want_max: bool) -> tuple[bytes, int]:
+def _check_factor_length(data: bytes, k: int) -> None:
     if k < 1:
         raise ValueError("factor length must be positive")
     if k > len(data):
         raise ValueError(f"factor length {k} exceeds available material {len(data)}")
+
+
+def _scan_extremal(data: bytes, k: int, order: LexOrder, want_max: bool) -> tuple[bytes, int]:
+    _check_factor_length(data, k)
     ranked = data.translate(order.table)
     best = None
     pos = 0
@@ -135,6 +140,50 @@ def _scan_extremal(data: bytes, k: int, order: LexOrder, want_max: bool) -> tupl
         if best is None or (cand > best if want_max else cand < best):
             best, pos = cand, i
     return data[pos : pos + k], pos
+
+
+class _FactorTrie:
+    """The distinct length-k factors of ``data``, as a trie that branches only where they differ.
+
+    The factors are sorted once.  The node over a sorted range branches at the
+    first index where the range's first and last factors differ, with one
+    child per letter found there, so every order reads the same trie.  The
+    least factor under an order is reached by taking, at each branch, the
+    child whose letter ranks lowest.
+    """
+
+    def __init__(self, data: bytes, k: int):
+        _check_factor_length(data, k)
+        factors = sorted({data[i : i + k] for i in range(len(data) - k + 1)})
+        # a leaf is a factor; a branch is (letters, children), built without recursion
+        root: list = [None]
+        stack = [(0, len(factors), root, 0)]
+        while stack:
+            lo, hi, holder, slot = stack.pop()
+            if hi - lo == 1:
+                holder[slot] = factors[lo]
+                continue
+            depth = _compare_ranked(factors[lo], factors[hi - 1]).depth
+            letters = bytearray()
+            children: list = []
+            while lo < hi:
+                c = factors[lo][depth]
+                end = bisect_right(factors, c, lo, hi, key=lambda f: f[depth])
+                letters.append(c)
+                children.append(None)
+                stack.append((lo, end, children, len(children) - 1))
+                lo = end
+            holder[slot] = (bytes(letters), children)
+        self.root = root[0]
+
+    def least(self, order: LexOrder) -> bytes:
+        """The least factor under ``order``."""
+        rank = order.by_rank.index
+        node = self.root
+        while type(node) is tuple:
+            letters, children = node
+            node = children[letters.index(min(letters, key=rank))]
+        return node
 
 
 def _factor_material(w: FiniteWord | InfiniteWord, k: int, prefix_length: int | None) -> bytes:
@@ -230,6 +279,11 @@ def _names(alphabet: Alphabet, data: bytes) -> str:
     return "".join(alphabet.names[c] for c in data)
 
 
+def _check_bounds(K: int, L: int) -> None:
+    if K < 0 or L < 1:
+        raise ValueError("bounds must be positive (K >= 0 shifts, L >= 1 depth)")
+
+
 def _shift_chain_check(
     s: InfiniteWord,
     lower: bytes | None,
@@ -239,8 +293,7 @@ def _shift_chain_check(
     order: LexOrder,
 ) -> BoundedVerdict:
     """Verify lower <= T^k(s) <= upper for all k <= K at comparison depth L."""
-    if K < 0 or L < 1:
-        raise ValueError("bounds must be positive (K >= 0 shifts, L >= 1 depth)")
+    _check_bounds(K, L)
     data = s.prefix_bytes(K + L)
     table = order.table
     lo = lower.translate(table) if lower is not None else None
@@ -327,6 +380,28 @@ class EpistandardReport:
         }
 
 
+def _first_differences(
+    data: bytes, bound: bytes, K: int, L: int
+) -> tuple[int, dict[tuple[int, int], tuple[int, int]]]:
+    """Where T^k(data) first differs from ``bound``, for k <= K at depth L, under no order.
+
+    Returns the number of shifts equal to ``bound`` through depth L, and for
+    each (found, expected) letter pair met at a first difference the earliest
+    shift and its depth.  The index of the first difference does not depend
+    on the order; under an order, shift k compares less exactly when its found
+    letter ranks below its expected one.
+    """
+    undecided = 0
+    first: dict[tuple[int, int], tuple[int, int]] = {}
+    for k in range(K + 1):
+        out = _compare_ranked(data[k : k + L], bound)
+        if not out.decided:
+            undecided += 1
+            continue
+        first.setdefault((data[k + out.depth], bound[out.depth]), (k, out.depth))
+    return undecided, first
+
+
 def check_epistandard_ineq(
     s: InfiniteWord, K: int, L: int, material: int | None = None
 ) -> EpistandardReport:
@@ -336,15 +411,43 @@ def check_epistandard_ineq(
     equality flag per pair reports whether the minimal length-K factor seen in
     the material equals (a.s) truncated to K letters, i.e. whether the
     infimum is attained by the material.
+
+    Each shift is compared with a.s once per leading letter a, so the cost is
+    |A|.(K+1) comparisons; a pair then fails at the earliest shift whose first
+    difference its order ranks below a.s, an O(|A|^2) lookup.  The minimal
+    factors come from one trie of the material's length-K factors.
+    ``oracle.epistandard_ineq_by_order`` is the per-order reference.
     """
     material = material if material is not None else default_material(K)
     data = s.prefix_bytes(max(material, K + L))
+    pairs = acceptable_pairs(s.alphabet)
+    _check_bounds(K, L)
+    trie = _FactorTrie(data[:material], K)
+    lowers = [bytes([a]) + data[: L - 1] for a in range(s.alphabet.size)]
+    tables = [_first_differences(data, lower, K, L) for lower in lowers]
     results = []
-    for pair in acceptable_pairs(s.alphabet):
-        prefixed = bytes([pair.letter]) + data[: max(L, K) - 1]
-        verdict = _shift_chain_check(s, prefixed[:L], None, K, L, pair.order)
-        m, _ = _scan_extremal(data[:material], K, pair.order, want_max=False)
-        results.append(PairInequality(pair, verdict, equality=(m == prefixed[:K])))
+    for pair in pairs:
+        undecided, first = tables[pair.letter]
+        rank = pair.order.by_rank.index
+        fail = min((kd for (f, e), kd in first.items() if rank(f) < rank(e)), default=None)
+        if fail is None:
+            verdict = BoundedVerdict(True, K, L, undecided=undecided)
+        else:
+            k, depth = fail
+            verdict = BoundedVerdict(
+                False,
+                K,
+                L,
+                witness={
+                    "shift": k,
+                    "bound": "lower",
+                    "depth": depth,
+                    "expected": _names(s.alphabet, lowers[pair.letter][: depth + 1]),
+                    "found": _names(s.alphabet, data[k : k + depth + 1]),
+                },
+            )
+        head = bytes([pair.letter]) + data[: K - 1]
+        results.append(PairInequality(pair, verdict, equality=(trie.least(pair.order) == head)))
     return EpistandardReport(
         holds=all(r.verdict.holds for r in results),
         strict=all(r.equality for r in results),
@@ -364,7 +467,9 @@ def finite_episturmian_test(w: FiniteWord) -> tuple[bool, FiniteWord | None]:
 
     Here m = min(w) under the pair's order.  The certificate u is built by
     backtracking letter by letter, consuming one <=-constraint per order;
-    letters are tried in canonical order.  Returns (True, u) or (False, None).
+    letters are tried in canonical order, so the first certificate found is
+    the least.  The search keeps its own stack, so its depth is not limited
+    by the interpreter's recursion limit.  Returns (True, u) or (False, None).
     """
     if len(w) == 0:
         return True, FiniteWord(b"", w.alphabet)
@@ -379,36 +484,44 @@ def finite_episturmian_test(w: FiniteWord) -> tuple[bool, FiniteWord | None]:
     length = max((len(c) for c in constraints), default=0)
     # state per constraint: position while tight; SAT once strictly below or fully matched
     SAT = -1
+    ranks = [pair.order.table for pair in pairs]
 
-    def extend(u: list[int], states: list[int]) -> list[int] | None:
-        if len(u) == length:
-            return u
+    def step(states: list[int], letter: int, i: int) -> list[int] | None:
+        """The constraint states after appending ``letter`` at index i, or None if one is broken."""
+        nxt = []
+        for c, rank, target in zip(states, ranks, constraints):
+            if c == SAT or i >= len(target):
+                nxt.append(SAT)
+            elif rank[letter] < target[i]:
+                nxt.append(SAT)
+            elif rank[letter] == target[i]:
+                nxt.append(c + 1)
+            else:
+                return None
+        return nxt
+
+    # depth-first search on an explicit stack: u, the states after each
+    # prefix of u, and the next letter to try at each depth
+    u: list[int] = []
+    states = [[0] * len(constraints)]
+    next_letter = [0]
+    while len(u) < length:
         i = len(u)
-        for letter in range(size):
-            nxt = []
-            ok = True
-            for c, (pair, target) in zip(states, zip(pairs, constraints)):
-                if c == SAT or i >= len(target):
-                    nxt.append(SAT)
-                    continue
-                rank = pair.order.rank(letter)
-                if rank < target[i]:
-                    nxt.append(SAT)
-                elif rank == target[i]:
-                    nxt.append(c + 1)
-                else:
-                    ok = False
-                    break
-            if ok:
-                result = extend(u + [letter], nxt)
-                if result is not None:
-                    return result
-        return None
-
-    found = extend([], [0] * len(constraints))
-    if found is None:
-        return False, None
-    return True, FiniteWord(found, w.alphabet)
+        for letter in range(next_letter[-1], size):
+            nxt = step(states[-1], letter, i)
+            if nxt is not None:
+                next_letter[-1] = letter + 1
+                u.append(letter)
+                states.append(nxt)
+                next_letter.append(0)
+                break
+        else:
+            if not u:
+                return False, None
+            u.pop()
+            states.pop()
+            next_letter.pop()
+    return True, FiniteWord(u, w.alphabet)
 
 
 def not_balanced_witness(w: FiniteWord) -> FiniteWord | None:
@@ -439,14 +552,22 @@ def not_balanced_witness(w: FiniteWord) -> FiniteWord | None:
 def fine_test(t: InfiniteWord, K: int, material: int | None = None) -> BoundedVerdict:
     """Check that the min-words of all acceptable pairs agree after their first letter.
 
-    Min-words are length-K extremal factors of the material.  A disagreement
-    inside the horizon is a definitive failure; agreement holds at the
-    recorded bounds.
+    Min-words are length-K extremal factors of the material, read for every
+    order from one trie of its length-K factors.  A disagreement inside the
+    horizon is a definitive failure; agreement holds at the recorded bounds.
+    ``oracle.fine_by_order`` is the per-order reference.
     """
     material = material if material is not None else default_material(K)
     data = t.prefix_bytes(material)
     pairs = acceptable_pairs(t.alphabet)
-    mins = [(pair, _scan_extremal(data, K, pair.order, want_max=False)[0]) for pair in pairs]
+    trie = _FactorTrie(data, K)
+    return _fine_verdict(t.alphabet, K, material, [(pair, trie.least(pair.order)) for pair in pairs])
+
+
+def _fine_verdict(
+    alphabet: Alphabet, K: int, material: int, mins: list[tuple[AcceptablePair, bytes]]
+) -> BoundedVerdict:
+    """The fine verdict on the min-words of every pair: the first disagreement after their first letter."""
     base_pair, base = mins[0]
     for pair, m in mins[1:]:
         if m[1:] != base[1:]:
@@ -456,11 +577,11 @@ def fine_test(t: InfiniteWord, K: int, material: int | None = None) -> BoundedVe
                 None,
                 K,
                 witness={
-                    "pair_a": base_pair.text(t.alphabet),
-                    "pair_b": pair.text(t.alphabet),
+                    "pair_a": base_pair.text(alphabet),
+                    "pair_b": pair.text(alphabet),
                     "depth": i,
-                    "expected": _names(t.alphabet, base[: i + 1]),
-                    "found": _names(t.alphabet, m[: i + 1]),
+                    "expected": _names(alphabet, base[: i + 1]),
+                    "found": _names(alphabet, m[: i + 1]),
                 },
                 detail={"material": material},
             )
@@ -468,7 +589,7 @@ def fine_test(t: InfiniteWord, K: int, material: int | None = None) -> BoundedVe
         True,
         None,
         K,
-        detail={"material": material, "common_tail": _names(t.alphabet, base[1:21])},
+        detail={"material": material, "common_tail": _names(alphabet, base[1:21])},
     )
 
 
@@ -531,7 +652,12 @@ def gamma_membership(u: InfiniteWord, K: int, L: int) -> BoundedVerdict:
 
 
 def allowed_pair_check(r: InfiniteWord, s: InfiniteWord, K: int, L: int) -> BoundedVerdict:
-    """Bounded check of r <= T^i(r) < s and r < T^i(s) <= s for all i <= K."""
+    """Bounded check of r <= T^i(r) < s and r < T^i(s) <= s for all i <= K.
+
+    A shift that equals r or s through depth L is undecided on the strict
+    side too: equality of infinite words is never proven at a finite depth.
+    So each word is checked with the non-strict bounds r <= T^i(.) <= s.
+    """
     if r.alphabet.size != 2 or s.alphabet.size != 2:
         raise ValueError("binary words required")
     rp = r.prefix_bytes(L)
@@ -539,38 +665,17 @@ def allowed_pair_check(r: InfiniteWord, s: InfiniteWord, K: int, L: int) -> Boun
     if rp == sp:
         raise ValueError("allowed pairs must be distinct (equal through the depth bound)")
     undecided = 0
-    for source, lower, upper, lower_strict, upper_strict in (
-        (r, rp, sp, False, True),
-        (s, rp, sp, True, False),
-    ):
-        data = source.prefix_bytes(K + L)
-        for i in range(K + 1):
-            seg = data[i : i + L]
-            lo = _compare_ranked(seg, lower)
-            hi = _compare_ranked(seg, upper)
-            bad = None
-            if lo.relation is Relation.LESS:
-                bad = ("lower", lo)
-            elif lower_strict and not lo.decided:
-                bad = ("lower-strict", lo)
-            elif hi.relation is Relation.GREATER:
-                bad = ("upper", hi)
-            elif upper_strict and not hi.decided:
-                bad = ("upper-strict", hi)
-            if bad is not None:
-                name, out = bad
-                return BoundedVerdict(
-                    False,
-                    K,
-                    L,
-                    witness={
-                        "word": source.recipe,
-                        "shift": i,
-                        "bound": name,
-                        "depth": out.depth,
-                    },
-                )
-            undecided += (not lo.decided) + (not hi.decided)
+    for source in (r, s):
+        verdict = _shift_chain_check(source, rp, sp, K, L, LexOrder.natural(2))
+        if not verdict.holds:
+            w = verdict.witness
+            return BoundedVerdict(
+                False,
+                K,
+                L,
+                witness={"word": source.recipe, "shift": w["shift"], "bound": w["bound"], "depth": w["depth"]},
+            )
+        undecided += verdict.undecided
     return BoundedVerdict(True, K, L, undecided=undecided)
 
 

@@ -24,6 +24,7 @@ from .words import (
     FiniteWord,
     InfiniteWord,
     UltimatelyPeriodicWord,
+    _check_cap,
 )
 
 __all__ = [
@@ -258,18 +259,20 @@ def _mechanical(alpha, rho, use_ceiling: bool, alphabet: Alphabet, kind: str) ->
     rho = _as_surd(rho)
     if alpha.compare(0) <= 0:
         raise ValueError("slope must be positive")
+    if alpha.is_rational:
+        # slope p/q: the letter sequence repeats with period q from the start;
+        # the whole period is buffered, so it must fit under the cap
+        q = alpha.as_fraction().denominator
+        _check_cap(q)
+        period = bytes(_floor_differences(alpha, rho, use_ceiling)(q)[:q])
+        return UltimatelyPeriodicWord.purely_periodic(FiniteWord(period, alphabet))
     offset = rho - alpha
-    if alpha.is_irrational and offset.is_rational and offset.as_fraction().denominator == 1:
+    if offset.is_rational and offset.as_fraction().denominator == 1:
         # rho = alpha + m: the floors (and ceilings) of (k+2)*alpha + m differ
         # as those of (k+2)*alpha, which is irrational, so this is c_alpha
         grow = _standard_word(alpha)
     else:
         grow = _floor_differences(alpha, rho, use_ceiling)
-    if alpha.is_rational:
-        # slope p/q: the letter sequence repeats with period q from the start
-        q = alpha.as_fraction().denominator
-        period = bytes(grow(q)[:q])
-        return UltimatelyPeriodicWord.purely_periodic(FiniteWord(period, alphabet))
     return InfiniteWord(grow, alphabet, f"{kind}({alpha!r},{rho!r})")
 
 

@@ -3,9 +3,11 @@
 These routines deliberately avoid the analysis code paths they are used to
 check.  Balance is tested straight from the definition (all pairs of
 equal-length factors), extremal factors by sorting the full factor list, the
-episturmian corpus by collecting factors of explicitly generated words, and
-word letters one at a time: epistandard words by one palindromic closure per
-directive letter, mechanical words by one surd floor per letter.
+episturmian corpus by collecting factors of explicitly generated words,
+word letters one at a time (epistandard words by one palindromic closure per
+directive letter, mechanical words by one surd floor per letter), and the
+all-orders extremal checks by one shift-chain check and one factor scan per
+acceptable pair.
 """
 
 from __future__ import annotations
@@ -14,6 +16,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
+from .extremal import (
+    BoundedVerdict,
+    EpistandardReport,
+    PairInequality,
+    _fine_verdict,
+    _scan_extremal,
+    _shift_chain_check,
+    acceptable_pairs,
+    default_material,
+)
 from .generators import DirectiveWord, _pal_closure_bytes, epistandard, kbonacci
 from .surds import QuadraticSurd
 from .words import Alphabet, FiniteWord, InfiniteWord, LexOrder
@@ -27,6 +39,8 @@ __all__ = [
     "episturmian_factor_corpus",
     "default_roster",
     "naive_min_max",
+    "epistandard_ineq_by_order",
+    "fine_by_order",
 ]
 
 MAX_ENUM_LENGTH = 16
@@ -165,3 +179,34 @@ def naive_min_max(
         FiniteWord(ranked[0][1], w.alphabet),
         FiniteWord(ranked[-1][1], w.alphabet),
     )
+
+
+def epistandard_ineq_by_order(
+    s: InfiniteWord, K: int, L: int, material: int | None = None
+) -> EpistandardReport:
+    """check_epistandard_ineq recomputed with a full shift-chain check and factor scan per order."""
+    material = material if material is not None else default_material(K)
+    data = s.prefix_bytes(max(material, K + L))
+    results = []
+    for pair in acceptable_pairs(s.alphabet):
+        prefixed = bytes([pair.letter]) + data[: max(L, K) - 1]
+        verdict = _shift_chain_check(s, prefixed[:L], None, K, L, pair.order)
+        m, _ = _scan_extremal(data[:material], K, pair.order, want_max=False)
+        results.append(PairInequality(pair, verdict, equality=(m == prefixed[:K])))
+    return EpistandardReport(
+        holds=all(r.verdict.holds for r in results),
+        strict=all(r.equality for r in results),
+        pairs=results,
+        shift_bound=K,
+        depth_bound=L,
+        material=material,
+    )
+
+
+def fine_by_order(t: InfiniteWord, K: int, material: int | None = None) -> BoundedVerdict:
+    """fine_test recomputed with a full factor scan per order."""
+    material = material if material is not None else default_material(K)
+    data = t.prefix_bytes(material)
+    pairs = acceptable_pairs(t.alphabet)
+    mins = [(pair, _scan_extremal(data, K, pair.order, want_max=False)[0]) for pair in pairs]
+    return _fine_verdict(t.alphabet, K, material, mins)

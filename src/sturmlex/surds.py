@@ -46,6 +46,16 @@ class QuadraticSurd:
     __slots__ = ("p", "q", "d", "r")
 
     def __init__(self, p: int, q: int = 0, d: int = 0, r: int = 1):
+        self._set(p, q, d, r, check_radicand=True)
+
+    @classmethod
+    def _of(cls, p: int, q: int, d: int, r: int) -> "QuadraticSurd":
+        """An arithmetic result: d is 0 or the radicand of an operand, so already square-free."""
+        x = object.__new__(cls)
+        x._set(p, q, d, r, check_radicand=False)
+        return x
+
+    def _set(self, p: int, q: int, d: int, r: int, check_radicand: bool) -> None:
         if r == 0:
             raise ValueError("zero denominator")
         if r < 0:
@@ -56,7 +66,7 @@ class QuadraticSurd:
             d = 0
         if d == 0:
             q = 0
-        if d and not _squarefree(d):
+        if check_radicand and d and not _squarefree(d):
             raise ValueError(f"radicand {d} is not square-free")
         g = math.gcd(math.gcd(abs(p), abs(q)), r)
         object.__setattr__(self, "p", p // g)
@@ -101,12 +111,12 @@ class QuadraticSurd:
     def __add__(self, other):
         a, b = self._common(other)
         d = a.d or b.d
-        return QuadraticSurd(a.p * b.r + b.p * a.r, a.q * b.r + b.q * a.r, d, a.r * b.r)
+        return QuadraticSurd._of(a.p * b.r + b.p * a.r, a.q * b.r + b.q * a.r, d, a.r * b.r)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticSurd(-self.p, -self.q, self.d, self.r)
+        return QuadraticSurd._of(-self.p, -self.q, self.d, self.r)
 
     def __sub__(self, other):
         a, b = self._common(other)
@@ -118,7 +128,7 @@ class QuadraticSurd:
     def __mul__(self, other):
         a, b = self._common(other)
         d = a.d or b.d
-        return QuadraticSurd(
+        return QuadraticSurd._of(
             a.p * b.p + a.q * b.q * d, a.p * b.q + a.q * b.p, d, a.r * b.r
         )
 

@@ -58,6 +58,12 @@ CHUNK = 4096
 _LETTER_POOL = "abcdefgh"
 
 
+def _check_cap(n: int) -> None:
+    """ValueError if n letters are more than one word may buffer."""
+    if n > MAX_PREFIX:
+        raise ValueError(f"prefix request {n} exceeds cap {MAX_PREFIX} (STURMLEX_MAX_LEN)")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """An ordered set of letters 0..size-1 with single-character display names."""
@@ -209,8 +215,7 @@ class InfiniteWord:
 
     def _fill(self, n: int) -> bytes | bytearray:
         """The buffer, holding at least n letters; ValueError past the cap or the end of the word."""
-        if n > MAX_PREFIX:
-            raise ValueError(f"prefix request {n} exceeds cap {MAX_PREFIX} (STURMLEX_MAX_LEN)")
+        _check_cap(n)
         with self._lock:
             if len(self._buf) < n:
                 self._buf = self._grow(n)

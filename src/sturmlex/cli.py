@@ -1,9 +1,10 @@
 """Command-line surface: generate, analyze, extremal, modone, oracle.
 
 Exit codes: 0 for holds/true (and plain generation), 1 for fails/false,
-2 for usage errors.  JSON output is deterministic: fixed key order, rationals
-in lowest terms.  Word sources are builtin names, inline constructions, or
-serialized word files; see ``--help`` of each subcommand.
+2 for usage errors, 3 for an internal error (a bug, reported on stderr).
+JSON output is deterministic: fixed key order, rationals in lowest terms.
+Word sources are builtin names, inline constructions, or serialized word
+files; see ``--help`` of each subcommand.
 """
 
 from __future__ import annotations
@@ -57,6 +58,14 @@ def _parse_alpha(text: str) -> QuadraticSurd:
         return parse_surd(text)
     except ValueError as e:
         raise SpecError(str(e)) from None
+
+
+def _rational(text: str) -> Fraction:
+    """A rational from p/q or decimal text; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise SpecError(f"{text!r} has a zero denominator") from None
 
 
 def _widen(w, size: int):
@@ -179,7 +188,7 @@ def _digit_source(args, shifts_plus_precision: int) -> modone.DigitExpansion:
         return d
     base = args.base or 2
     if getattr(args, "xi", None):
-        xi = Fraction(args.xi)
+        xi = _rational(args.xi)
         return modone.digits_from_rational(xi, base, shifts_plus_precision)
     if getattr(args, "word", None):
         w = word_from_spec(args.word)
@@ -373,7 +382,7 @@ def cmd_extremal(args) -> Report:
 def cmd_modone(args) -> Report:
     rep = Report()
     if args.what == "digits":
-        d = modone.digits_from_rational(Fraction(args.xi), args.base or 2, args.n)
+        d = modone.digits_from_rational(_rational(args.xi), args.base or 2, args.n)
         text = d.digits.as_str()
         rep.obj = {"xi": args.xi, "base": d.base, "digits": text}
         rep.lines.append(text)
@@ -413,7 +422,7 @@ def cmd_modone(args) -> Report:
         w = _infinite(word_from_spec(args.word))
         rep.verdict(modone.self_sturmian_test(w, args.K, args.L))
     elif args.what == "gamma-tilde":
-        x = Fraction(args.x)
+        x = _rational(args.x)
         member = modone.gamma_tilde_member(x)
         orbit = modone.gamma_tilde_orbit(x)
         rep.boolean(member, {"x": _frac(x), "member": member, "orbit_size": len(orbit)})
@@ -657,6 +666,12 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        import traceback  # only on this path: it would add to every start
+
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     return _emit(args, rep)
 
 

@@ -239,36 +239,48 @@ def max_word(
 
 def min_finite(w: FiniteWord, order: LexOrder | None = None) -> FiniteWord:
     """min(w) for finite w: min(w|k) for the largest k keeping the chain of prefixes."""
-    if len(w) == 0:
-        raise ValueError("min of the empty word is undefined")
-    order = order or LexOrder.natural(w.alphabet.size)
-    prev, _ = _scan_extremal(w.data, 1, order, want_max=False)
-    k = 1
-    while k < len(w):
-        nxt, _ = _scan_extremal(w.data, k + 1, order, want_max=False)
-        if nxt[:k] != prev:
-            break
-        prev = nxt
-        k += 1
-    return FiniteWord(prev, w.alphabet)
+    return _finite_extremal(w, order, want_max=False)
 
 
 def max_finite(w: FiniteWord, order: LexOrder | None = None) -> FiniteWord:
     """max(w) for finite binary w, dual to min_finite."""
     if w.alphabet.size != 2:
         raise ValueError("finite max is defined for binary alphabets only")
+    return _finite_extremal(w, order, want_max=True)
+
+
+def _finite_extremal(w: FiniteWord, order: LexOrder | None, want_max: bool) -> FiniteWord:
+    """min(w) or max(w) as one suffix of w, in linear time.
+
+    The least length-k factors form a chain of prefixes exactly up to the
+    length of the least suffix of w when a suffix ranks above its own
+    extensions, which is the greatest suffix under the reversed order and
+    plain bytes order.  Dually, max(w) is the greatest suffix under the order.
+    """
     if len(w) == 0:
-        raise ValueError("max of the empty word is undefined")
-    order = order or LexOrder.natural(2)
-    prev, _ = _scan_extremal(w.data, 1, order, want_max=True)
-    k = 1
-    while k < len(w):
-        nxt, _ = _scan_extremal(w.data, k + 1, order, want_max=True)
-        if nxt[:k] != prev:
-            break
-        prev = nxt
-        k += 1
-    return FiniteWord(prev, w.alphabet)
+        raise ValueError(f"{'max' if want_max else 'min'} of the empty word is undefined")
+    order = order or LexOrder.natural(w.alphabet.size)
+    if not want_max:
+        order = LexOrder(order.by_rank[::-1])
+    return FiniteWord(w.data[_greatest_suffix(w.data.translate(order.table)) :], w.alphabet)
+
+
+def _greatest_suffix(s: bytes) -> int:
+    """Start of the greatest suffix of s in bytes order, by two candidates compared in step."""
+    i, j, k = 0, 1, 0
+    n = len(s)
+    while j + k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            j += k + 1
+        else:
+            i = max(i + k + 1, j)
+            j = i + 1
+        k = 0
+    return i
 
 
 # ---------------------------------------------------------------------------

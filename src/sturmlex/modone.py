@@ -7,8 +7,10 @@ interval [value, value + b^-N] so the error is explicit everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .extremal import BoundedVerdict, check_sturmian_extremal
 from .generators import characteristic, thue_morse
@@ -45,7 +47,7 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # fractional_parts returns thousands at a time
 class RationalInterval:
     """A closed interval [lo, hi] with exact rational endpoints."""
 
@@ -123,14 +125,26 @@ def real_bounds_from_digits(d: DigitExpansion, n: int | None = None) -> Rational
 
 
 def fractional_parts(d: DigitExpansion, shifts: int, precision: int) -> list[RationalInterval]:
-    """Intervals around the first ``shifts`` orbit points, each of width base^-precision."""
+    """Intervals around the first ``shifts`` orbit points, each of width base^-precision.
+
+    One numerator slides along the digits: dropping the leading digit and
+    appending the next takes v to (v - d_n.b^(P-1)).b + d_(n+P).
+    """
+    if precision < 1:
+        raise ValueError(f"precision must be at least 1 digit, got {precision}")
+    if shifts < 0:
+        raise ValueError(f"shift count must be non-negative, got {shifts}")
     data = d.prefix_digits(shifts + precision)
+    base = d.base
+    scale = base**precision
+    top = base ** (precision - 1)
+    value = 0
+    for digit in data[:precision]:
+        value = value * base + digit
     out = []
-    scale = d.base**precision
     for n in range(shifts):
-        value = 0
-        for digit in data[n : n + precision]:
-            value = value * d.base + digit
+        if n:
+            value = (value - data[n - 1] * top) * base + data[n + precision - 1]
         out.append(RationalInterval(Fraction(value, scale), Fraction(value + 1, scale)))
     return out
 
@@ -148,6 +162,17 @@ class TorusPointSet:
         object.__setattr__(self, "points", pts)
 
 
+def _endpoints(
+    items: TorusPointSet | list[RationalInterval] | list[Fraction],
+) -> Iterator[tuple[Fraction, Fraction]]:
+    if isinstance(items, TorusPointSet):
+        return ((p, p) for p in items.points)
+    return (
+        (it.lo, it.hi) if isinstance(it, RationalInterval) else (Fraction(it), Fraction(it))
+        for it in items
+    )
+
+
 def min_covering_interval(
     items: TorusPointSet | list[RationalInterval] | list[Fraction],
     circular: bool = True,
@@ -157,43 +182,41 @@ def min_covering_interval(
     On the circle this is the complement of the largest empty gap; the result
     interval may have hi > 1 to represent an arc wrapping through 0.
     """
-    if isinstance(items, TorusPointSet):
-        intervals = [(p, p) for p in items.points]
-    else:
-        intervals = []
-        for it in items:
-            if isinstance(it, RationalInterval):
-                intervals.append((it.lo, it.hi))
-            else:
-                intervals.append((Fraction(it), Fraction(it)))
+    # integer numerators over the common denominator (base^precision for
+    # fractional parts); the endpoints are read twice rather than stored
+    den = math.lcm(*{x.denominator for pair in _endpoints(items) for x in pair})
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator if x.denominator == den else x.numerator * (den // x.denominator)
+
+    # (start, length) sorts as (start, end); an orbit interval's length is
+    # the shared small int 1, so the sorted list costs little beyond its tuples
+    intervals = []
+    for lo, hi in _endpoints(items):
+        start = scaled(lo)
+        intervals.append((start, scaled(hi) - start))
+    intervals.sort()
     if not intervals:
         raise ValueError("empty input")
-    intervals.sort()
     if not circular:
-        lo = min(a for a, _ in intervals)
-        hi = max(b for _, b in intervals)
-        return hi - lo, RationalInterval(lo, hi)
-    n = len(intervals)
-    best_gap = None
-    best_start = 0
-    max_hi = intervals[0][1]
-    for i in range(n):
-        nxt = i + 1
-        if nxt < n:
-            gap = intervals[nxt][0] - max_hi
-            start = nxt
-        else:
-            gap = intervals[0][0] + 1 - max_hi
-            start = 0
-        if best_gap is None or gap > best_gap:
-            best_gap, best_start = gap, start
-            best_end = max_hi
-        if nxt < n:
-            max_hi = max(max_hi, intervals[nxt][1])
+        lo = intervals[0][0]
+        hi = max(a + b for a, b in intervals)
+        return Fraction(hi - lo, den), RationalInterval(Fraction(lo, den), Fraction(hi, den))
+    # the largest gap between an interval's start and the furthest end before
+    # it, the gap through 0 last; the first of equal gaps wins
+    best_gap, best_start = None, 0
+    max_hi = sum(intervals[0])
+    for i in range(1, len(intervals)):
+        lo, length = intervals[i]
+        if best_gap is None or lo - max_hi > best_gap:
+            best_gap, best_start = lo - max_hi, i
+        max_hi = max(max_hi, lo + length)
+    if best_gap is None or intervals[0][0] + den - max_hi > best_gap:
+        best_gap, best_start = intervals[0][0] + den - max_hi, 0
     if best_gap <= 0:
         return Fraction(1), RationalInterval(Fraction(0), Fraction(1))
-    length = 1 - best_gap
-    lo = intervals[best_start][0]
+    length = Fraction(den - best_gap, den)
+    lo = Fraction(intervals[best_start][0], den)
     return length, RationalInterval(lo, lo + length)
 
 

@@ -5,15 +5,18 @@ check.  Balance is tested straight from the definition (all pairs of
 equal-length factors), extremal factors by sorting the full factor list, the
 episturmian corpus by collecting factors of explicitly generated words,
 word letters one at a time (epistandard words by one palindromic closure per
-directive letter, mechanical words by one surd floor per letter), and the
+directive letter, mechanical words by one surd floor per letter), the
 all-orders extremal checks by one shift-chain check and one factor scan per
-acceptable pair.
+acceptable pair, factor complexity by one set of factors per length, finite
+min/max words by one factor scan per prefix length, and fractional parts and
+covering arcs by one numerator per shift and Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 from .extremal import (
@@ -27,6 +30,7 @@ from .extremal import (
     default_material,
 )
 from .generators import DirectiveWord, _pal_closure_bytes, epistandard, kbonacci
+from .modone import DigitExpansion, RationalInterval, TorusPointSet
 from .surds import QuadraticSurd
 from .words import Alphabet, FiniteWord, InfiniteWord, LexOrder
 
@@ -41,6 +45,10 @@ __all__ = [
     "naive_min_max",
     "epistandard_ineq_by_order",
     "fine_by_order",
+    "complexity_by_length",
+    "finite_extremal_by_chain",
+    "fractional_parts_by_shift",
+    "covering_by_fractions",
 ]
 
 MAX_ENUM_LENGTH = 16
@@ -210,3 +218,78 @@ def fine_by_order(t: InfiniteWord, K: int, material: int | None = None) -> Bound
     pairs = acceptable_pairs(t.alphabet)
     mins = [(pair, _scan_extremal(data, K, pair.order, want_max=False)[0]) for pair in pairs]
     return _fine_verdict(t.alphabet, K, material, mins)
+
+
+def complexity_by_length(data: bytes, k_max: int) -> list[int]:
+    """p(1..k_max) of the material, one set of distinct factors per length."""
+    return [len({data[i : i + k] for i in range(len(data) - k + 1)}) for k in range(1, k_max + 1)]
+
+
+def finite_extremal_by_chain(w: FiniteWord, order: LexOrder, want_max: bool) -> FiniteWord:
+    """min(w) (or max(w)): extend the least (greatest) length-k factor while each is a prefix of the next.
+
+    Rescans the whole word once per prefix length.
+    """
+    prev, _ = _scan_extremal(w.data, 1, order, want_max)
+    k = 1
+    while k < len(w):
+        nxt, _ = _scan_extremal(w.data, k + 1, order, want_max)
+        if nxt[:k] != prev:
+            break
+        prev = nxt
+        k += 1
+    return FiniteWord(prev, w.alphabet)
+
+
+def fractional_parts_by_shift(d: DigitExpansion, shifts: int, precision: int) -> list[RationalInterval]:
+    """fractional_parts recomputed with a fresh numerator from ``precision`` digits per shift."""
+    data = d.prefix_digits(shifts + precision)
+    scale = d.base**precision
+    out = []
+    for n in range(shifts):
+        value = 0
+        for digit in data[n : n + precision]:
+            value = value * d.base + digit
+        out.append(RationalInterval(Fraction(value, scale), Fraction(value + 1, scale)))
+    return out
+
+
+def covering_by_fractions(
+    items: TorusPointSet | list[RationalInterval] | list[Fraction], circular: bool = True
+) -> tuple[Fraction, RationalInterval]:
+    """min_covering_interval recomputed on sorted Fraction pairs."""
+    if isinstance(items, TorusPointSet):
+        intervals = [(p, p) for p in items.points]
+    else:
+        intervals = [
+            (it.lo, it.hi) if isinstance(it, RationalInterval) else (Fraction(it), Fraction(it))
+            for it in items
+        ]
+    if not intervals:
+        raise ValueError("empty input")
+    intervals.sort()
+    if not circular:
+        lo = min(a for a, _ in intervals)
+        hi = max(b for _, b in intervals)
+        return hi - lo, RationalInterval(lo, hi)
+    n = len(intervals)
+    best_gap = None
+    best_start = 0
+    max_hi = intervals[0][1]
+    for i in range(n):
+        nxt = i + 1
+        if nxt < n:
+            gap = intervals[nxt][0] - max_hi
+            start = nxt
+        else:
+            gap = intervals[0][0] + 1 - max_hi
+            start = 0
+        if best_gap is None or gap > best_gap:
+            best_gap, best_start = gap, start
+        if nxt < n:
+            max_hi = max(max_hi, intervals[nxt][1])
+    if best_gap <= 0:
+        return Fraction(1), RationalInterval(Fraction(0), Fraction(1))
+    length = 1 - best_gap
+    lo = intervals[best_start][0]
+    return length, RationalInterval(lo, lo + length)

@@ -488,11 +488,32 @@ def complexity(w: FiniteWord | InfiniteWord, k_max: int, prefix_length: int | No
     For infinite words this is computed on the prefix of the given length and
     is a lower bound of the true complexity unless the prefix is long enough
     for p(k) to have stabilized.
+
+    One sorted set holds the distinct length-k_max factors and the k_max - 1
+    shorter suffixes of the material; every length-k factor is the k-prefix of
+    exactly one run of adjacent keys sharing a prefix of length >= k, so
+    p(k) = |keys| - (k - 1) - #{adjacent pairs with common prefix >= k}.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be positive, got {k_max}")
     data = _material(w, prefix_length)
-    if k_max > len(data):
+    n = len(data)
+    if k_max > n:
         raise ValueError("k_max exceeds available material")
-    return [len(_factor_bytes(data, k)) for k in range(1, k_max + 1)]
+    keys = _factor_bytes(data, k_max)
+    keys.update(data[n - j :] for j in range(1, k_max))
+    keys = sorted(keys)
+    # the longest common prefix of neighbours, from the top set bit of their
+    # XOR on zero-padded big-endian ints; padding can only lengthen a match
+    # past a short key, which sorts first when it is a prefix of its neighbour
+    vals = [int.from_bytes(key, "big") << (8 * (k_max - len(key))) for key in keys]
+    at_least = [0] * (k_max + 1)
+    for key, x, y in zip(keys, vals, vals[1:]):
+        lcp = k_max - ((x ^ y).bit_length() + 7) // 8
+        at_least[min(lcp, len(key))] += 1
+    for k in range(k_max - 1, -1, -1):
+        at_least[k] += at_least[k + 1]
+    return [len(keys) - (k - 1) - at_least[k] for k in range(1, k_max + 1)]
 
 
 def special_factors(
@@ -518,10 +539,14 @@ def special_factors(
 def balance_violation(
     w: FiniteWord | InfiniteWord, prefix_length: int | None = None
 ) -> tuple[FiniteWord, FiniteWord] | None:
-    """A pair of equal-length factors whose 1-counts differ by >= 2, if any."""
-    data = _material(w, prefix_length)
-    if w.alphabet.size != 2:
-        raise ValueError("balance is defined for binary alphabets only")
+    """A pair of equal-length factors whose 1-counts differ by >= 2, if any.
+
+    The verdict is linear (``_is_balanced_bytes``); only unbalanced material
+    is scanned, by length, for the shortest violation and its first windows.
+    """
+    data = _binary_material(w, prefix_length)
+    if _is_balanced_bytes(data):
+        return None
     n = len(data)
     pre = [0] * (n + 1)
     for i, c in enumerate(data):
@@ -535,11 +560,83 @@ def balance_violation(
                 FiniteWord(data[i : i + length], w.alphabet),
                 FiniteWord(data[j : j + length], w.alphabet),
             )
-    return None
+    raise AssertionError("unbalanced material without a violating pair")  # pragma: no cover
 
 
 def is_balanced(w: FiniteWord | InfiniteWord, prefix_length: int | None = None) -> bool:
-    return balance_violation(w, prefix_length) is None
+    return _is_balanced_bytes(_binary_material(w, prefix_length))
+
+
+def _binary_material(w: FiniteWord | InfiniteWord, prefix_length: int | None) -> bytes:
+    data = _material(w, prefix_length)
+    if w.alphabet.size != 2:
+        raise ValueError("balance is defined for binary alphabets only")
+    return data
+
+
+def _is_balanced_bytes(data: bytes) -> bool:
+    """Whether a binary word is balanced, in linear time.
+
+    A finite binary word is balanced iff it is a factor of a mechanical word
+    (Lothaire, Algebraic Combinatorics on Words, ch. 2), that is iff some line
+    y = a.x + c has S_i <= a.i + c < S_i + 1 at every prefix sum S_i: iff the
+    points (i, S_i) have vertical width below 1.  The width as a function of
+    the slope a is convex and piecewise linear, breaking only at hull edge
+    slopes, so its minimum is taken at an edge of the upper or lower hull,
+    against the farthest vertex of the other hull.  Only a point between a 1
+    and a 0 can be an upper hull vertex, and only one between a 0 and a 1 a
+    lower one.
+    """
+    n = len(data)
+    if n == 0:
+        return True
+    upper, lower = [(0, 0)], [(0, 0)]
+    total = 0
+    for i in range(1, n):
+        c = data[i - 1]
+        total += c
+        if c != data[i]:
+            _hull_push(upper if c else lower, i, total, c == 1)
+    total += data[n - 1]
+    _hull_push(upper, n, total, True)
+    _hull_push(lower, n, total, False)
+    return _width_below_one(upper, lower, 1) or _width_below_one(lower, upper, -1)
+
+
+def _hull_push(hull: list[tuple[int, int]], x: int, y: int, upper: bool) -> None:
+    """Append (x, y) to a monotone-chain hull, dropping the vertices it makes non-convex."""
+    while len(hull) >= 2:
+        (ox, oy), (ax, ay) = hull[-2], hull[-1]
+        cross = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
+        if (cross >= 0) if upper else (cross <= 0):
+            hull.pop()
+        else:
+            break
+    hull.append((x, y))
+
+
+def _width_below_one(edges: list[tuple[int, int]], other: list[tuple[int, int]], sign: int) -> bool:
+    """Whether the slope of some edge of one hull gives the points vertical width < 1.
+
+    ``sign`` is 1 for upper hull edges against the lower hull, -1 for lower
+    hull edges against the upper hull.  The edges are visited by increasing
+    slope, so the vertex of ``other`` farthest from them only moves one way.
+    For slope dy/dx every comparison is scaled by dx > 0 and stays integral.
+    """
+    slopes_up = range(len(edges) - 2, -1, -1) if sign > 0 else range(len(edges) - 1)
+    m = 0 if sign > 0 else len(other) - 1
+    for j in slopes_up:
+        (x0, y0), (x1, y1) = edges[j], edges[j + 1]
+        dx, dy = x1 - x0, y1 - y0
+        while 0 <= m + sign < len(other):
+            (xa, ya), (xb, yb) = other[m], other[m + sign]
+            if sign * ((yb - ya) * dx - dy * (xb - xa)) > 0:
+                break
+            m += sign
+        xo, yo = other[m]
+        if sign * ((y0 - yo) * dx - dy * (x0 - xo)) < dx:
+            return True
+    return False
 
 
 def block_condition(w: FiniteWord | InfiniteWord, prefix_length: int | None = None) -> bool:

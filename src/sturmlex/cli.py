@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import extremal, modone, oracle
+# extremal, modone, oracle and random are imported by the commands that use
+# them, so a command loads and compiles only the layers it runs.
 from .generators import (
     DirectiveWord,
     Morphism,
@@ -45,6 +46,9 @@ from .words import (
     special_factors,
     word_from_text,
 )
+
+if TYPE_CHECKING:
+    from . import modone
 
 _POOL = "abcdefgh"
 
@@ -171,6 +175,8 @@ def _order_for(w, text: str | None) -> LexOrder:
 
 def _digit_file(path: str) -> modone.DigitExpansion:
     """Digit file format: one line base, one line digits."""
+    from . import modone
+
     with open(path, encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if len(lines) != 2:
@@ -181,6 +187,8 @@ def _digit_file(path: str) -> modone.DigitExpansion:
 
 
 def _digit_source(args, shifts_plus_precision: int) -> modone.DigitExpansion:
+    from . import modone
+
     if getattr(args, "xi_digits", None):
         d = _digit_file(args.xi_digits)
         if args.base and args.base != d.base:
@@ -295,6 +303,8 @@ def cmd_analyze(args) -> Report:
         rep.obj = {"word": args.word, "n": args.n, "side": args.side, "factors": names}
         rep.lines.append(" ".join(names) if names else "(none)")
     elif args.what == "local-balance":
+        from . import extremal
+
         rep.verdict(extremal.local_balance_check(w, args.n_max, L))
     elif args.what == "block-condition":
         ok = block_condition(w, L if isinstance(w, InfiniteWord) else None)
@@ -318,6 +328,8 @@ def cmd_analyze(args) -> Report:
 
 
 def cmd_extremal(args) -> Report:
+    from . import extremal
+
     rep = Report()
     if args.what == "min-max":
         w = word_from_spec(args.word)
@@ -380,6 +392,8 @@ def cmd_extremal(args) -> Report:
 
 
 def cmd_modone(args) -> Report:
+    from . import modone
+
     rep = Report()
     if args.what == "digits":
         d = modone.digits_from_rational(_rational(args.xi), args.base or 2, args.n)
@@ -439,6 +453,8 @@ def cmd_modone(args) -> Report:
 
 
 def cmd_oracle(args) -> Report:
+    from . import extremal, oracle
+
     rep = Report()
     if args.what == "enumerate":
         words = oracle.enumerate_balanced(args.n)
@@ -458,6 +474,8 @@ def cmd_oracle(args) -> Report:
         rep.obj = {"n_max": corpus.n_max, "prefix_budget": corpus.prefix_budget,
                    "count": corpus.count()}
     elif args.what == "diff":
+        import random
+
         rng = random.Random(args.seed)
         mismatches = 0
         for _ in range(args.trials):
@@ -495,17 +513,7 @@ def _length(text: str) -> int:
     return n
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sturmlex",
-        description="Exact-arithmetic toolkit for Sturmian/episturmian words and "
-        "distribution of fractional parts modulo 1.",
-        epilog="Prefix evaluation is capped by the STURMLEX_MAX_LEN environment variable.",
-    )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    top = parser.add_subparsers(dest="group", required=True)
-
-    gen = top.add_parser("generate", help="construct words").add_subparsers(dest="what", required=True)
+def _generate_leaves(gen) -> None:
     g = gen.add_parser("mechanical")
     g.add_argument("--alpha", required=True)
     g.add_argument("--rho", default="same")
@@ -532,7 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--y", default="b")
     g.add_argument("--len", type=_length, default=32)
 
-    ana = top.add_parser("analyze", help="factor/balance analysis").add_subparsers(dest="what", required=True)
+
+def _analyze_leaves(ana) -> None:
     a = ana.add_parser("complexity")
     a.add_argument("--word", required=True)
     a.add_argument("--k-max", type=int, required=True, dest="k_max")
@@ -556,7 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--word", required=True)
     a.add_argument("--prefix", type=int, default=None)
 
-    ext = top.add_parser("extremal", help="lexicographic extremal checks").add_subparsers(dest="what", required=True)
+
+def _extremal_leaves(ext) -> None:
     e = ext.add_parser("min-max")
     e.add_argument("--word", required=True)
     e.add_argument("--k", type=int, required=True)
@@ -598,7 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--K", type=int, default=100)
     e.add_argument("--L", type=int, default=200)
 
-    mod = top.add_parser("modone", help="distribution modulo one").add_subparsers(dest="what", required=True)
+
+def _modone_leaves(mod) -> None:
     m = mod.add_parser("digits")
     m.add_argument("--xi", required=True, help="rational p/q in (0,1)")
     m.add_argument("--base", type=int, default=2)
@@ -635,7 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--alpha", required=True)
     m.add_argument("--L", type=int, default=64)
 
-    orc = top.add_parser("oracle", help="brute-force ground truth").add_subparsers(dest="what", required=True)
+
+def _oracle_leaves(orc) -> None:
     o = orc.add_parser("enumerate")
     o.add_argument("--n", type=int, required=True)
     o = orc.add_parser("corpus")
@@ -646,23 +658,48 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--trials", type=int, default=500)
     o.add_argument("--seed", type=int, default=0)
 
-    return parser
 
-
-_DISPATCH = {
-    "generate": cmd_generate,
-    "analyze": cmd_analyze,
-    "extremal": cmd_extremal,
-    "modone": cmd_modone,
-    "oracle": cmd_oracle,
+# group -> (help, adds its leaf subcommands, runs a parsed command)
+_GROUPS = {
+    "generate": ("construct words", _generate_leaves, cmd_generate),
+    "analyze": ("factor/balance analysis", _analyze_leaves, cmd_analyze),
+    "extremal": ("lexicographic extremal checks", _extremal_leaves, cmd_extremal),
+    "modone": ("distribution modulo one", _modone_leaves, cmd_modone),
+    "oracle": ("brute-force ground truth", _oracle_leaves, cmd_oracle),
 }
 
 
+def build_parser(group: str | None = None) -> argparse.ArgumentParser:
+    """The command parser; with ``group``, only that group gets its leaf subcommands.
+
+    Every group parser exists either way, so the top-level help and errors do
+    not depend on ``group``.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sturmlex",
+        description="Exact-arithmetic toolkit for Sturmian/episturmian words and "
+        "distribution of fractional parts modulo 1.",
+        epilog="Prefix evaluation is capped by the STURMLEX_MAX_LEN environment variable.",
+    )
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    top = parser.add_subparsers(dest="group", required=True)
+    for name, (help_text, add_leaves, _) in _GROUPS.items():
+        sub = top.add_parser(name, help=help_text)
+        if group is None or group == name:
+            add_leaves(sub.add_subparsers(dest="what", required=True))
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the first token naming a group picks the leaves to build; with none
+    # (--help, a bad group) the full parser reports it
+    group = next((token for token in argv if token in _GROUPS), None)
+    args = build_parser(group).parse_args(argv)
+    _, _, run = _GROUPS[args.group]
     try:
-        rep = _DISPATCH[args.group](args)
+        rep = run(args)
     except (SpecError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .extremal import BoundedVerdict, check_sturmian_extremal
 from .generators import characteristic, thue_morse
 from .surds import QuadraticSurd
 from .words import (
@@ -24,6 +23,9 @@ from .words import (
     complexity,
     is_balanced,
 )
+
+if TYPE_CHECKING:
+    from .extremal import BoundedVerdict
 
 __all__ = [
     "RationalInterval",
@@ -338,6 +340,9 @@ def self_sturmian_test(s: InfiniteWord, K: int, L: int, complexity_depth: int = 
     the material (which rules out eventually periodic impostors at the
     observed scale).
     """
+    # imported here so that the other modone commands do not load extremal
+    from .extremal import BoundedVerdict, check_sturmian_extremal
+
     if s.alphabet.size != 2:
         raise ValueError("binary word required")
     head = s.prefix_bytes(2)
@@ -414,6 +419,8 @@ def veerman_interval(alpha: QuadraticSurd, precision: int) -> tuple[RationalInte
         raise ValueError("slope must be irrational")
     if not (QuadraticSurd(0) < alpha < QuadraticSurd(1)):
         raise ValueError("slope must lie in (0, 1)")
+    if precision < 1:
+        raise ValueError(f"precision must be at least 1 digit, got {precision}")
     c = characteristic(alpha)
     tail = c.prefix_bytes(precision - 1)
     base = Alphabet.digits(2)

@@ -526,6 +526,8 @@ def special_factors(
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     data = _material(w, prefix_length)
+    if n < 0:
+        raise ValueError(f"factor length must be non-negative, got {n}")
     if n + 1 > len(data):
         raise ValueError("material too short to witness extensions")
     ext: dict[bytes, set[int]] = {}

@@ -191,10 +191,10 @@ def _digit_source(args, shifts_plus_precision: int) -> modone.DigitExpansion:
 
     if getattr(args, "xi_digits", None):
         d = _digit_file(args.xi_digits)
-        if args.base and args.base != d.base:
+        if args.base is not None and args.base != d.base:
             raise SpecError(f"digit file base {d.base} contradicts --base {args.base}")
         return d
-    base = args.base or 2
+    base = 2 if args.base is None else args.base
     if getattr(args, "xi", None):
         xi = _rational(args.xi)
         return modone.digits_from_rational(xi, base, shifts_plus_precision)
@@ -396,7 +396,7 @@ def cmd_modone(args) -> Report:
 
     rep = Report()
     if args.what == "digits":
-        d = modone.digits_from_rational(_rational(args.xi), args.base or 2, args.n)
+        d = modone.digits_from_rational(_rational(args.xi), 2 if args.base is None else args.base, args.n)
         text = d.digits.as_str()
         rep.obj = {"xi": args.xi, "base": d.base, "digits": text}
         rep.lines.append(text)
@@ -503,7 +503,7 @@ def cmd_oracle(args) -> Report:
 
 
 def _length(text: str) -> int:
-    """argparse type for --len: a non-negative integer."""
+    """argparse type for --len and --trials: a non-negative integer."""
     try:
         n = int(text)
     except ValueError:
@@ -655,7 +655,7 @@ def _oracle_leaves(orc) -> None:
     o.add_argument("--budget", type=int, default=600)
     o.add_argument("--out", default=None)
     o = orc.add_parser("diff")
-    o.add_argument("--trials", type=int, default=500)
+    o.add_argument("--trials", type=_length, default=500)
     o.add_argument("--seed", type=int, default=0)
 
 

@@ -23,9 +23,9 @@ from .words import (
     FiniteWord,
     InfiniteWord,
     LexOrder,
-    Relation,
     UltimatelyPeriodicWord,
-    _compare_ranked,
+    _first_difference,
+    _first_violation,
     complement,
     prepend,
 )
@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 MAX_ORDER_ALPHABET = 8
+# gan_phi_approx enumerates 2^P words; P = 12 already takes seconds
+MAX_PHI_DEPTH = 12
 
 
 def default_material(k: int) -> int:
@@ -130,16 +132,13 @@ def _check_factor_length(data: bytes, k: int) -> None:
         raise ValueError(f"factor length {k} exceeds available material {len(data)}")
 
 
-def _scan_extremal(data: bytes, k: int, order: LexOrder, want_max: bool) -> tuple[bytes, int]:
+def _scan_extremal(data: bytes, k: int, order: LexOrder, want_max: bool) -> bytes:
+    """The least (greatest) length-k factor of data under the order, by one scan of every window."""
     _check_factor_length(data, k)
     ranked = data.translate(order.table)
-    best = None
-    pos = 0
-    for i in range(len(data) - k + 1):
-        cand = ranked[i : i + k]
-        if best is None or (cand > best if want_max else cand < best):
-            best, pos = cand, i
-    return data[pos : pos + k], pos
+    best = (max if want_max else min)(ranked[i : i + k] for i in range(len(data) - k + 1))
+    pos = ranked.find(best)
+    return data[pos : pos + k]
 
 
 class _FactorTrie:
@@ -163,7 +162,7 @@ class _FactorTrie:
             if hi - lo == 1:
                 holder[slot] = factors[lo]
                 continue
-            depth = _compare_ranked(factors[lo], factors[hi - 1]).depth
+            depth = _first_difference(factors[lo], factors[hi - 1])
             letters = bytearray()
             children: list = []
             while lo < hi:
@@ -186,16 +185,18 @@ class _FactorTrie:
         return node
 
 
-def _factor_material(w: FiniteWord | InfiniteWord, k: int, prefix_length: int | None) -> bytes:
+def _extremal_factor(w, k: int, order: LexOrder | None, prefix_length: int | None, want_max: bool):
     if isinstance(w, FiniteWord):
-        return w.data
-    if prefix_length is None:
-        if isinstance(w, UltimatelyPeriodicWord):
-            # every factor of u v^w occurs inside u v . first k-1 letters of v^w
-            prefix_length = len(w.preperiod) + len(w.period) + k - 1
-        else:
-            prefix_length = default_material(k)
-    return w.prefix_bytes(prefix_length)
+        data = w.data
+    elif prefix_length is not None:
+        data = w.prefix_bytes(prefix_length)
+    elif isinstance(w, UltimatelyPeriodicWord):
+        # every factor of u v^w occurs inside u v . first k-1 letters of v^w
+        data = w.prefix_bytes(len(w.preperiod) + len(w.period) + k - 1)
+    else:
+        data = w.prefix_bytes(default_material(k))
+    order = order or LexOrder.natural(w.alphabet.size)
+    return FiniteWord(_scan_extremal(data, k, order, want_max), w.alphabet)
 
 
 def min_factor(
@@ -205,10 +206,7 @@ def min_factor(
     prefix_length: int | None = None,
 ) -> FiniteWord:
     """Lexicographically smallest length-k factor of the material."""
-    order = order or LexOrder.natural(w.alphabet.size)
-    data = _factor_material(w, k, prefix_length)
-    best, _ = _scan_extremal(data, k, order, want_max=False)
-    return FiniteWord(best, w.alphabet)
+    return _extremal_factor(w, k, order, prefix_length, want_max=False)
 
 
 def max_factor(
@@ -218,10 +216,7 @@ def max_factor(
     prefix_length: int | None = None,
 ) -> FiniteWord:
     """Lexicographically greatest length-k factor of the material."""
-    order = order or LexOrder.natural(w.alphabet.size)
-    data = _factor_material(w, k, prefix_length)
-    best, _ = _scan_extremal(data, k, order, want_max=True)
-    return FiniteWord(best, w.alphabet)
+    return _extremal_factor(w, k, order, prefix_length, want_max=True)
 
 
 def min_word(
@@ -296,6 +291,12 @@ def _check_bounds(K: int, L: int) -> None:
         raise ValueError("bounds must be positive (K >= 0 shifts, L >= 1 depth)")
 
 
+def _shift_witness(alphabet: Alphabet, data: bytes, k: int, name: str, bound: bytes, depth: int) -> dict:
+    """The witness of T^k(data) first leaving ``bound`` (named lower or upper) at index ``depth``."""
+    expected, found = _names(alphabet, bound[: depth + 1]), _names(alphabet, data[k : k + depth + 1])
+    return {"shift": k, "bound": name, "depth": depth, "expected": expected, "found": found}
+
+
 def _shift_chain_check(
     s: InfiniteWord,
     lower: bytes | None,
@@ -304,42 +305,30 @@ def _shift_chain_check(
     L: int,
     order: LexOrder,
 ) -> BoundedVerdict:
-    """Verify lower <= T^k(s) <= upper for all k <= K at comparison depth L."""
+    """Verify lower <= T^k(s) <= upper for all k <= K at comparison depth L; each bound has L letters.
+
+    The prefix is ranked once, each shift costs one slice comparison per bound
+    (``words._first_violation``), and the depth of the first difference is
+    found for a witness only.  ``oracle.shift_chain_by_letters`` is the reference.
+    """
     _check_bounds(K, L)
     data = s.prefix_bytes(K + L)
     table = order.table
-    lo = lower.translate(table) if lower is not None else None
-    hi = upper.translate(table) if upper is not None else None
-    undecided = 0
-    for k in range(K + 1):
-        seg = data[k : k + L].translate(table)
-        for bound, name, want in ((lo, "lower", Relation.LESS), (hi, "upper", Relation.GREATER)):
-            if bound is None:
-                continue
-            out = _compare_ranked(seg, bound)
-            if out.relation is want:
-                raw = lower if name == "lower" else upper
-                return BoundedVerdict(
-                    False,
-                    K,
-                    L,
-                    witness={
-                        "shift": k,
-                        "bound": name,
-                        "depth": out.depth,
-                        "expected": _names(s.alphabet, raw[: out.depth + 1]),
-                        "found": _names(s.alphabet, data[k : k + out.depth + 1]),
-                    },
-                )
-            if not out.decided:
-                undecided += 1
-    return BoundedVerdict(True, K, L, undecided=undecided)
+    lo, hi = (None if b is None else b.translate(table) for b in (lower, upper))
+    found, undecided = _first_violation(data.translate(table), lo, hi, K, L)
+    if found is None:
+        return BoundedVerdict(True, K, L, undecided=undecided)
+    k, name = found
+    bound = lower if name == "lower" else upper
+    depth = _first_difference(data[k : k + L], bound)
+    return BoundedVerdict(False, K, L, witness=_shift_witness(s.alphabet, data, k, name, bound, depth))
 
 
 def check_sturmian_extremal(s: InfiniteWord, u: InfiniteWord, K: int, L: int) -> BoundedVerdict:
     """Bounded check of 0u <= T^k(s) <= 1u for all k <= K at depth L (binary)."""
     if s.alphabet.size != 2 or u.alphabet.size != 2:
         raise ValueError("binary words required")
+    _check_bounds(K, L)
     up = u.prefix_bytes(L - 1)
     lower = bytes([0]) + up
     upper = bytes([1]) + up
@@ -350,8 +339,7 @@ def characteristic_check(s: InfiniteWord, K: int, L: int) -> BoundedVerdict:
     """Bounded check of a.s <= T^k(s) <= b.s for all k <= K at depth L (binary)."""
     if s.alphabet.size != 2:
         raise ValueError("binary word required")
-    sp = s.prefix_bytes(L - 1)
-    return _shift_chain_check(s, bytes([0]) + sp, bytes([1]) + sp, K, L, LexOrder.natural(2))
+    return check_sturmian_extremal(s, s, K, L)
 
 
 @dataclass
@@ -406,11 +394,11 @@ def _first_differences(
     undecided = 0
     first: dict[tuple[int, int], tuple[int, int]] = {}
     for k in range(K + 1):
-        out = _compare_ranked(data[k : k + L], bound)
-        if not out.decided:
+        depth = _first_difference(data[k : k + L], bound)
+        if depth == L:
             undecided += 1
             continue
-        first.setdefault((data[k + out.depth], bound[out.depth]), (k, out.depth))
+        first.setdefault((data[k + depth], bound[depth]), (k, depth))
     return undecided, first
 
 
@@ -446,18 +434,8 @@ def check_epistandard_ineq(
             verdict = BoundedVerdict(True, K, L, undecided=undecided)
         else:
             k, depth = fail
-            verdict = BoundedVerdict(
-                False,
-                K,
-                L,
-                witness={
-                    "shift": k,
-                    "bound": "lower",
-                    "depth": depth,
-                    "expected": _names(s.alphabet, lowers[pair.letter][: depth + 1]),
-                    "found": _names(s.alphabet, data[k : k + depth + 1]),
-                },
-            )
+            witness = _shift_witness(s.alphabet, data, k, "lower", lowers[pair.letter], depth)
+            verdict = BoundedVerdict(False, K, L, witness=witness)
         head = bytes([pair.letter]) + data[: K - 1]
         results.append(PairInequality(pair, verdict, equality=(trie.least(pair.order) == head)))
     return EpistandardReport(
@@ -544,16 +522,11 @@ def not_balanced_witness(w: FiniteWord) -> FiniteWord | None:
         return None
     m = min_finite(w).data
     x = max_finite(w).data
-    top = min(len(m), len(x)) - 2
-    for ell in range(0, top + 1):
-        if (
-            m[0] == 0
-            and m[ell + 1] == 0
-            and x[0] == 1
-            and x[ell + 1] == 1
-            and m[1 : ell + 1] == x[1 : ell + 1]
-        ):
-            return FiniteWord(m[1 : ell + 1], w.alphabet)
+    # m and x agree after their first letter up to index c, so a shorter u
+    # is followed by equal letters in both, and a longer u differs
+    c = _first_difference(m[1:], x[1:])
+    if c < min(len(m), len(x)) - 1 and (m[0], m[c + 1], x[0], x[c + 1]) == (0, 0, 1, 1):
+        return FiniteWord(m[1 : c + 1], w.alphabet)
     return None
 
 
@@ -582,8 +555,8 @@ def _fine_verdict(
     """The fine verdict on the min-words of every pair: the first disagreement after their first letter."""
     base_pair, base = mins[0]
     for pair, m in mins[1:]:
-        if m[1:] != base[1:]:
-            i = next(i for i in range(1, K) if m[i] != base[i])
+        i = 1 + _first_difference(m[1:], base[1:])
+        if i < K:
             return BoundedVerdict(
                 False,
                 None,
@@ -658,6 +631,7 @@ def gamma_membership(u: InfiniteWord, K: int, L: int) -> BoundedVerdict:
     """Bounded check of complement(u) <= T^k(u) <= u for all k <= K at depth L."""
     if u.alphabet.size != 2:
         raise ValueError("binary word required")
+    _check_bounds(K, L)
     data = u.prefix_bytes(L)
     comp = complement(u).prefix_bytes(L)
     return _shift_chain_check(u, comp, data, K, L, LexOrder.natural(2))
@@ -672,6 +646,7 @@ def allowed_pair_check(r: InfiniteWord, s: InfiniteWord, K: int, L: int) -> Boun
     """
     if r.alphabet.size != 2 or s.alphabet.size != 2:
         raise ValueError("binary words required")
+    _check_bounds(K, L)
     rp = r.prefix_bytes(L)
     sp = s.prefix_bytes(L)
     if rp == sp:
@@ -695,8 +670,10 @@ def sigma_xy_member(
     s: InfiniteWord, x: InfiniteWord, y: InfiniteWord, K: int, L: int
 ) -> BoundedVerdict:
     """Bounded membership of s in the set of words with x <= T^i(s) <= y for all i."""
-    if s.alphabet.size != 2:
-        raise ValueError("binary words required")
+    for name, w in (("s", s), ("x", x), ("y", y)):
+        if w.alphabet.size != 2:
+            raise ValueError(f"binary words required: {name} has {w.alphabet.size} letters")
+    _check_bounds(K, L)
     return _shift_chain_check(s, x.prefix_bytes(L), y.prefix_bytes(L), K, L, LexOrder.natural(2))
 
 
@@ -750,6 +727,9 @@ def gan_phi_approx(
     """
     if x.alphabet.size != 2:
         raise ValueError("binary word required")
+    _check_bounds(K, L)
+    if not 0 <= P <= MAX_PHI_DEPTH:
+        raise ValueError(f"P must be between 0 and {MAX_PHI_DEPTH}, got {P}")
     label = f"candidate at bounds (P={P}, K={K}, L={L})"
     if x.letter(0) == 1:
         ones = UltimatelyPeriodicWord.purely_periodic(FiniteWord(b"\x01", x.alphabet))

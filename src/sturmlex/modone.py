@@ -19,6 +19,7 @@ from .words import (
     FiniteWord,
     InfiniteWord,
     UltimatelyPeriodicWord,
+    _first_violation,
     classify_eventually_periodic,
     complexity,
     is_balanced,
@@ -88,7 +89,7 @@ class DigitExpansion:
 
     def __post_init__(self):
         if self.base < 2:
-            raise ValueError("base must be at least 2")
+            raise ValueError(f"base must be at least 2, got {self.base}")
         if self.digits.alphabet.size > self.base:
             raise ValueError("digit word uses letters outside the base range")
 
@@ -106,6 +107,7 @@ def digits_from_rational(xi: Fraction, base: int, n: int) -> DigitExpansion:
         raise ValueError("xi must lie strictly between 0 and 1")
     if n < 1:
         raise ValueError("need at least one digit")
+    alphabet = Alphabet.digits(base)
     out = bytearray()
     x = xi
     for _ in range(n):
@@ -113,7 +115,7 @@ def digits_from_rational(xi: Fraction, base: int, n: int) -> DigitExpansion:
         d = int(x)  # 0 < x, floor
         out.append(d)
         x -= d
-    return DigitExpansion(base, FiniteWord(out, Alphabet.digits(base)), "from-rational")
+    return DigitExpansion(base, FiniteWord(out, alphabet), "from-rational")
 
 
 def real_bounds_from_digits(d: DigitExpansion, n: int | None = None) -> RationalInterval:
@@ -280,9 +282,8 @@ def _characteristic_shift_candidate(data: bytes) -> int | None:
     span = max(32, n // 6)  # comparison depth and shift count for each tail
     for j in range(1, n - 2 * span):
         u = data[j:]
-        lower = b"\x00" + u[: span - 1]
-        upper = b"\x01" + u[: span - 1]
-        if all(lower <= u[k : k + span] <= upper for k in range(span + 1)):
+        lower, upper = b"\x00" + u[: span - 1], b"\x01" + u[: span - 1]
+        if _first_violation(u, lower, upper, span, span)[0] is None:
             return j
     return None
 
@@ -341,10 +342,11 @@ def self_sturmian_test(s: InfiniteWord, K: int, L: int, complexity_depth: int = 
     observed scale).
     """
     # imported here so that the other modone commands do not load extremal
-    from .extremal import BoundedVerdict, check_sturmian_extremal
+    from .extremal import BoundedVerdict, _check_bounds, check_sturmian_extremal
 
     if s.alphabet.size != 2:
         raise ValueError("binary word required")
+    _check_bounds(K, L)
     head = s.prefix_bytes(2)
     if head != b"\x01\x01":
         return BoundedVerdict(

@@ -5,8 +5,9 @@ check.  Balance is tested straight from the definition (all pairs of
 equal-length factors), extremal factors by sorting the full factor list, the
 episturmian corpus by collecting factors of explicitly generated words,
 word letters one at a time (epistandard words by one palindromic closure per
-directive letter, mechanical words by one surd floor per letter), the
-all-orders extremal checks by one shift-chain check and one factor scan per
+directive letter, mechanical words by one surd floor per letter), shift-chain
+checks by one ranked slice per shift and bound, compared letter by letter, the
+all-orders extremal checks by one such check and one factor scan per
 acceptable pair, factor complexity by one set of factors per length, finite
 min/max words by one factor scan per prefix length, and fractional parts and
 covering arcs by one numerator per shift and Fraction arithmetic.
@@ -23,9 +24,10 @@ from .extremal import (
     BoundedVerdict,
     EpistandardReport,
     PairInequality,
+    _check_bounds,
     _fine_verdict,
+    _names,
     _scan_extremal,
-    _shift_chain_check,
     acceptable_pairs,
     default_material,
 )
@@ -43,6 +45,7 @@ __all__ = [
     "episturmian_factor_corpus",
     "default_roster",
     "naive_min_max",
+    "shift_chain_by_letters",
     "epistandard_ineq_by_order",
     "fine_by_order",
     "complexity_by_length",
@@ -189,6 +192,35 @@ def naive_min_max(
     )
 
 
+def shift_chain_by_letters(
+    s: InfiniteWord, lower: bytes | None, upper: bytes | None, K: int, L: int, order: LexOrder
+) -> BoundedVerdict:
+    """extremal._shift_chain_check recomputed shift by shift, each comparison letter by letter."""
+    _check_bounds(K, L)
+    data = s.prefix_bytes(K + L)
+    table = order.table
+    undecided = 0
+    for k in range(K + 1):
+        seg = data[k : k + L].translate(table)
+        for raw, name, sign in ((lower, "lower", -1), (upper, "upper", 1)):
+            if raw is None:
+                continue
+            bound = raw.translate(table)
+            depth = next((i for i in range(min(len(seg), len(bound))) if seg[i] != bound[i]), None)
+            if depth is None:
+                undecided += 1
+            elif (seg[depth] - bound[depth]) * sign > 0:
+                witness = {
+                    "shift": k,
+                    "bound": name,
+                    "depth": depth,
+                    "expected": _names(s.alphabet, raw[: depth + 1]),
+                    "found": _names(s.alphabet, data[k : k + depth + 1]),
+                }
+                return BoundedVerdict(False, K, L, witness=witness)
+    return BoundedVerdict(True, K, L, undecided=undecided)
+
+
 def epistandard_ineq_by_order(
     s: InfiniteWord, K: int, L: int, material: int | None = None
 ) -> EpistandardReport:
@@ -198,8 +230,8 @@ def epistandard_ineq_by_order(
     results = []
     for pair in acceptable_pairs(s.alphabet):
         prefixed = bytes([pair.letter]) + data[: max(L, K) - 1]
-        verdict = _shift_chain_check(s, prefixed[:L], None, K, L, pair.order)
-        m, _ = _scan_extremal(data[:material], K, pair.order, want_max=False)
+        verdict = shift_chain_by_letters(s, prefixed[:L], None, K, L, pair.order)
+        m = _scan_extremal(data[:material], K, pair.order, want_max=False)
         results.append(PairInequality(pair, verdict, equality=(m == prefixed[:K])))
     return EpistandardReport(
         holds=all(r.verdict.holds for r in results),
@@ -216,7 +248,7 @@ def fine_by_order(t: InfiniteWord, K: int, material: int | None = None) -> Bound
     material = material if material is not None else default_material(K)
     data = t.prefix_bytes(material)
     pairs = acceptable_pairs(t.alphabet)
-    mins = [(pair, _scan_extremal(data, K, pair.order, want_max=False)[0]) for pair in pairs]
+    mins = [(pair, _scan_extremal(data, K, pair.order, want_max=False)) for pair in pairs]
     return _fine_verdict(t.alphabet, K, material, mins)
 
 
@@ -230,10 +262,10 @@ def finite_extremal_by_chain(w: FiniteWord, order: LexOrder, want_max: bool) -> 
 
     Rescans the whole word once per prefix length.
     """
-    prev, _ = _scan_extremal(w.data, 1, order, want_max)
+    prev = _scan_extremal(w.data, 1, order, want_max)
     k = 1
     while k < len(w):
-        nxt, _ = _scan_extremal(w.data, k + 1, order, want_max)
+        nxt = _scan_extremal(w.data, k + 1, order, want_max)
         if nxt[:k] != prev:
             break
         prev = nxt

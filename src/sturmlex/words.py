@@ -92,7 +92,7 @@ class Alphabet:
     def digits(base: int) -> "Alphabet":
         """Alphabet 0..base-1 displayed as decimal digits (base <= 10)."""
         if not 2 <= base <= 10:
-            raise ValueError("digit alphabets supported for bases 2..10")
+            raise ValueError(f"digit alphabets supported for bases 2..10, got {base}")
         return Alphabet(tuple(str(i) for i in range(base)))
 
     @property
@@ -389,24 +389,37 @@ class ComparisonOutcome:
     def decided(self) -> bool:
         return self.relation is not Relation.EQUAL_THROUGH_DEPTH
 
-    @property
-    def may_be_le(self) -> bool:
-        """True unless the comparison decided strictly-greater."""
-        return self.relation is not Relation.GREATER
 
-    @property
-    def may_be_ge(self) -> bool:
-        return self.relation is not Relation.LESS
-
-
-def _compare_ranked(x: bytes, y: bytes) -> ComparisonOutcome:
+def _first_difference(x: bytes, y: bytes) -> int:
+    """Index of the first letter where x and y differ, or the shorter length if none does (one XOR, in C)."""
     n = min(len(x), len(y))
-    a, b = x[:n], y[:n]
-    if a == b:
-        return ComparisonOutcome(Relation.EQUAL_THROUGH_DEPTH, n)
-    i = next(i for i in range(n) if a[i] != b[i])
-    rel = Relation.LESS if a[i] < b[i] else Relation.GREATER
-    return ComparisonOutcome(rel, i)
+    diff = int.from_bytes(x[:n], "big") ^ int.from_bytes(y[:n], "big")
+    return n - (diff.bit_length() + 7) // 8
+
+
+def _first_violation(
+    ranked: bytes, lo: bytes | None, hi: bytes | None, K: int, L: int
+) -> tuple[tuple[int, str] | None, int]:
+    """Where a shift first leaves its bounds: ((k, "lower" or "upper") or None, ties met on the way).
+
+    k is the least shift <= K with ranked[k:k+L] < lo or > hi, the lower bound
+    checked first.  ``ranked`` holds at least K + L letters and each bound
+    exactly L letters (or is None), all translated to ranks: slice and bound
+    then have one length, so bytes order is the depth-L comparison, and
+    equality is a tie through depth L, undecided and never a violation.
+    """
+    undecided = 0
+    for k in range(K + 1):
+        seg = ranked[k : k + L]
+        if lo is not None:
+            if seg < lo:
+                return (k, "lower"), undecided
+            undecided += seg == lo
+        if hi is not None:
+            if seg > hi:
+                return (k, "upper"), undecided
+            undecided += seg == hi
+    return None, undecided
 
 
 def _material(w: FiniteWord | InfiniteWord, prefix_length: int | None) -> bytes:
@@ -679,7 +692,11 @@ def lex_compare(
     if order is None:
         order = LexOrder.natural(max(u.alphabet.size, v.alphabet.size))
     t = order.table
-    return _compare_ranked(ud[:depth].translate(t), vd[:depth].translate(t))
+    x, y = ud.translate(t), vd.translate(t)
+    i = _first_difference(x, y)
+    if i == depth:
+        return ComparisonOutcome(Relation.EQUAL_THROUGH_DEPTH, depth)
+    return ComparisonOutcome(Relation.LESS if x[i] < y[i] else Relation.GREATER, i)
 
 
 def _smallest_period(data: bytes) -> int:

@@ -94,6 +94,7 @@ WORD_LAYERS = ["sturmlex", "sturmlex.cli", "sturmlex.generators", "sturmlex.surd
       "--K", "100", "--L", "200"], ["sturmlex.extremal", "sturmlex.modone"]),
     (["oracle", "enumerate", "--n", "4"], ["sturmlex.extremal", "sturmlex.modone", "sturmlex.oracle"]),
     (["--help"], []),
+    (["modone", "classify", "--word", "fib", "--prefix", "300"], ["sturmlex.modone"]),
 ])
 def test_a_command_loads_only_its_layers(argv, extra):
     code, loaded = fresh(COMMAND.format(argv=argv, loaded=LOADED))

@@ -425,7 +425,7 @@ def cmd_modone(args) -> Report:
         rep.lines.append(f"covering length = {_frac(length)} ~= {float(length):.12f}")
         rep.lines.append(f"interval [{_frac(arc.lo)}, {_frac(arc.hi)}]")
     elif args.what == "classify":
-        n = args.prefix or 200
+        n = args.prefix
         d = _digit_source(args, n)
         report = modone.bugeaud_dubickas_classify(d, n)
         rep.code = 0 if report.verdict != "excluded" else 1

@@ -4,8 +4,9 @@ Every infinite word grows its prefix buffer in chunks, in time linear in the
 prefix length: epistandard words by Justin's formula for iterated
 palindromic closure, characteristic words of irrational slope by standard
 words built from the slope's continued fraction, other mechanical words from
-exact surd floors taken in batches, morphic images by substitution over
-blocks of the parent's letters, and the Thue-Morse word by doubling.
+exact floors bracketed in fixed point with one isqrt per chunk, morphic
+images by substitution over blocks of the parent's letters, and the
+Thue-Morse word by doubling.
 Everything irrational is a quadratic surd, so no floating point enters any
 construction.  The letter-by-letter constructions these replace live in
 ``sturmlex.oracle`` as the reference the tests compare against.
@@ -14,6 +15,7 @@ construction.  The letter-by-letter constructions these replace live in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .surds import QuadraticSurd, progression_floors
 from .words import (
@@ -204,19 +206,22 @@ def _as_surd(x) -> QuadraticSurd:
 def _floor_differences(alpha: QuadraticSurd, rho: QuadraticSurd, use_ceiling: bool):
     """Grower of value((k+1)*alpha + rho) - value(k*alpha + rho) - floor(alpha), k >= 0.
 
-    value is floor, or ceil when use_ceiling; ceil(x) = -floor(-x).  Floors
-    are taken CHUNK + 1 at a time, so no list longer than a chunk is built.
+    value is floor, or ceil when use_ceiling; ceil(x) = -floor(-x).  The
+    slope's integer part moves every value by k*floor(alpha), so the floors
+    are taken of the fractional slope and the letters are their plain
+    differences.  Floors are taken CHUNK + 1 at a time, so no list longer
+    than a chunk is built.
     """
-    sign = -1 if use_ceiling else 1
-    a, r = (-alpha, -rho) if use_ceiling else (alpha, rho)
-    base = alpha.floor()
+    frac = alpha - alpha.floor()
+    a, r = (-frac, -rho) if use_ceiling else (frac, rho)
     buf = bytearray()
 
     def grow(n: int) -> bytearray:
         while len(buf) < n:
             k = len(buf)
             f = progression_floors(a, r, k, k + CHUNK + 1)
-            buf.extend([sign * (y - x) - base for x, y in zip(f, f[1:])])
+            tail = f[1:]
+            buf.extend(bytes(map(sub, f, tail) if use_ceiling else map(sub, tail, f)))
         return buf
 
     return grow

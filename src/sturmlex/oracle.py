@@ -5,12 +5,13 @@ check.  Balance is tested straight from the definition (all pairs of
 equal-length factors), extremal factors by sorting the full factor list, the
 episturmian corpus by collecting factors of explicitly generated words,
 word letters one at a time (epistandard words by one palindromic closure per
-directive letter, mechanical words by one surd floor per letter), shift-chain
-checks by one ranked slice per shift and bound, compared letter by letter, the
-all-orders extremal checks by one such check and one factor scan per
-acceptable pair, factor complexity by one set of factors per length, finite
-min/max words by one factor scan per prefix length, and fractional parts and
-covering arcs by one numerator per shift and Fraction arithmetic.
+directive letter, mechanical words by one surd floor per letter), floors
+along a progression by one isqrt per term, shift-chain checks by one ranked
+slice per shift and bound, compared letter by letter, the all-orders
+extremal checks by one such check and one factor scan per acceptable pair,
+factor complexity by one set of factors per length, finite min/max words by
+one factor scan per prefix length, and fractional parts and covering arcs by
+one numerator per shift and Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ from .extremal import (
 )
 from .generators import DirectiveWord, _pal_closure_bytes, epistandard, kbonacci
 from .modone import DigitExpansion, RationalInterval, TorusPointSet
-from .surds import QuadraticSurd
+from .surds import QuadraticSurd, _floor
 from .words import Alphabet, FiniteWord, InfiniteWord, LexOrder
 
 __all__ = [
     "closure_letters",
     "floor_letters",
+    "progression_floors_by_term",
     "enumerate_balanced",
     "balanced_by_definition",
     "OracleCorpus",
@@ -87,6 +89,16 @@ def floor_letters(alpha: QuadraticSurd, rho: QuadraticSurd, use_ceiling: bool = 
         cur = value(acc)
         yield 0 if cur - prev == floor_alpha else 1
         prev = cur
+
+
+def progression_floors_by_term(alpha: QuadraticSurd, rho: QuadraticSurd, start: int, stop: int) -> list[int]:
+    """surds.progression_floors recomputed with one exact surd floor (one isqrt) per term."""
+    alpha, rho = alpha._common(rho)
+    d, r = alpha.d or rho.d, alpha.r * rho.r
+    # k*alpha + rho = (k*ap + bp + (k*aq + bq)*sqrt(d)) / r
+    ap, aq = alpha.p * rho.r, alpha.q * rho.r
+    bp, bq = rho.p * alpha.r, rho.q * alpha.r
+    return [_floor(k * ap + bp, k * aq + bq, d, r) for k in range(start, stop)]
 
 
 def balanced_by_definition(data: bytes) -> bool:

@@ -3,7 +3,9 @@
 All floors, ceilings, and comparisons are computed with integer arithmetic
 only (isqrt bracketing plus sign analysis by squaring), so mechanical-word
 letters derived from these values are exact.  Rationals are the q == 0 case;
-mixing two irrational surds requires a common radicand d.
+mixing two irrational surds requires a common radicand d.  Floors along an
+arithmetic progression are bracketed in fixed point and certified by two
+floor sums, so a block of them costs one isqrt, not one per term.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import repeat
+from operator import add, floordiv, rshift
 from typing import Iterator
 
 __all__ = [
@@ -22,6 +26,18 @@ __all__ = [
     "parse_surd",
 ]
 
+# the largest radicand a user may give: square-freeness is decided by trial
+# division up to its cube root, 10**6 steps at this bound
+MAX_RADICAND = 10**18
+
+# progression_floors works in fixed point with _BITS fractional bits, over
+# blocks of at most _BLOCK terms (one chunk of letters needs CHUNK + 1
+# floors).  Every bracket numerator stays below 2**61, a C long, and the
+# bracket of the j-th term of a block is (j + 1) / 2**48 wide, so it rarely
+# straddles an integer
+_BITS = 48
+_BLOCK = 4097
+
 
 def _floor(p: int, q: int, d: int, r: int) -> int:
     """floor((p + q*sqrt(d))/r) for r >= 1 and square-free d (q*sqrt(d) is never a nonzero integer)."""
@@ -30,14 +46,18 @@ def _floor(p: int, q: int, d: int, r: int) -> int:
 
 
 def _squarefree(d: int) -> bool:
+    """Trial division up to the cube root: what is left has at most two prime factors."""
     if d < 0:
         return False
     f = 2
-    while f * f <= d:
-        if d % (f * f) == 0:
-            return False
+    while f * f * f <= d:
+        if d % f == 0:
+            d //= f
+            if d % f == 0:
+                return False
         f += 1
-    return True
+    s = math.isqrt(d)
+    return d == 1 or s * s != d
 
 
 class QuadraticSurd:
@@ -66,8 +86,11 @@ class QuadraticSurd:
             d = 0
         if d == 0:
             q = 0
-        if check_radicand and d and not _squarefree(d):
-            raise ValueError(f"radicand {d} is not square-free")
+        if check_radicand and d:
+            if d > MAX_RADICAND:
+                raise ValueError(f"radicand {d} is above the bound {MAX_RADICAND}")
+            if not _squarefree(d):
+                raise ValueError(f"radicand {d} is not square-free")
         g = math.gcd(math.gcd(abs(p), abs(q)), r)
         object.__setattr__(self, "p", p // g)
         object.__setattr__(self, "q", q // g)
@@ -217,14 +240,72 @@ def surd_ceil(x: QuadraticSurd) -> int:
     return x.ceil()
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum(floor((a*j + b)/m) for j in range(n)) for n >= 0, m >= 1 and a >= 0, in O(log m) steps.
+
+    Graham, Knuth & Patashnik, Concrete Mathematics, section 3.5: reduce a and
+    b below m, then swap the roles of m and a as in Euclid's algorithm.
+    """
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if not 0 <= b < m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _terms(first: int, step: int, n: int):
+    """first, first + step, ..., n terms."""
+    return range(first, first + n * step, step) if step else repeat(first, n)
+
+
 def progression_floors(alpha: QuadraticSurd, rho: QuadraticSurd, start: int, stop: int) -> list[int]:
-    """floor(k*alpha + rho) for start <= k < stop, in integer arithmetic without a surd per term."""
+    """floor(k*alpha + rho) for start <= k < stop, exactly, with one isqrt per block of terms.
+
+    With frac = alpha - floor(alpha) and theta_j = (k0 + j)*frac + rho over a
+    block starting at k0, one exact floor T of theta_0 * 2**B and A = floor(frac
+    * 2**B) bracket theta_j * 2**B in [T + j*A, T + j*(A + 1) + 1), so floor(theta_j)
+    lies between (T + j*A) >> B and (T + j*(A + 1)) >> B.  No upper value is
+    below its lower one, so the block is exact iff the two brackets' sums
+    agree; where they do not, the terms whose brackets differ take an exact
+    surd floor.  Rational slope and intercept take one exact division per term.
+    """
     alpha, rho = alpha._common(rho)
     d, r = alpha.d or rho.d, alpha.r * rho.r
     # k*alpha + rho = (k*ap + bp + (k*aq + bq)*sqrt(d)) / r
     ap, aq = alpha.p * rho.r, alpha.q * rho.r
     bp, bq = rho.p * alpha.r, rho.q * alpha.r
-    return [_floor(k * ap + bp, k * aq + bq, d, r) for k in range(start, stop)]
+    if not d:
+        n = max(stop - start, 0)
+        return list(map(floordiv, _terms(start * ap + bp, ap, n), repeat(r, n)))
+    base = _floor(ap, aq, d, r)
+    ap -= base * r  # now the numerator of frac
+    bits = _BITS
+    one = 1 << bits
+    step = _floor(ap << bits, aq << bits, d, r)
+    out: list[int] = []
+    for k0 in range(start, stop, _BLOCK):
+        n = min(_BLOCK, stop - k0)
+        p, q = k0 * ap + bp, k0 * aq + bq
+        t = _floor(p << bits, q << bits, d, r)
+        whole, t = t >> bits, t & (one - 1)  # theta_0 = whole + t / 2**B + (less than 2**-B)
+        p -= whole * r
+        lows = map(rshift, _terms(t, step, n), repeat(bits, n))
+        if _floor_sum(n, one, step, t) != _floor_sum(n, one, step + 1, t):
+            highs = map(rshift, _terms(t, step + 1, n), repeat(bits, n))
+            lows = [
+                lo if lo == hi else _floor(p + j * ap, q + j * aq, d, r)
+                for j, (lo, hi) in enumerate(zip(lows, highs))
+            ]
+        out += map(add, lows, _terms(whole + k0 * base, base, n))
+    return out
 
 
 def surd_compare(x: QuadraticSurd, y: QuadraticSurd | int | Fraction) -> int:

@@ -251,6 +251,7 @@ def run(argv):
     ("modone frac-parts --xi 1/3 --base 0", "error: digit alphabets supported for bases 2..10, got 0\n"),
     ("modone cover --word fib --base 0", "error: base must be at least 2, got 0\n"),
     ("modone classify --word fib --base 0", "error: base must be at least 2, got 0\n"),
+    ("modone classify --word fib --prefix 0", "error: need at least two digits\n"),
 ])
 def test_out_of_domain_arguments_are_usage_errors(argv, message):
     assert run(argv.split()) == (2, "", message)

@@ -93,6 +93,16 @@ class TestMechanicalMatchesFloors:
         surd_rho = rho if isinstance(rho, QuadraticSurd) else QuadraticSurd.from_fraction(rho)
         assert make(alpha, rho).prefix_bytes(N) == floor_prefix(alpha, surd_rho, N, use_ceiling)
 
+    @pytest.mark.parametrize("slope", SLOPES)
+    def test_long_prefixes_of_every_slope(self, slope):
+        # 10^5 letters: about 25 chunks, each certified by its own floor sums
+        alpha = QuadraticSurd(*slope)
+        rho = QuadraticSurd(1, 1, alpha.d, 3)
+        assert mechanical_lower(alpha, Fraction(2, 7)).prefix_bytes(10**5) == floor_prefix(
+            alpha, QuadraticSurd.from_fraction(Fraction(2, 7)), 10**5
+        )
+        assert mechanical_upper(alpha, rho).prefix_bytes(10**5) == floor_prefix(alpha, rho, 10**5, True)
+
     def test_rational_slope_period(self):
         alpha = QuadraticSurd.from_fraction(Fraction(5, 12))
         rho = QuadraticSurd(0, 1, 2, 3)

@@ -1,13 +1,17 @@
 """Exact surd arithmetic against Fraction and float oracles."""
 
+import contextlib
+import io
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sturmlex.surds import QuadraticSurd, parse_surd, surd_compare, surd_floor
+from sturmlex.cli import main
+from sturmlex.surds import MAX_RADICAND, QuadraticSurd, _squarefree, parse_surd, surd_compare, surd_floor
 
 
 def test_floor_examples():
@@ -32,6 +36,34 @@ def test_canonical_form():
 def test_square_free_required():
     with pytest.raises(ValueError):
         QuadraticSurd(0, 1, 12)
+
+
+def test_squarefree_matches_trial_division_to_the_square_root():
+    def by_definition(d):
+        return all(d % (f * f) for f in range(2, math.isqrt(d) + 1))
+
+    assert [d for d in range(1, 20000) if _squarefree(d) != by_definition(d)] == []
+    p, q = 1000003, 999983  # primes above the cube root of their product and square
+    assert not _squarefree(p * p) and not _squarefree(2 * p * p)
+    assert _squarefree(p * q) and _squarefree(2 * p * q)
+
+
+def test_radicand_bound():
+    assert QuadraticSurd(0, 1, MAX_RADICAND - 11).d == MAX_RADICAND - 11  # the largest prime below 10**18
+    with pytest.raises(ValueError, match=f"^radicand {MAX_RADICAND + 1} is above the bound {MAX_RADICAND}$"):
+        QuadraticSurd(0, 1, MAX_RADICAND + 1)
+
+
+def test_a_large_radicand_is_checked_quickly():
+    # trial division up to sqrt(d) took longer than 20 s here
+    argv = ["generate", "mechanical", "--alpha", "(0+1*sqrt(10000000000000061))/100000000",
+            "--rho", "1/3", "--len", "5"]
+    out = io.StringIO()
+    began = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert time.perf_counter() - began < 2
+    assert (code, out.getvalue()) == (0, "00000\n")
 
 
 def test_d_one_folds_into_rational():

@@ -690,9 +690,39 @@ def build_parser(group: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# the options that take no value; every other option takes one
+_SWITCHES = ("--help", "--upper", "--csv", "--linear")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each token such as -2/7 after a value-taking option joined to it as --rho=-2/7.
+
+    argparse reads a token that starts with '-' as an option unless it has
+    the form of a negative number such as -3 or -0.5, so a negative rational
+    given as its own token would be a usage error.  A switch, or a prefix of
+    one (argparse accepts it as an abbreviation; "--" is a prefix of every
+    switch), takes no value and is left alone.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (
+            token[:1] == "-"
+            and token[1:2].isdigit()
+            and prev.startswith("--")
+            and "=" not in prev
+            and not any(switch.startswith(prev) for switch in _SWITCHES)
+        ):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    argv = _join_negative_values(argv)
     # the first token naming a group picks the leaves to build; with none
     # (--help, a bad group) the full parser reports it
     group = next((token for token in argv if token in _GROUPS), None)

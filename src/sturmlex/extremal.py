@@ -15,6 +15,7 @@ import itertools
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .generators import characteristic, fibonacci_slope, periodic_balanced
 from .surds import QuadraticSurd
@@ -24,6 +25,8 @@ from .words import (
     InfiniteWord,
     LexOrder,
     UltimatelyPeriodicWord,
+    _factor_bytes,
+    _factor_keys,
     _first_difference,
     _first_violation,
     complement,
@@ -153,7 +156,7 @@ class _FactorTrie:
 
     def __init__(self, data: bytes, k: int):
         _check_factor_length(data, k)
-        factors = sorted({data[i : i + k] for i in range(len(data) - k + 1)})
+        factors = sorted(_factor_bytes(data, k))
         # a leaf is a factor; a branch is (letters, children), built without recursion
         root: list = [None]
         stack = [(0, len(factors), root, 0)]
@@ -584,41 +587,55 @@ def local_balance_check(
     """Check that each factor u (|u| <= n_max) admits a letter a with AuA ⊆ auA ∪ Aua.
 
     Also records whether the weaker palindromic-factors-only variant holds.
+    The distinct length-(m+2) factors are the (m+2)-prefixes of one key set
+    (``words._factor_keys``), so the material is sliced once, not once per m.
     """
+    data = _local_balance_material(t, n_max, prefix_length)
+    keys = _factor_keys(data, n_max + 2) if n_max >= 0 else set()
+    windows = ({key[: m + 2] for key in keys if len(key) >= m + 2} for m in range(n_max + 1))
+    return _local_balance_verdict(t.alphabet, n_max, len(data), windows)
+
+
+def _local_balance_material(t: InfiniteWord | FiniteWord, n_max: int, prefix_length: int | None) -> bytes:
     if isinstance(t, FiniteWord):
         data = t.data
     else:
         data = t.prefix_bytes(prefix_length if prefix_length is not None else 2000)
     if len(data) < n_max + 2:
         raise ValueError("material too short for the requested factor length")
-    size = t.alphabet.size
+    return data
+
+
+def _local_balance_verdict(
+    alphabet: Alphabet, n_max: int, material: int, windows: Iterable[Iterable[bytes]]
+) -> BoundedVerdict:
+    """The local-balance verdict from the length-(m+2) windows of the material, for m = 0..n_max in turn."""
     palindromic_ok = True
     verdict = None
-    for m in range(0, n_max + 1):
+    for length_windows in windows:
         ext: dict[bytes, set[tuple[int, int]]] = {}
-        for i in range(len(data) - m - 1):
-            window = data[i : i + m + 2]
+        for window in length_windows:
             ext.setdefault(window[1:-1], set()).add((window[0], window[-1]))
         for u, sides in sorted(ext.items()):
-            if not any(all(x == a or y == a for x, y in sides) for a in range(size)):
+            if not any(all(x == a or y == a for x, y in sides) for a in range(alphabet.size)):
                 if verdict is None:
                     verdict = BoundedVerdict(
                         False,
                         None,
                         None,
                         witness={
-                            "factor": _names(t.alphabet, u),
+                            "factor": _names(alphabet, u),
                             "extensions": sorted(
-                                _names(t.alphabet, bytes([x])) + "_" + _names(t.alphabet, bytes([y]))
+                                _names(alphabet, bytes([x])) + "_" + _names(alphabet, bytes([y]))
                                 for x, y in sides
                             ),
                         },
-                        detail={"n_max": n_max, "material": len(data)},
+                        detail={"n_max": n_max, "material": material},
                     )
                 if u == u[::-1]:
                     palindromic_ok = False
     if verdict is None:
-        verdict = BoundedVerdict(True, None, None, detail={"n_max": n_max, "material": len(data)})
+        verdict = BoundedVerdict(True, None, None, detail={"n_max": n_max, "material": material})
     verdict.detail["palindromic_variant_holds"] = palindromic_ok
     return verdict
 

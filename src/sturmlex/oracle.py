@@ -9,7 +9,9 @@ directive letter, mechanical words by one surd floor per letter), floors
 along a progression by one isqrt per term, shift-chain checks by one ranked
 slice per shift and bound, compared letter by letter, the all-orders
 extremal checks by one such check and one factor scan per acceptable pair,
-factor complexity by one set of factors per length, finite min/max words by
+factor complexity by one set of factors per length, special factors and local
+balance by one entry per window, the block condition by one factor set per
+length, finite min/max words by
 one factor scan per prefix length, and fractional parts and covering arcs by
 one numerator per shift and Fraction arithmetic.
 """
@@ -27,6 +29,8 @@ from .extremal import (
     PairInequality,
     _check_bounds,
     _fine_verdict,
+    _local_balance_material,
+    _local_balance_verdict,
     _names,
     _scan_extremal,
     acceptable_pairs,
@@ -51,6 +55,9 @@ __all__ = [
     "epistandard_ineq_by_order",
     "fine_by_order",
     "complexity_by_length",
+    "special_factors_by_window",
+    "local_balance_by_length",
+    "block_violation_by_length",
     "finite_extremal_by_chain",
     "fractional_parts_by_shift",
     "covering_by_fractions",
@@ -267,6 +274,37 @@ def fine_by_order(t: InfiniteWord, K: int, material: int | None = None) -> Bound
 def complexity_by_length(data: bytes, k_max: int) -> list[int]:
     """p(1..k_max) of the material, one set of distinct factors per length."""
     return [len({data[i : i + k] for i in range(len(data) - k + 1)}) for k in range(1, k_max + 1)]
+
+
+def special_factors_by_window(data: bytes, n: int, side: str) -> set[bytes]:
+    """The length-n factors of the material with two or more extensions on one side, one dict entry per window."""
+    ext: dict[bytes, set[int]] = {}
+    for f in (data[i : i + n + 1] for i in range(len(data) - n)):
+        core = f[1:] if side == "left" else f[:-1]
+        letter = f[0] if side == "left" else f[-1]
+        ext.setdefault(core, set()).add(letter)
+    return {core for core, letters in ext.items() if len(letters) >= 2}
+
+
+def local_balance_by_length(
+    t: InfiniteWord | FiniteWord, n_max: int, prefix_length: int | None = None
+) -> BoundedVerdict:
+    """local_balance_check recomputed from every window of every length m + 2, m = 0..n_max."""
+    data = _local_balance_material(t, n_max, prefix_length)
+    windows = (
+        (data[i : i + m + 2] for i in range(len(data) - m - 1)) for m in range(n_max + 1)
+    )
+    return _local_balance_verdict(t.alphabet, n_max, len(data), windows)
+
+
+def block_violation_by_length(data: bytes) -> bytes | None:
+    """The block condition by one set of factors per length: some u with 0u0 and 1u1 both factors, or None."""
+    for m in range(2, len(data) + 1):
+        facs = {data[i : i + m] for i in range(len(data) - m + 1)}
+        for f in facs:
+            if f[0] == 0 and f[-1] == 0 and b"\x01" + f[1:-1] + b"\x01" in facs:
+                return f[1:-1]
+    return None
 
 
 def finite_extremal_by_chain(w: FiniteWord, order: LexOrder, want_max: bool) -> FiniteWord:

@@ -13,10 +13,14 @@ from __future__ import annotations
 import json
 import os
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from array import array
 
 __all__ = [
     "Alphabet",
@@ -495,6 +499,18 @@ def _factor_bytes(data: bytes, n: int) -> set[bytes]:
     return {data[i : i + n] for i in range(len(data) - n + 1)}
 
 
+def _factor_keys(data: bytes, k: int) -> set[bytes]:
+    """The distinct length-k factors of data and its k - 1 shorter suffixes (1 <= k <= len(data)).
+
+    Every factor of length j <= k occurs as the j-prefix of some key: an
+    occurrence starting at i is a prefix of data[i:i+k], which is a window
+    or, near the end, a suffix.
+    """
+    keys = _factor_bytes(data, k)
+    keys.update(data[len(data) - j :] for j in range(1, k))
+    return keys
+
+
 def complexity(w: FiniteWord | InfiniteWord, k_max: int, prefix_length: int | None = None) -> list[int]:
     """Factor-counting function p(1..k_max) of the supplied material.
 
@@ -513,9 +529,7 @@ def complexity(w: FiniteWord | InfiniteWord, k_max: int, prefix_length: int | No
     n = len(data)
     if k_max > n:
         raise ValueError("k_max exceeds available material")
-    keys = _factor_bytes(data, k_max)
-    keys.update(data[n - j :] for j in range(1, k_max))
-    keys = sorted(keys)
+    keys = sorted(_factor_keys(data, k_max))
     # the longest common prefix of neighbours, from the top set bit of their
     # XOR on zero-padded big-endian ints; padding can only lengthen a match
     # past a short key, which sorts first when it is a prefix of its neighbour
@@ -543,12 +557,11 @@ def special_factors(
         raise ValueError(f"factor length must be non-negative, got {n}")
     if n + 1 > len(data):
         raise ValueError("material too short to witness extensions")
-    ext: dict[bytes, set[int]] = {}
-    for f in (data[i : i + n + 1] for i in range(len(data) - n)):
-        core = f[1:] if side == "left" else f[:-1]
-        letter = f[0] if side == "left" else f[-1]
-        ext.setdefault(core, set()).add(letter)
-    return {FiniteWord(core, w.alphabet) for core, letters in ext.items() if len(letters) >= 2}
+    # distinct windows sharing a core differ in the extension letter, so a
+    # core is special iff two distinct windows have it
+    windows = _factor_bytes(data, n + 1)
+    cores = Counter(f[1:] for f in windows) if side == "left" else Counter(f[:-1] for f in windows)
+    return {FiniteWord(core, w.alphabet) for core, count in cores.items() if count >= 2}
 
 
 def balance_violation(
@@ -660,14 +673,74 @@ def block_condition(w: FiniteWord | InfiniteWord, prefix_length: int | None = No
 
 
 def _block_violation(data: bytes, alphabet: Alphabet) -> bytes | None:
+    """Some u with both 0u0 and 1u1 factors of binary data, or None, read off its suffix automaton.
+
+    When both 0u and 1u are factors, u is the longest string of its state v,
+    and the state w of cu (c = 0, 1) is a suffix-link child of v whose
+    shortest string is cu.  The letter c is read at an end position of w,
+    and cuc is a factor iff w has a c-transition.
+    """
     if alphabet.size != 2:
         raise ValueError("the block condition is defined for binary alphabets only")
-    for m in range(2, len(data) + 1):
-        facs = _factor_bytes(data, m)
-        for f in facs:
-            if f[0] == 0 and f[-1] == 0 and b"\x01" + f[1:-1] + b"\x01" in facs:
-                return f[1:-1]
+    states, length, link, first, to = _suffix_automaton(data)
+    # seen[v] has bit c set when v's child cu has the extension cuc
+    seen = bytearray(states)
+    for w in range(1, states):
+        v = link[w]
+        c = data[first[w] - length[v]]
+        if to[c][w] != -1:
+            seen[v] |= 1 << c
+            if seen[v] == 3:
+                end = first[v] + 1
+                return data[end - length[v] : end]
     return None
+
+
+def _suffix_automaton(data: bytes) -> tuple[int, array, array, array, tuple[array, array]]:
+    """The suffix automaton of binary data (Blumer et al., TCS 40, 1985), built online.
+
+    Returns (states, length, link, first, (to0, to1)): for each state, the
+    length of its longest string, its suffix link (-1 at the root), the end
+    position of its strings' first occurrence, and its transitions on 0 and
+    on 1 (-1 where there is none).  There are at most 2n states, stored in
+    flat int arrays of 20 bytes a state, so 10^6 letters take 40 MB.
+    """
+    from array import array  # only the block condition uses it: importing it with words adds to every start
+
+    size = 2 * len(data) + 1
+    length = array("i", [0]) * size
+    link = array("i", [-1]) * size
+    first = array("i", [0]) * size
+    to = to0, to1 = array("i", [-1]) * size, array("i", [-1]) * size
+    last, states = 0, 1
+    for i, c in enumerate(data):
+        col = to[c]
+        cur, states = states, states + 1
+        length[cur] = i + 1
+        first[cur] = i
+        p = last
+        while p != -1 and col[p] == -1:
+            col[p] = cur
+            p = link[p]
+        if p == -1:
+            link[cur] = 0
+        else:
+            q = col[p]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                clone, states = states, states + 1
+                length[clone] = length[p] + 1
+                link[clone] = link[q]
+                first[clone] = first[q]
+                to0[clone] = to0[q]
+                to1[clone] = to1[q]
+                while p != -1 and col[p] == q:
+                    col[p] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
+        last = cur
+    return states, length, link, first, to
 
 
 def lex_compare(

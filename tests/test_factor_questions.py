@@ -1,0 +1,303 @@
+"""Special factors, local balance and the block condition against their per-window references.
+
+`words.special_factors` groups the distinct windows of one length,
+`extremal.local_balance_check` reads every length from one key set
+(`words._factor_keys`), and `words._block_violation` reads the block
+condition off a suffix automaton.  Each is checked here against the loop it
+replaced, kept in `oracle`: exhaustively on short binary words, and by
+hypothesis on random, periodic and generated words over one to four letters.
+The command-line cases at the end cover negative rationals given as their own
+token.
+"""
+
+import contextlib
+import io
+import itertools
+import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sturmlex.cli import _GROUPS, _SWITCHES, _join_negative_values, main
+from sturmlex.extremal import local_balance_check
+from sturmlex.generators import (
+    DirectiveWord,
+    characteristic,
+    epistandard,
+    fibonacci_slope,
+    kbonacci,
+    thue_morse,
+)
+from sturmlex.oracle import block_violation_by_length, local_balance_by_length, special_factors_by_window
+from sturmlex.words import (
+    BINARY,
+    Alphabet,
+    FiniteWord,
+    _block_violation,
+    _suffix_automaton,
+    block_condition,
+    special_factors,
+)
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+GENERATED = [
+    characteristic(fibonacci_slope()),
+    thue_morse(),
+    kbonacci(3),
+    kbonacci(4),
+    epistandard(DirectiveWord.from_text("aab*")),
+    epistandard(DirectiveWord.from_text("abcb*")),
+]
+
+
+def assert_block_verdict(data: bytes) -> None:
+    u = _block_violation(data, BINARY)
+    assert (u is None) == (block_violation_by_length(data) is None), data
+    if u is not None:
+        assert b"\x00" + u + b"\x00" in data and b"\x01" + u + b"\x01" in data, (data, u)
+
+
+# ---------------------------------------------------------------------------
+# the suffix automaton and the block condition
+
+
+def end_positions(data: bytes, s: bytes) -> frozenset[int]:
+    return frozenset(i + len(s) - 1 for i in range(len(data)) if data.startswith(s, i))
+
+
+def assert_automaton(data: bytes) -> None:
+    """Each state is one class of factors with equal end positions, as its arrays say."""
+    states, length, link, first, to = _suffix_automaton(data)
+
+    def longest(w):
+        return data[first[w] + 1 - length[w] : first[w] + 1]
+
+    classes = {end_positions(data, data[i:j]) for i in range(len(data)) for j in range(i + 1, len(data) + 1)}
+    assert states == len(classes) + 1 and length[0] == 0 and link[0] == -1
+    seen = set()
+    for w in range(1, states):
+        s, v = longest(w), link[w]
+        ends = end_positions(data, s)
+        assert ends and first[w] == min(ends), (data, w)
+        # the strings of w are the suffixes of s longer than the longest string of its link
+        assert longest(v) == s[len(s) - length[v] :]
+        assert all(end_positions(data, s[len(s) - j :]) == ends for j in range(length[v] + 1, len(s) + 1))
+        assert v == 0 or end_positions(data, longest(v)) > ends
+        seen.add(ends)
+        for c in (0, 1):
+            ends_c = end_positions(data, s + bytes([c]))
+            t = to[c][w]
+            assert (t == -1) == (not ends_c), (data, w, c)
+            assert t == -1 or (end_positions(data, longest(t)) == ends_c and length[link[t]] <= len(s) < length[t])
+    assert seen == classes
+
+
+def test_suffix_automaton_on_every_short_binary_word():
+    for n in range(10):
+        for bits in itertools.product(b"\x00\x01", repeat=n):
+            assert_automaton(bytes(bits))
+
+
+def test_suffix_automaton_on_random_and_generated_words():
+    rng = random.Random(9)
+    fib = characteristic(fibonacci_slope()).prefix_bytes(100)
+    words = [fib, thue_morse().prefix_bytes(64), b"\x00" * 30, b"\x00\x01\x01" * 10]
+    words += [bytes(rng.randrange(2) for _ in range(rng.randrange(10, 40))) for _ in range(30)]
+    for data in words:
+        assert_automaton(data)
+
+
+def test_block_condition_on_every_short_binary_word():
+    violations = 0
+    for n in range(13):
+        for bits in itertools.product(b"\x00\x01", repeat=n):
+            data = bytes(bits)
+            assert_block_verdict(data)
+            violations += _block_violation(data, BINARY) is not None
+    # 8191 words; exactly the balanced ones (1, 2, 4, 8, 14, ... by length from 0) satisfy the condition
+    assert violations == 8191 - (1 + 2 + 4 + 8 + 14 + 24 + 36 + 54 + 76 + 104 + 136 + 178 + 224)
+
+
+def test_block_condition_on_near_sturmian_words():
+    rng = random.Random(8)
+    fib = characteristic(fibonacci_slope()).prefix_bytes(400)
+    verdicts = set()
+    for _ in range(600):
+        start, n = rng.randrange(200), rng.randrange(1, 120)
+        data = bytearray(fib[start : start + n])
+        for _ in range(rng.randrange(3)):
+            data[rng.randrange(n)] ^= 1
+        assert_block_verdict(bytes(data))
+        verdicts.add(_block_violation(bytes(data), BINARY) is None)
+    assert verdicts == {True, False}
+
+
+def test_block_condition_on_long_prefixes():
+    assert block_condition(characteristic(fibonacci_slope()), 100000)
+    assert not block_condition(thue_morse(), 100000)
+    # a balanced periodic word, and one flipped letter deep inside it
+    data = bytearray(b"\x00\x01\x00\x00\x01" * 4000)
+    assert _block_violation(bytes(data), BINARY) is None
+    data[15001] ^= 1
+    assert_block_verdict(bytes(data[14900:15100]))
+    assert _block_violation(bytes(data), BINARY) is not None
+
+
+# one child process runs the command in process and reports its own peak RSS
+AT_THE_CAP = """
+import contextlib, io, resource, sys, time
+from sturmlex.cli import main
+out = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(code, out.getvalue().strip(), time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("word, code, verdict", [("fib", 0, "true"), ("thue-morse", 1, "false")])
+def test_block_condition_at_the_prefix_cap(word, code, verdict):
+    """10^6 letters: about 1 s and 60 MB; one factor set per length did not finish in a minute."""
+    argv = ["analyze", "block-condition", "--word", word, "--prefix", "1000000"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", AT_THE_CAP, *argv], env=env, capture_output=True, text=True,
+                           timeout=60, check=True)
+    got_code, got_verdict, seconds, peak_kb = child.stdout.split()
+    assert (int(got_code), got_verdict) == (code, verdict)
+    assert float(seconds) < 10
+    assert int(peak_kb) < 100 * 1024
+
+
+def test_block_condition_rejects_larger_alphabets():
+    with pytest.raises(ValueError, match="binary"):
+        block_condition(FiniteWord(b"\x00\x01\x02", Alphabet.of_size(3)))
+
+
+# ---------------------------------------------------------------------------
+# special factors and local balance
+
+
+@st.composite
+def materials(draw):
+    """(alphabet size, material): random, periodic, or a window of a generated word."""
+    kind = draw(st.sampled_from(["random", "periodic", "generated"]))
+    if kind == "generated":
+        w = draw(st.sampled_from(GENERATED))
+        start = draw(st.integers(0, 300))
+        n = draw(st.integers(1, 200))
+        return w.alphabet.size, w.prefix_bytes(start + n)[start:]
+    size = draw(st.integers(1, 4))
+    if kind == "random":
+        raw = draw(st.binary(min_size=1, max_size=80))
+    else:
+        period = draw(st.binary(min_size=1, max_size=6))
+        raw = period * draw(st.integers(1, 30))
+    return size, bytes(c % size for c in raw)
+
+
+@given(materials(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_special_factors_match_the_window_loop(sized, draw):
+    size, data = sized
+    w = FiniteWord(data, Alphabet.of_size(max(size, 2)))
+    n = draw.draw(st.integers(0, len(data) - 1))
+    for side in ("left", "right"):
+        assert {f.data for f in special_factors(w, n, side)} == special_factors_by_window(data, n, side)
+
+
+@given(materials(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_local_balance_matches_the_per_length_loop(sized, draw):
+    size, data = sized
+    w = FiniteWord(data, Alphabet.of_size(max(size, 2)))
+    # n_max = len - 2 makes the material exactly n_max + 2 letters long
+    n_max = draw.draw(st.sampled_from([len(data) - 2, *range(-1, len(data) - 1)]))
+    assert local_balance_check(w, n_max).to_obj() == local_balance_by_length(w, n_max).to_obj()
+
+
+@pytest.mark.parametrize("w", GENERATED, ids=lambda w: w.recipe[:24])
+def test_generated_prefixes_match_the_references(w):
+    data = w.prefix_bytes(3000)
+    for n in (0, 1, 5, 20):
+        for side in ("left", "right"):
+            assert {f.data for f in special_factors(w, n, side, 3000)} == special_factors_by_window(data, n, side)
+    for n_max in (0, 6, 30):
+        assert local_balance_check(w, n_max, 3000).to_obj() == local_balance_by_length(w, n_max, 3000).to_obj()
+
+
+def test_local_balance_failure_keeps_its_witness():
+    w = FiniteWord.from_str("0011010011")
+    for n_max in range(len(w) - 1):
+        fast, slow = local_balance_check(w, n_max), local_balance_by_length(w, n_max)
+        assert fast.to_obj() == slow.to_obj()
+    assert not fast.holds and fast.witness == {"factor": "", "extensions": ["0_0", "0_1", "1_0", "1_1"]}
+
+
+# ---------------------------------------------------------------------------
+# negative rationals as their own token
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse: --help or a usage error
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_negative_rational_token_is_the_option_value():
+    joined = run(["generate", "mechanical", "--alpha", "1/3", "--rho=-2/7", "--len", "5"])
+    assert joined == (0, "10010\n", "")
+    assert run(["generate", "mechanical", "--alpha", "1/3", "--rho", "-2/7", "--len", "5"]) == joined
+    assert run(["modone", "gamma-tilde", "--x", "-1/3"]) == (2, "", "error: x must lie in [0, 1]\n")
+
+
+def test_negative_integers_and_switches_are_unchanged():
+    assert run(["analyze", "block-condition", "--word", "fib", "--prefix", "-3"]) == (
+        2, "", "error: prefix length must be non-negative, got -3\n"
+    )
+    code, out, err = run(["generate", "mechanical", "--alpha", "1/3", "--upper", "-2/7"])
+    assert code == 2 and out == "" and "unrecognized arguments: -2/7" in err
+    code, out, _ = run(["generate", "mechanical", "--help", "-2/7"])
+    assert code == 0 and "--rho RHO" in out
+
+
+@pytest.mark.parametrize("argv, joined", [
+    (["--rho", "-2/7"], ["--rho=-2/7"]),
+    (["--al", "-1/3", "--prefix", "-3"], ["--al=-1/3", "--prefix=-3"]),
+    (["--rho=1", "-2/7"], None),
+    (["--upper", "-2/7"], None),
+    (["--up", "-2/7"], None),
+    (["--", "-2/7"], None),
+    (["--rho", "-x"], None),
+    (["mechanical", "-2/7"], None),
+])
+def test_join_negative_values(argv, joined):
+    assert _join_negative_values(argv) == (argv if joined is None else joined)
+
+
+def leaf_help(group, leaf):
+    code, out, _ = run([group, leaf, "--help"])
+    assert code == 0
+    return out
+
+
+def test_switches_are_the_options_without_a_value():
+    """Every option shown without a metavar in some leaf's help is listed in cli._SWITCHES."""
+    switches = set()
+    for group in _GROUPS:
+        leaves = re.search(r"\{([\w,-]+)\}", run([group, "--help"])[1]).group(1).split(",")
+        for leaf in leaves:
+            for match in re.finditer(r"^  (?:-\w, )?(--[\w-]+)( \S+)?", leaf_help(group, leaf), re.M):
+                if match.group(2) is None:
+                    switches.add(match.group(1))
+    assert switches == set(_SWITCHES)

@@ -204,10 +204,6 @@ def _digit_source(args, shifts_plus_precision: int) -> modone.DigitExpansion:
     raise SpecError("one of --xi, --xi-digits, --word is required")
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 class Report:
     """Collects an exit code, a JSON object, and text lines for one command."""
 
@@ -405,12 +401,16 @@ def cmd_modone(args) -> Report:
         parts = modone.fractional_parts(d, args.N, args.L)
         if args.csv:
             rep.lines.append("n,lo,hi")
-            rep.lines.extend(f"{n},{_frac(p.lo)},{_frac(p.hi)}" for n, p in enumerate(parts))
+            rep.lines.extend(
+                f"{n},{modone._frac_str(p.lo)},{modone._frac_str(p.hi)}" for n, p in enumerate(parts)
+            )
             rep.obj = {"csv": "\n".join(rep.lines)}
         else:
             rep.obj = {"base": d.base, "N": args.N, "L": args.L,
                        "parts": [p.to_obj() for p in parts]}
-            rep.lines.extend(f"{n}: [{_frac(p.lo)}, {_frac(p.hi)}]" for n, p in enumerate(parts))
+            rep.lines.extend(
+                f"{n}: [{modone._frac_str(p.lo)}, {modone._frac_str(p.hi)}]" for n, p in enumerate(parts)
+            )
     elif args.what == "cover":
         d = _digit_source(args, args.N + args.L)
         parts = modone.fractional_parts(d, args.N, args.L)
@@ -419,11 +419,11 @@ def cmd_modone(args) -> Report:
             "base": d.base,
             "N": args.N,
             "L": args.L,
-            "covering_length": _frac(length),
+            "covering_length": modone._frac_str(length),
             "interval": arc.to_obj(),
         }
-        rep.lines.append(f"covering length = {_frac(length)} ~= {float(length):.12f}")
-        rep.lines.append(f"interval [{_frac(arc.lo)}, {_frac(arc.hi)}]")
+        rep.lines.append(f"covering length = {modone._frac_str(length)} ~= {float(length):.12f}")
+        rep.lines.append(f"interval [{modone._frac_str(arc.lo)}, {modone._frac_str(arc.hi)}]")
     elif args.what == "classify":
         n = args.prefix
         d = _digit_source(args, n)
@@ -439,14 +439,14 @@ def cmd_modone(args) -> Report:
         x = _rational(args.x)
         member = modone.gamma_tilde_member(x)
         orbit = modone.gamma_tilde_orbit(x)
-        rep.boolean(member, {"x": _frac(x), "member": member, "orbit_size": len(orbit)})
+        rep.boolean(member, {"x": modone._frac_str(x), "member": member, "orbit_size": len(orbit)})
     elif args.what == "veerman":
         r0, r1 = modone.veerman_interval(_parse_alpha(args.alpha), args.L)
         gap = r1.lo - r0.lo
-        rep.obj = {"L": args.L, "r0": r0.to_obj(), "r1": r1.to_obj(), "difference": _frac(gap)}
-        rep.lines.append(f"r0 in [{_frac(r0.lo)}, {_frac(r0.hi)}]")
-        rep.lines.append(f"r1 in [{_frac(r1.lo)}, {_frac(r1.hi)}]")
-        rep.lines.append(f"r1.lo - r0.lo = {_frac(gap)}")
+        rep.obj = {"L": args.L, "r0": r0.to_obj(), "r1": r1.to_obj(), "difference": modone._frac_str(gap)}
+        rep.lines.append(f"r0 in [{modone._frac_str(r0.lo)}, {modone._frac_str(r0.hi)}]")
+        rep.lines.append(f"r1 in [{modone._frac_str(r1.lo)}, {modone._frac_str(r1.hi)}]")
+        rep.lines.append(f"r1.lo - r0.lo = {modone._frac_str(gap)}")
     else:  # pragma: no cover
         raise SpecError(args.what)
     return rep

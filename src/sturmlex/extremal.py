@@ -29,6 +29,8 @@ from .words import (
     _factor_keys,
     _first_difference,
     _first_violation,
+    _greatest_suffix,
+    _unbalanced_core,
     complement,
     prepend,
 )
@@ -261,24 +263,6 @@ def _finite_extremal(w: FiniteWord, order: LexOrder | None, want_max: bool) -> F
     if not want_max:
         order = LexOrder(order.by_rank[::-1])
     return FiniteWord(w.data[_greatest_suffix(w.data.translate(order.table)) :], w.alphabet)
-
-
-def _greatest_suffix(s: bytes) -> int:
-    """Start of the greatest suffix of s in bytes order, by two candidates compared in step."""
-    i, j, k = 0, 1, 0
-    n = len(s)
-    while j + k < n:
-        a, b = s[i + k], s[j + k]
-        if a == b:
-            k += 1
-            continue
-        if a > b:
-            j += k + 1
-        else:
-            i = max(i + k + 1, j)
-            j = i + 1
-        k = 0
-    return i
 
 
 # ---------------------------------------------------------------------------
@@ -521,16 +505,8 @@ def not_balanced_witness(w: FiniteWord) -> FiniteWord | None:
     """The word u with aua a prefix of min(w) and bub a prefix of max(w), if any."""
     if w.alphabet.size != 2:
         raise ValueError("binary alphabet required")
-    if len(w) == 0:
-        return None
-    m = min_finite(w).data
-    x = max_finite(w).data
-    # m and x agree after their first letter up to index c, so a shorter u
-    # is followed by equal letters in both, and a longer u differs
-    c = _first_difference(m[1:], x[1:])
-    if c < min(len(m), len(x)) - 1 and (m[0], m[c + 1], x[0], x[c + 1]) == (0, 0, 1, 1):
-        return FiniteWord(m[1 : c + 1], w.alphabet)
-    return None
+    u = _unbalanced_core(w.data)
+    return None if u is None else FiniteWord(u, w.alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +567,14 @@ def local_balance_check(
     (``words._factor_keys``), so the material is sliced once, not once per m.
     """
     data = _local_balance_material(t, n_max, prefix_length)
-    keys = _factor_keys(data, n_max + 2) if n_max >= 0 else set()
+    keys = _factor_keys(data, n_max + 2)
     windows = ({key[: m + 2] for key in keys if len(key) >= m + 2} for m in range(n_max + 1))
     return _local_balance_verdict(t.alphabet, n_max, len(data), windows)
 
 
 def _local_balance_material(t: InfiniteWord | FiniteWord, n_max: int, prefix_length: int | None) -> bytes:
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
     if isinstance(t, FiniteWord):
         data = t.data
     else:
@@ -710,7 +688,7 @@ class GanCandidate:
         }
 
 
-def _default_characteristic_roster() -> list[InfiniteWord]:
+def _characteristic_roster() -> list[InfiniteWord]:
     slopes = [
         fibonacci_slope(),                 # (3-sqrt(5))/2
         QuadraticSurd(-1, 1, 5, 2),        # (sqrt(5)-1)/2
@@ -731,7 +709,6 @@ def gan_phi_approx(
     P: int,
     K: int,
     L: int,
-    characteristic_roster: list[InfiniteWord] | None = None,
 ) -> GanCandidate:
     """Bounded search for the least shift-maximal companion word of x.
 
@@ -757,7 +734,7 @@ def gan_phi_approx(
 
     candidates: list[InfiniteWord] = []
     seen: set[bytes] = set()
-    for c in characteristic_roster if characteristic_roster is not None else _default_characteristic_roster():
+    for c in _characteristic_roster():
         w = prepend(FiniteWord(b"\x01", x.alphabet), c)
         key = w.prefix_bytes(L)
         if key not in seen:

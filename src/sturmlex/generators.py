@@ -433,6 +433,8 @@ def skew_word(mu: Morphism, x: int, y: int, ell: int) -> UltimatelyPeriodicWord:
         raise ValueError("x, y must be the two letters of a binary alphabet")
     if mu.is_erasing:
         raise ValueError("erasing morphism")
+    if ell < 0:
+        raise ValueError(f"ell must be non-negative, got {ell}")
     head = mu.apply(FiniteWord([x] * ell + [y], alphabet))
     period = mu.apply(FiniteWord([x], alphabet))
     word = UltimatelyPeriodicWord(head, period)

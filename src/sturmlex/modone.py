@@ -333,11 +333,15 @@ def bugeaud_dubickas_classify(d: DigitExpansion, prefix_length: int) -> Classify
     )
 
 
-def self_sturmian_test(s: InfiniteWord, K: int, L: int, complexity_depth: int = 30) -> BoundedVerdict:
+# factor lengths at which self_sturmian_test checks the Sturmian count k + 1
+SELF_STURMIAN_DEPTH = 30
+
+
+def self_sturmian_test(s: InfiniteWord, K: int, L: int) -> BoundedVerdict:
     """Bounded test that s = 1u with u a characteristic word beginning with 1.
 
     Requires the 11 prefix, the characteristic shift inequalities for u at
-    (K, L), and the Sturmian factor-count k+1 for k up to complexity_depth on
+    (K, L), and the Sturmian factor-count k+1 for k up to SELF_STURMIAN_DEPTH on
     the material (which rules out eventually periodic impostors at the
     observed scale).
     """
@@ -357,7 +361,7 @@ def self_sturmian_test(s: InfiniteWord, K: int, L: int, complexity_depth: int = 
     if not verdict.holds:
         verdict.detail["reason"] = "tail fails the characteristic inequalities"
         return verdict
-    p = complexity(u, complexity_depth, K + L)
+    p = complexity(u, SELF_STURMIAN_DEPTH, K + L)
     bad = next((k for k, v in enumerate(p, start=1) if v != k + 1), None)
     if bad is not None:
         return BoundedVerdict(
@@ -365,9 +369,9 @@ def self_sturmian_test(s: InfiniteWord, K: int, L: int, complexity_depth: int = 
             K,
             L,
             witness={"reason": "factor count is not k+1", "k": bad, "p": p[bad - 1]},
-            detail={"complexity_depth": complexity_depth},
+            detail={"complexity_depth": SELF_STURMIAN_DEPTH},
         )
-    verdict.detail["complexity_depth"] = complexity_depth
+    verdict.detail["complexity_depth"] = SELF_STURMIAN_DEPTH
     return verdict
 
 

@@ -172,6 +172,8 @@ def episturmian_factor_corpus(
     Sound but deliberately incomplete beyond two letters: no exhaustive
     enumeration of episturmian factors exists at desk scale.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     roster = roster if roster is not None else default_roster()
     words: set[FiniteWord] = set()
     for w in roster:

@@ -17,10 +17,9 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
-
-if TYPE_CHECKING:
-    from array import array
+from itertools import accumulate, islice
+from operator import sub
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "Alphabet",
@@ -569,18 +568,19 @@ def balance_violation(
 ) -> tuple[FiniteWord, FiniteWord] | None:
     """A pair of equal-length factors whose 1-counts differ by >= 2, if any.
 
-    The verdict is linear (``_is_balanced_bytes``); only unbalanced material
+    The verdict is linear (``_unbalanced_core``); only unbalanced material
     is scanned, by length, for the shortest violation and its first windows.
     """
     data = _binary_material(w, prefix_length)
-    if _is_balanced_bytes(data):
+    if _unbalanced_core(data) is None:
         return None
+    from array import array  # only this scan uses it: importing it with words adds to every start
+
     n = len(data)
-    pre = [0] * (n + 1)
-    for i, c in enumerate(data):
-        pre[i + 1] = pre[i] + c
+    # 4-byte ints: n + 1 Python ints would take about 36 bytes each
+    pre = array("i", accumulate(data, initial=0))
     for length in range(1, n + 1):
-        counts = [pre[i + length] - pre[i] for i in range(n - length + 1)]
+        counts = array("i", map(sub, islice(pre, length, None), pre))
         lo, hi = min(counts), max(counts)
         if hi - lo >= 2:
             i, j = counts.index(lo), counts.index(hi)
@@ -592,7 +592,7 @@ def balance_violation(
 
 
 def is_balanced(w: FiniteWord | InfiniteWord, prefix_length: int | None = None) -> bool:
-    return _is_balanced_bytes(_binary_material(w, prefix_length))
+    return _unbalanced_core(_binary_material(w, prefix_length)) is None
 
 
 def _binary_material(w: FiniteWord | InfiniteWord, prefix_length: int | None) -> bytes:
@@ -602,145 +602,51 @@ def _binary_material(w: FiniteWord | InfiniteWord, prefix_length: int | None) ->
     return data
 
 
-def _is_balanced_bytes(data: bytes) -> bool:
-    """Whether a binary word is balanced, in linear time.
-
-    A finite binary word is balanced iff it is a factor of a mechanical word
-    (Lothaire, Algebraic Combinatorics on Words, ch. 2), that is iff some line
-    y = a.x + c has S_i <= a.i + c < S_i + 1 at every prefix sum S_i: iff the
-    points (i, S_i) have vertical width below 1.  The width as a function of
-    the slope a is convex and piecewise linear, breaking only at hull edge
-    slopes, so its minimum is taken at an edge of the upper or lower hull,
-    against the farthest vertex of the other hull.  Only a point between a 1
-    and a 0 can be an upper hull vertex, and only one between a 0 and a 1 a
-    lower one.
-    """
-    n = len(data)
-    if n == 0:
-        return True
-    upper, lower = [(0, 0)], [(0, 0)]
-    total = 0
-    for i in range(1, n):
-        c = data[i - 1]
-        total += c
-        if c != data[i]:
-            _hull_push(upper if c else lower, i, total, c == 1)
-    total += data[n - 1]
-    _hull_push(upper, n, total, True)
-    _hull_push(lower, n, total, False)
-    return _width_below_one(upper, lower, 1) or _width_below_one(lower, upper, -1)
-
-
-def _hull_push(hull: list[tuple[int, int]], x: int, y: int, upper: bool) -> None:
-    """Append (x, y) to a monotone-chain hull, dropping the vertices it makes non-convex."""
-    while len(hull) >= 2:
-        (ox, oy), (ax, ay) = hull[-2], hull[-1]
-        cross = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
-        if (cross >= 0) if upper else (cross <= 0):
-            hull.pop()
-        else:
-            break
-    hull.append((x, y))
-
-
-def _width_below_one(edges: list[tuple[int, int]], other: list[tuple[int, int]], sign: int) -> bool:
-    """Whether the slope of some edge of one hull gives the points vertical width < 1.
-
-    ``sign`` is 1 for upper hull edges against the lower hull, -1 for lower
-    hull edges against the upper hull.  The edges are visited by increasing
-    slope, so the vertex of ``other`` farthest from them only moves one way.
-    For slope dy/dx every comparison is scaled by dx > 0 and stays integral.
-    """
-    slopes_up = range(len(edges) - 2, -1, -1) if sign > 0 else range(len(edges) - 1)
-    m = 0 if sign > 0 else len(other) - 1
-    for j in slopes_up:
-        (x0, y0), (x1, y1) = edges[j], edges[j + 1]
-        dx, dy = x1 - x0, y1 - y0
-        while 0 <= m + sign < len(other):
-            (xa, ya), (xb, yb) = other[m], other[m + sign]
-            if sign * ((yb - ya) * dx - dy * (xb - xa)) > 0:
-                break
-            m += sign
-        xo, yo = other[m]
-        if sign * ((y0 - yo) * dx - dy * (x0 - xo)) < dx:
-            return True
-    return False
-
-
 def block_condition(w: FiniteWord | InfiniteWord, prefix_length: int | None = None) -> bool:
     """True iff no word u has both 0u0 and 1u1 among the material's factors."""
-    return _block_violation(_material(w, prefix_length), w.alphabet) is None
-
-
-def _block_violation(data: bytes, alphabet: Alphabet) -> bytes | None:
-    """Some u with both 0u0 and 1u1 factors of binary data, or None, read off its suffix automaton.
-
-    When both 0u and 1u are factors, u is the longest string of its state v,
-    and the state w of cu (c = 0, 1) is a suffix-link child of v whose
-    shortest string is cu.  The letter c is read at an end position of w,
-    and cuc is a factor iff w has a c-transition.
-    """
-    if alphabet.size != 2:
+    data = _material(w, prefix_length)
+    if w.alphabet.size != 2:
         raise ValueError("the block condition is defined for binary alphabets only")
-    states, length, link, first, to = _suffix_automaton(data)
-    # seen[v] has bit c set when v's child cu has the extension cuc
-    seen = bytearray(states)
-    for w in range(1, states):
-        v = link[w]
-        c = data[first[w] - length[v]]
-        if to[c][w] != -1:
-            seen[v] |= 1 << c
-            if seen[v] == 3:
-                end = first[v] + 1
-                return data[end - length[v] : end]
+    return _unbalanced_core(data) is None
+
+
+def _unbalanced_core(data: bytes) -> bytes | None:
+    """The word u with 0u0 a prefix of min(w) and 1u1 a prefix of max(w), or None, for binary data w.
+
+    Such a u exists iff w is unbalanced, and then 0u0 and 1u1 are factors of
+    w, which is the block condition (Lothaire, Algebraic Combinatorics on
+    Words, ch. 2).  min(w) is the greatest suffix when 0 and 1 are swapped,
+    max(w) the greatest suffix; the two agree after their first letter up to
+    index c, so a shorter u is followed by equal letters in both, and a
+    longer u differs.
+    """
+    if not data:
+        return None
+    view = memoryview(data)  # slices share data's buffer
+    m = view[_greatest_suffix(data.translate(_SWAP)) :]
+    x = view[_greatest_suffix(data) :]
+    c = _first_difference(m[1:], x[1:])
+    if c < min(len(m), len(x)) - 1 and (m[0], m[c + 1], x[0], x[c + 1]) == (0, 0, 1, 1):
+        return bytes(m[1 : c + 1])
     return None
 
 
-def _suffix_automaton(data: bytes) -> tuple[int, array, array, array, tuple[array, array]]:
-    """The suffix automaton of binary data (Blumer et al., TCS 40, 1985), built online.
-
-    Returns (states, length, link, first, (to0, to1)): for each state, the
-    length of its longest string, its suffix link (-1 at the root), the end
-    position of its strings' first occurrence, and its transitions on 0 and
-    on 1 (-1 where there is none).  There are at most 2n states, stored in
-    flat int arrays of 20 bytes a state, so 10^6 letters take 40 MB.
-    """
-    from array import array  # only the block condition uses it: importing it with words adds to every start
-
-    size = 2 * len(data) + 1
-    length = array("i", [0]) * size
-    link = array("i", [-1]) * size
-    first = array("i", [0]) * size
-    to = to0, to1 = array("i", [-1]) * size, array("i", [-1]) * size
-    last, states = 0, 1
-    for i, c in enumerate(data):
-        col = to[c]
-        cur, states = states, states + 1
-        length[cur] = i + 1
-        first[cur] = i
-        p = last
-        while p != -1 and col[p] == -1:
-            col[p] = cur
-            p = link[p]
-        if p == -1:
-            link[cur] = 0
+def _greatest_suffix(s: bytes) -> int:
+    """Start of the greatest suffix of s in bytes order, by two candidates compared in step."""
+    i, j, k = 0, 1, 0
+    n = len(s)
+    while j + k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            j += k + 1
         else:
-            q = col[p]
-            if length[p] + 1 == length[q]:
-                link[cur] = q
-            else:
-                clone, states = states, states + 1
-                length[clone] = length[p] + 1
-                link[clone] = link[q]
-                first[clone] = first[q]
-                to0[clone] = to0[q]
-                to1[clone] = to1[q]
-                while p != -1 and col[p] == q:
-                    col[p] = clone
-                    p = link[p]
-                link[q] = link[cur] = clone
-        last = cur
-    return states, length, link, first, to
+            i = max(i + k + 1, j)
+            j = i + 1
+        k = 0
+    return i
 
 
 def lex_compare(

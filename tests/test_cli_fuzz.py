@@ -4,8 +4,9 @@ Exit code 3 means an unexpected exception, a bug: a handler that crashes on an
 odd but well-formed argument, or one that lost an import.  The commands run
 in process through `main(argv)` at small sizes (--prefix <= 2000, K and L <= 200)
 so the whole test stays within a few seconds.  Sizes whose cost is known to
-grow steeply are drawn smaller: `block-condition` is cubic in its prefix,
-`phi-approx` is exponential in P and `oracle enumerate` in n.
+grow steeply are drawn smaller: `phi-approx` is exponential in P and
+`oracle enumerate` in n.  `block-condition` keeps the smaller prefix it was
+given when it was cubic; it is linear now.
 """
 
 import contextlib

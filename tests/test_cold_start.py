@@ -95,6 +95,7 @@ WORD_LAYERS = ["sturmlex", "sturmlex.cli", "sturmlex.generators", "sturmlex.surd
     (["oracle", "enumerate", "--n", "4"], ["sturmlex.extremal", "sturmlex.modone", "sturmlex.oracle"]),
     (["--help"], []),
     (["modone", "classify", "--word", "fib", "--prefix", "300"], ["sturmlex.modone"]),
+    (["analyze", "block-condition", "--word", "fib", "--prefix", "100"], []),
 ])
 def test_a_command_loads_only_its_layers(argv, extra):
     code, loaded = fresh(COMMAND.format(argv=argv, loaded=LOADED))

@@ -2,12 +2,12 @@
 
 `words.special_factors` groups the distinct windows of one length,
 `extremal.local_balance_check` reads every length from one key set
-(`words._factor_keys`), and `words._block_violation` reads the block
-condition off a suffix automaton.  Each is checked here against the loop it
-replaced, kept in `oracle`: exhaustively on short binary words, and by
-hypothesis on random, periodic and generated words over one to four letters.
-The command-line cases at the end cover negative rationals given as their own
-token.
+(`words._factor_keys`), and `block_condition` reads the balance kernel
+`words._unbalanced_core` off min(w) and max(w).  Each is checked
+here against a per-window or per-length loop kept in `oracle`: exhaustively
+on short binary words, and by hypothesis on random, periodic and generated
+words over one to four letters.  The command-line cases at the end cover
+negative rationals given as their own token and out-of-range counts.
 """
 
 import contextlib
@@ -34,13 +34,16 @@ from sturmlex.generators import (
     kbonacci,
     thue_morse,
 )
-from sturmlex.oracle import block_violation_by_length, local_balance_by_length, special_factors_by_window
+from sturmlex.oracle import (
+    block_violation_by_length,
+    local_balance_by_length,
+    special_factors_by_window,
+)
 from sturmlex.words import (
     BINARY,
     Alphabet,
     FiniteWord,
-    _block_violation,
-    _suffix_automaton,
+    _unbalanced_core,
     block_condition,
     special_factors,
 )
@@ -58,60 +61,16 @@ GENERATED = [
 
 
 def assert_block_verdict(data: bytes) -> None:
-    u = _block_violation(data, BINARY)
-    assert (u is None) == (block_violation_by_length(data) is None), data
+    balanced = block_condition(FiniteWord(data, BINARY))
+    assert balanced == (block_violation_by_length(data) is None), data
+    u = _unbalanced_core(data)
+    assert (u is None) == balanced, data
     if u is not None:
         assert b"\x00" + u + b"\x00" in data and b"\x01" + u + b"\x01" in data, (data, u)
 
 
 # ---------------------------------------------------------------------------
-# the suffix automaton and the block condition
-
-
-def end_positions(data: bytes, s: bytes) -> frozenset[int]:
-    return frozenset(i + len(s) - 1 for i in range(len(data)) if data.startswith(s, i))
-
-
-def assert_automaton(data: bytes) -> None:
-    """Each state is one class of factors with equal end positions, as its arrays say."""
-    states, length, link, first, to = _suffix_automaton(data)
-
-    def longest(w):
-        return data[first[w] + 1 - length[w] : first[w] + 1]
-
-    classes = {end_positions(data, data[i:j]) for i in range(len(data)) for j in range(i + 1, len(data) + 1)}
-    assert states == len(classes) + 1 and length[0] == 0 and link[0] == -1
-    seen = set()
-    for w in range(1, states):
-        s, v = longest(w), link[w]
-        ends = end_positions(data, s)
-        assert ends and first[w] == min(ends), (data, w)
-        # the strings of w are the suffixes of s longer than the longest string of its link
-        assert longest(v) == s[len(s) - length[v] :]
-        assert all(end_positions(data, s[len(s) - j :]) == ends for j in range(length[v] + 1, len(s) + 1))
-        assert v == 0 or end_positions(data, longest(v)) > ends
-        seen.add(ends)
-        for c in (0, 1):
-            ends_c = end_positions(data, s + bytes([c]))
-            t = to[c][w]
-            assert (t == -1) == (not ends_c), (data, w, c)
-            assert t == -1 or (end_positions(data, longest(t)) == ends_c and length[link[t]] <= len(s) < length[t])
-    assert seen == classes
-
-
-def test_suffix_automaton_on_every_short_binary_word():
-    for n in range(10):
-        for bits in itertools.product(b"\x00\x01", repeat=n):
-            assert_automaton(bytes(bits))
-
-
-def test_suffix_automaton_on_random_and_generated_words():
-    rng = random.Random(9)
-    fib = characteristic(fibonacci_slope()).prefix_bytes(100)
-    words = [fib, thue_morse().prefix_bytes(64), b"\x00" * 30, b"\x00\x01\x01" * 10]
-    words += [bytes(rng.randrange(2) for _ in range(rng.randrange(10, 40))) for _ in range(30)]
-    for data in words:
-        assert_automaton(data)
+# balance and the block condition, read off min(w) and max(w)
 
 
 def test_block_condition_on_every_short_binary_word():
@@ -120,7 +79,7 @@ def test_block_condition_on_every_short_binary_word():
         for bits in itertools.product(b"\x00\x01", repeat=n):
             data = bytes(bits)
             assert_block_verdict(data)
-            violations += _block_violation(data, BINARY) is not None
+            violations += not block_condition(FiniteWord(data, BINARY))
     # 8191 words; exactly the balanced ones (1, 2, 4, 8, 14, ... by length from 0) satisfy the condition
     assert violations == 8191 - (1 + 2 + 4 + 8 + 14 + 24 + 36 + 54 + 76 + 104 + 136 + 178 + 224)
 
@@ -135,7 +94,7 @@ def test_block_condition_on_near_sturmian_words():
         for _ in range(rng.randrange(3)):
             data[rng.randrange(n)] ^= 1
         assert_block_verdict(bytes(data))
-        verdicts.add(_block_violation(bytes(data), BINARY) is None)
+        verdicts.add(block_condition(FiniteWord(bytes(data), BINARY)))
     assert verdicts == {True, False}
 
 
@@ -144,13 +103,18 @@ def test_block_condition_on_long_prefixes():
     assert not block_condition(thue_morse(), 100000)
     # a balanced periodic word, and one flipped letter deep inside it
     data = bytearray(b"\x00\x01\x00\x00\x01" * 4000)
-    assert _block_violation(bytes(data), BINARY) is None
+    assert block_condition(FiniteWord(bytes(data), BINARY))
     data[15001] ^= 1
     assert_block_verdict(bytes(data[14900:15100]))
-    assert _block_violation(bytes(data), BINARY) is not None
+    assert not block_condition(FiniteWord(bytes(data), BINARY))
+    u = _unbalanced_core(bytes(data))
+    assert b"\x00" + u + b"\x00" in data and b"\x01" + u + b"\x01" in data
 
 
-# one child process runs the command in process and reports its own peak RSS
+# one child process runs the command in process and reports its own peak RSS;
+# Linux keeps the peak RSS of the image a process replaces at exec, so a small
+# launcher starts it and the test runner's own peak does not count
+LAUNCH = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
 AT_THE_CAP = """
 import contextlib, io, resource, sys, time
 from sturmlex.cli import main
@@ -162,17 +126,31 @@ print(code, out.getvalue().strip(), time.perf_counter() - start, resource.getrus
 """
 
 
+def at_the_cap(what, word):
+    """Exit code, verdict line, seconds and peak RSS in kB of `analyze <what>` on 10^6 letters, in a child process."""
+    argv = ["analyze", what, "--word", word, "--prefix", "1000000"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", LAUNCH, sys.executable, "-c", AT_THE_CAP, *argv], env=env,
+                           capture_output=True, text=True, timeout=60, check=True)
+    code, verdict, seconds, peak_kb = child.stdout.split()
+    return int(code), verdict, float(seconds), int(peak_kb)
+
+
 @pytest.mark.parametrize("word, code, verdict", [("fib", 0, "true"), ("thue-morse", 1, "false")])
 def test_block_condition_at_the_prefix_cap(word, code, verdict):
-    """10^6 letters: about 1 s and 60 MB; one factor set per length did not finish in a minute."""
-    argv = ["analyze", "block-condition", "--word", word, "--prefix", "1000000"]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    child = subprocess.run([sys.executable, "-c", AT_THE_CAP, *argv], env=env, capture_output=True, text=True,
-                           timeout=60, check=True)
-    got_code, got_verdict, seconds, peak_kb = child.stdout.split()
-    assert (int(got_code), got_verdict) == (code, verdict)
-    assert float(seconds) < 10
-    assert int(peak_kb) < 100 * 1024
+    """10^6 letters: under a second and about 25 MB; one factor set per length did not finish in a minute."""
+    got_code, got_verdict, seconds, peak_kb = at_the_cap("block-condition", word)
+    assert (got_code, got_verdict) == (code, verdict)
+    assert seconds < 10
+    assert peak_kb < 40 * 1024
+
+
+def test_balance_violation_at_the_prefix_cap():
+    """The witness scan keeps its prefix sums in int arrays: n + 1 Python ints took about 74 MB."""
+    code, verdict, seconds, peak_kb = at_the_cap("balance", "thue-morse")
+    assert (code, verdict) == (1, "false")
+    assert seconds < 10
+    assert peak_kb < 40 * 1024
 
 
 def test_block_condition_rejects_larger_alphabets():
@@ -219,6 +197,11 @@ def test_local_balance_matches_the_per_length_loop(sized, draw):
     w = FiniteWord(data, Alphabet.of_size(max(size, 2)))
     # n_max = len - 2 makes the material exactly n_max + 2 letters long
     n_max = draw.draw(st.sampled_from([len(data) - 2, *range(-1, len(data) - 1)]))
+    if n_max < 0:
+        for check in (local_balance_check, local_balance_by_length):
+            with pytest.raises(ValueError, match="n_max"):
+                check(w, n_max)
+        return
     assert local_balance_check(w, n_max).to_obj() == local_balance_by_length(w, n_max).to_obj()
 
 
@@ -301,3 +284,24 @@ def test_switches_are_the_options_without_a_value():
                 if match.group(2) is None:
                     switches.add(match.group(1))
     assert switches == set(_SWITCHES)
+
+
+# ---------------------------------------------------------------------------
+# out-of-range counts are usage errors
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "local-balance", "--word", "fib", "--n-max", "-3"], "n_max must be non-negative, got -3"),
+    (["generate", "skew", "--ell", "-2", "--len", "5"], "ell must be non-negative, got -2"),
+    (["oracle", "corpus", "--n-max", "-1"], "n_max must be at least 1, got -1"),
+    (["oracle", "corpus", "--n-max", "0"], "n_max must be at least 1, got 0"),
+])
+def test_out_of_range_counts_are_usage_errors(argv, message):
+    assert run(argv) == (2, "", f"error: {message}\n")
+
+
+def test_smallest_counts_still_answer():
+    assert run(["analyze", "local-balance", "--word", "fib", "--n-max", "0", "--prefix", "20"])[0] == 0
+    assert run(["generate", "skew", "--ell", "0", "--len", "5"]) == (0, "baaaa\n", "")
+    code, out, _ = run(["oracle", "corpus", "--n-max", "1", "--budget", "20"])
+    assert code == 0 and "n_max=1 prefix_budget=20" in out

@@ -10,7 +10,6 @@ files; see ``--help`` of each subcommand.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -204,6 +203,12 @@ def _digit_source(args, shifts_plus_precision: int) -> modone.DigitExpansion:
     raise SpecError("one of --xi, --xi-digits, --word is required")
 
 
+def _dumps(obj) -> str:
+    import json  # only where JSON is written: text output never loads it
+
+    return json.dumps(obj)
+
+
 class Report:
     """Collects an exit code, a JSON object, and text lines for one command."""
 
@@ -224,9 +229,9 @@ class Report:
         if v.undecided:
             self.lines.append(f"undecided comparisons: {v.undecided}")
         if v.witness:
-            self.lines.append(f"witness: {json.dumps(v.witness)}")
+            self.lines.append(f"witness: {_dumps(v.witness)}")
         if v.detail:
-            self.lines.append(f"detail: {json.dumps(v.detail)}")
+            self.lines.append(f"detail: {_dumps(v.detail)}")
         return self
 
     def boolean(self, value: bool, obj: dict | None = None) -> "Report":
@@ -238,7 +243,7 @@ class Report:
 
 def _emit(args, rep: Report) -> int:
     if args.format == "json":
-        print(json.dumps(rep.obj))
+        print(_dumps(rep.obj))
     else:
         for line in rep.lines:
             print(line)
@@ -317,7 +322,7 @@ def cmd_analyze(args) -> Report:
         else:
             obj["certificate"] = {"preperiod": cert.preperiod.as_str(), "period": cert.period.as_str()}
         rep.obj = obj
-        rep.lines.append(json.dumps(obj))
+        rep.lines.append(_dumps(obj))
     else:  # pragma: no cover
         raise SpecError(args.what)
     return rep
@@ -431,7 +436,7 @@ def cmd_modone(args) -> Report:
         rep.code = 0 if report.verdict != "excluded" else 1
         rep.obj = report.to_obj()
         rep.lines.append(report.verdict)
-        rep.lines.append(json.dumps(rep.obj))
+        rep.lines.append(_dumps(rep.obj))
     elif args.what == "self-sturmian":
         w = _infinite(word_from_spec(args.word))
         rep.verdict(modone.self_sturmian_test(w, args.K, args.L))

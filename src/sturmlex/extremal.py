@@ -12,9 +12,7 @@ extremal factor is attained inside the material.
 from __future__ import annotations
 
 import itertools
-import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .generators import characteristic, fibonacci_slope, periodic_balanced
@@ -29,7 +27,9 @@ from .words import (
     _factor_keys,
     _first_difference,
     _first_violation,
+    _FrozenRecord,
     _greatest_suffix,
+    _Record,
     _unbalanced_core,
     complement,
     prepend,
@@ -72,12 +72,14 @@ def default_material(k: int) -> int:
     return 8 * k + 256
 
 
-@dataclass(frozen=True)
-class AcceptablePair:
+class AcceptablePair(_FrozenRecord):
     """A total order together with its minimum letter."""
 
-    letter: int
-    order: LexOrder
+    _fields = ("letter", "order")
+
+    def __init__(self, letter: int, order: LexOrder):
+        object.__setattr__(self, "letter", letter)
+        object.__setattr__(self, "order", order)
 
     def text(self, alphabet: Alphabet) -> str:
         return f"({alphabet.names[self.letter]}, {self.order.text(alphabet)})"
@@ -93,20 +95,30 @@ def acceptable_pairs(alphabet: Alphabet) -> list[AcceptablePair]:
     ]
 
 
-@dataclass
-class BoundedVerdict:
+class BoundedVerdict(_Record):
     """Outcome of a bounded check: holds, or fails with a reproducible witness.
 
     ``undecided`` counts comparisons that stayed equal through the depth
     horizon (treated as non-violations).
     """
 
-    holds: bool
-    shift_bound: int | None = None
-    depth_bound: int | None = None
-    witness: dict | None = None
-    undecided: int = 0
-    detail: dict = field(default_factory=dict)
+    _fields = ("holds", "shift_bound", "depth_bound", "witness", "undecided", "detail")
+
+    def __init__(
+        self,
+        holds: bool,
+        shift_bound: int | None = None,
+        depth_bound: int | None = None,
+        witness: dict | None = None,
+        undecided: int = 0,
+        detail: dict | None = None,
+    ):
+        self.holds = holds
+        self.shift_bound = shift_bound
+        self.depth_bound = depth_bound
+        self.witness = witness
+        self.undecided = undecided
+        self.detail = {} if detail is None else detail
 
     @property
     def status(self) -> str:
@@ -123,6 +135,8 @@ class BoundedVerdict:
         return obj
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_obj())
 
 
@@ -329,11 +343,13 @@ def characteristic_check(s: InfiniteWord, K: int, L: int) -> BoundedVerdict:
     return check_sturmian_extremal(s, s, K, L)
 
 
-@dataclass
-class PairInequality:
-    pair: AcceptablePair
-    verdict: BoundedVerdict
-    equality: bool
+class PairInequality(_Record):
+    _fields = ("pair", "verdict", "equality")
+
+    def __init__(self, pair: AcceptablePair, verdict: BoundedVerdict, equality: bool):
+        self.pair = pair
+        self.verdict = verdict
+        self.equality = equality
 
     def to_obj(self, alphabet: Alphabet) -> dict:
         obj = {"pair": self.pair.text(alphabet), "equality": self.equality}
@@ -341,20 +357,30 @@ class PairInequality:
         return obj
 
 
-@dataclass
-class EpistandardReport:
+class EpistandardReport(_Record):
     """Per-pair verdicts on a.s <= min(s), with equality-attainment flags.
 
     ``strict`` is True when equality is attained for every pair inside the
     material, the observable trace of a strict (Arnoux-Rauzy) standard word.
     """
 
-    holds: bool
-    strict: bool
-    pairs: list[PairInequality]
-    shift_bound: int
-    depth_bound: int
-    material: int
+    _fields = ("holds", "strict", "pairs", "shift_bound", "depth_bound", "material")
+
+    def __init__(
+        self,
+        holds: bool,
+        strict: bool,
+        pairs: list[PairInequality],
+        shift_bound: int,
+        depth_bound: int,
+        material: int,
+    ):
+        self.holds = holds
+        self.strict = strict
+        self.pairs = pairs
+        self.shift_bound = shift_bound
+        self.depth_bound = depth_bound
+        self.material = material
 
     def to_obj(self, alphabet: Alphabet) -> dict:
         return {
@@ -672,13 +698,15 @@ def sigma_xy_member(
     return _shift_chain_check(s, x.prefix_bytes(L), y.prefix_bytes(L), K, L, LexOrder.natural(2))
 
 
-@dataclass
-class GanCandidate:
+class GanCandidate(_Record):
     """Result of the bounded search for the least upper companion of x."""
 
-    word: InfiniteWord | None
-    label: str
-    searched: int
+    _fields = ("word", "label", "searched")
+
+    def __init__(self, word: InfiniteWord | None, label: str, searched: int):
+        self.word = word
+        self.label = label
+        self.searched = searched
 
     def to_obj(self) -> dict:
         return {

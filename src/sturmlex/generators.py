@@ -14,7 +14,6 @@ construction.  The letter-by-letter constructions these replace live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import sub
 
 from .surds import QuadraticSurd, progression_floors
@@ -27,6 +26,7 @@ from .words import (
     InfiniteWord,
     UltimatelyPeriodicWord,
     _check_cap,
+    _FrozenRecord,
 )
 
 __all__ = [
@@ -54,18 +54,18 @@ def fibonacci_slope() -> QuadraticSurd:
 # ---------------------------------------------------------------------------
 # directive words
 
-@dataclass(frozen=True)
-class DirectiveWord:
+class DirectiveWord(_FrozenRecord):
     """A finite directive word, or an eventually periodic one (preperiod + cycle)."""
 
-    preperiod: FiniteWord
-    cycle: FiniteWord | None = None
+    _fields = ("preperiod", "cycle")
 
-    def __post_init__(self):
-        if self.cycle is not None and len(self.cycle) == 0:
+    def __init__(self, preperiod: FiniteWord, cycle: FiniteWord | None = None):
+        if cycle is not None and len(cycle) == 0:
             raise ValueError("directive cycle must be non-empty")
-        if self.cycle is not None and self.cycle.alphabet.size != self.preperiod.alphabet.size:
+        if cycle is not None and cycle.alphabet.size != preperiod.alphabet.size:
             raise ValueError("alphabet mismatch")
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "cycle", cycle)
 
     @staticmethod
     def finite(w: FiniteWord) -> "DirectiveWord":
@@ -304,18 +304,18 @@ def characteristic(alpha, alphabet: Alphabet = BINARY) -> InfiniteWord:
 # ---------------------------------------------------------------------------
 # morphisms
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(_FrozenRecord):
     """A letter-to-word substitution over a fixed alphabet."""
 
-    alphabet: Alphabet
-    images: tuple[FiniteWord, ...]
+    _fields = ("alphabet", "images")
 
-    def __post_init__(self):
-        if len(self.images) != self.alphabet.size:
+    def __init__(self, alphabet: Alphabet, images: tuple[FiniteWord, ...]):
+        if len(images) != alphabet.size:
             raise ValueError("one image per letter required")
-        if any(im.alphabet.size != self.alphabet.size for im in self.images):
+        if any(im.alphabet.size != alphabet.size for im in images):
             raise ValueError("images must live over the same alphabet")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "images", images)
 
     @property
     def is_erasing(self) -> bool:

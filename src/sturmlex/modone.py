@@ -8,7 +8,6 @@ interval [value, value + b^-N] so the error is explicit everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
@@ -20,6 +19,8 @@ from .words import (
     InfiniteWord,
     UltimatelyPeriodicWord,
     _first_violation,
+    _FrozenRecord,
+    _Record,
     classify_eventually_periodic,
     complexity,
     is_balanced,
@@ -50,16 +51,16 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-@dataclass(frozen=True, slots=True)  # fractional_parts returns thousands at a time
-class RationalInterval:
+class RationalInterval(_FrozenRecord):
     """A closed interval [lo, hi] with exact rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = _fields = ("lo", "hi")  # fractional_parts returns thousands at a time
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise ValueError("interval endpoints out of order")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def width(self) -> Fraction:
@@ -79,19 +80,19 @@ class RationalInterval:
         return f"RationalInterval({self.lo}, {self.hi})"
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
+class DigitExpansion(_FrozenRecord):
     """A base-b digit word (finite prefix or infinite stream) with provenance."""
 
-    base: int
-    digits: FiniteWord | InfiniteWord
-    provenance: str = "from-word"
+    _fields = ("base", "digits", "provenance")
 
-    def __post_init__(self):
-        if self.base < 2:
-            raise ValueError(f"base must be at least 2, got {self.base}")
-        if self.digits.alphabet.size > self.base:
+    def __init__(self, base: int, digits: FiniteWord | InfiniteWord, provenance: str = "from-word"):
+        if base < 2:
+            raise ValueError(f"base must be at least 2, got {base}")
+        if digits.alphabet.size > base:
             raise ValueError("digit word uses letters outside the base range")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "provenance", provenance)
 
     def prefix_digits(self, n: int) -> bytes:
         if isinstance(self.digits, FiniteWord):
@@ -153,14 +154,13 @@ def fractional_parts(d: DigitExpansion, shifts: int, precision: int) -> list[Rat
     return out
 
 
-@dataclass(frozen=True)
-class TorusPointSet:
+class TorusPointSet(_FrozenRecord):
     """A finite set of exact rational points on the unit circle, sorted and deduplicated."""
 
-    points: tuple[Fraction, ...]
+    _fields = ("points",)
 
-    def __post_init__(self):
-        pts = tuple(sorted(set(self.points)))
+    def __init__(self, points: tuple[Fraction, ...]):
+        pts = tuple(sorted(set(points)))
         if any(not 0 <= p < 1 for p in pts):
             raise ValueError("points must lie in [0, 1)")
         object.__setattr__(self, "points", pts)
@@ -228,8 +228,7 @@ def min_covering_interval(
 # digit-word classification
 
 
-@dataclass
-class ClassifyReport:
+class ClassifyReport(_Record):
     """Desk-scale structure report for a digit-word prefix.
 
     ``interval_refinement`` addresses whether the minimal covering interval
@@ -239,16 +238,34 @@ class ClassifyReport:
     characteristic-attainment test inside the material.
     """
 
-    base: int
-    values: tuple[int, ...]
-    adjacent_pair: bool
-    low_digit: int | None
-    balanced: bool | None
-    periodic_certificate: UltimatelyPeriodicWord | None
-    verdict: str
-    prefix_length: int
-    interval_refinement: str = "not-applicable"
-    characteristic_shift: int | None = None
+    _fields = (
+        "base", "values", "adjacent_pair", "low_digit", "balanced", "periodic_certificate",
+        "verdict", "prefix_length", "interval_refinement", "characteristic_shift",
+    )
+
+    def __init__(
+        self,
+        base: int,
+        values: tuple[int, ...],
+        adjacent_pair: bool,
+        low_digit: int | None,
+        balanced: bool | None,
+        periodic_certificate: UltimatelyPeriodicWord | None,
+        verdict: str,
+        prefix_length: int,
+        interval_refinement: str = "not-applicable",
+        characteristic_shift: int | None = None,
+    ):
+        self.base = base
+        self.values = values
+        self.adjacent_pair = adjacent_pair
+        self.low_digit = low_digit
+        self.balanced = balanced
+        self.periodic_certificate = periodic_certificate
+        self.verdict = verdict
+        self.prefix_length = prefix_length
+        self.interval_refinement = interval_refinement
+        self.characteristic_shift = characteristic_shift
 
     def to_obj(self) -> dict:
         cert = None

@@ -19,7 +19,6 @@ one numerator per shift and Fraction arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -39,7 +38,7 @@ from .extremal import (
 from .generators import DirectiveWord, _pal_closure_bytes, epistandard, kbonacci
 from .modone import DigitExpansion, RationalInterval, TorusPointSet
 from .surds import QuadraticSurd, _floor
-from .words import Alphabet, FiniteWord, InfiniteWord, LexOrder
+from .words import Alphabet, FiniteWord, InfiniteWord, LexOrder, _Record
 
 __all__ = [
     "closure_letters",
@@ -139,15 +138,24 @@ def default_roster() -> list[InfiniteWord]:
     return roster
 
 
-@dataclass
-class OracleCorpus:
+class OracleCorpus(_Record):
     """A deterministic, labelled subset of the finite episturmian words."""
 
-    n_max: int
-    prefix_budget: int
-    generators: tuple[str, ...]
-    words: set[FiniteWord]
-    label: str = "subset of finite episturmian words"
+    _fields = ("n_max", "prefix_budget", "generators", "words", "label")
+
+    def __init__(
+        self,
+        n_max: int,
+        prefix_budget: int,
+        generators: tuple[str, ...],
+        words: set[FiniteWord],
+        label: str = "subset of finite episturmian words",
+    ):
+        self.n_max = n_max
+        self.prefix_budget = prefix_budget
+        self.generators = generators
+        self.words = words
+        self.label = label
 
     def count(self) -> int:
         return len(self.words)
@@ -175,14 +183,18 @@ def episturmian_factor_corpus(
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     roster = roster if roster is not None else default_roster()
-    words: set[FiniteWord] = set()
+    # one entry per letter string: the roster words share the names a-h, and
+    # a factor met in several (over alphabets of several sizes) is one word
+    words: dict[bytes, FiniteWord] = {}
     for w in roster:
         data = w.prefix_bytes(prefix_budget)
         for n in range(1, n_max + 1):
             for i in range(len(data) - n + 1):
-                words.add(FiniteWord(data[i : i + n], w.alphabet))
+                factor = data[i : i + n]
+                if factor not in words:
+                    words[factor] = FiniteWord(factor, w.alphabet)
     return OracleCorpus(
-        n_max, prefix_budget, tuple(w.recipe for w in roster), words
+        n_max, prefix_budget, tuple(w.recipe for w in roster), set(words.values())
     )
 
 

@@ -10,11 +10,9 @@ that prefix.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, islice
@@ -67,19 +65,53 @@ def _check_cap(n: int) -> None:
         raise ValueError(f"prefix request {n} exceeds cap {MAX_PREFIX} (STURMLEX_MAX_LEN)")
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Record:
+    """A record: ``__init__`` sets the attributes ``_fields`` lists; equal by class and fields, unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+
+class _FrozenRecord(_Record):
+    """A hashable record; ``__init__`` sets each field once, through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Alphabet(_FrozenRecord):
     """An ordered set of letters 0..size-1 with single-character display names."""
 
-    names: tuple[str, ...]
+    _fields = ("names",)
 
-    def __post_init__(self):
-        if not self.names:
+    def __init__(self, names: tuple[str, ...]):
+        if not names:
             raise ValueError("alphabet must have at least one letter")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("display names must be distinct")
-        if any(len(n) != 1 for n in self.names):
+        if any(len(n) != 1 for n in names):
             raise ValueError("display names must be single characters")
+        object.__setattr__(self, "names", names)
 
     @staticmethod
     def of_size(size: int, names: str | None = None) -> "Alphabet":
@@ -315,15 +347,15 @@ def _canonical_uv(u: bytes, v: bytes) -> tuple[bytes, bytes]:
 # lexicographic orders and comparison outcomes
 
 
-@dataclass(frozen=True)
-class LexOrder:
+class LexOrder(_FrozenRecord):
     """A total order on an alphabet, given as letters from smallest to largest."""
 
-    by_rank: tuple[int, ...]
+    _fields = ("by_rank",)
 
-    def __post_init__(self):
-        if sorted(self.by_rank) != list(range(len(self.by_rank))):
+    def __init__(self, by_rank: tuple[int, ...]):
+        if sorted(by_rank) != list(range(len(by_rank))):
             raise ValueError("order must be a permutation of 0..size-1")
+        object.__setattr__(self, "by_rank", by_rank)
 
     @staticmethod
     def natural(size: int) -> "LexOrder":
@@ -377,16 +409,18 @@ class Relation(Enum):
     EQUAL_THROUGH_DEPTH = "equal-through-depth"
 
 
-@dataclass(frozen=True)
-class ComparisonOutcome:
+class ComparisonOutcome(_FrozenRecord):
     """Result of a depth-bounded lexicographic comparison.
 
     ``depth`` is the index of the first difference for a decided outcome, or
     the examined depth when the prefixes agree throughout.
     """
 
-    relation: Relation
-    depth: int
+    _fields = ("relation", "depth")
+
+    def __init__(self, relation: Relation, depth: int):
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "depth", depth)
 
     @property
     def decided(self) -> bool:
@@ -757,8 +791,12 @@ def word_from_text(text: str) -> FiniteWord | UltimatelyPeriodicWord:
 
 
 def complexity_json(values: list[int]) -> str:
+    import json
+
     return json.dumps([{"k": k + 1, "p": p} for k, p in enumerate(values)])
 
 
 def factors_json(fs: set[FiniteWord]) -> str:
+    import json
+
     return json.dumps(sorted(f.as_str() for f in fs))

@@ -196,6 +196,17 @@ class TestOracle:
         text = out_path.read_text(encoding="utf-8")
         assert text.startswith("# corpus:")
 
+    def test_corpus_lists_each_letter_string_once(self, capsys):
+        # `a` is a factor of the 2-, 3- and 4-letter roster words alike: one entry
+        code, out, _ = run(capsys, "oracle", "corpus", "--n-max", "1", "--budget", "20")
+        lines = out.splitlines()
+        assert code == 0 and lines[1] == "# n_max=1 prefix_budget=20 count=4"
+        assert lines[3:] == ["a", "b", "c", "d"]
+        code, out, _ = run(capsys, "oracle", "corpus", "--n-max", "4", "--budget", "200")
+        header, body = out.splitlines()[1], out.splitlines()[3:]
+        assert code == 0 and len(set(body)) == len(body)
+        assert header.endswith(f" count={len(set(body))}")
+
     def test_diff(self, capsys):
         code, out, _ = run(capsys, "oracle", "diff", "--trials", "100", "--seed", "3")
         assert code == 0 and "0 mismatches" in out

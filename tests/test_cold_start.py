@@ -81,7 +81,7 @@ print(json.dumps([code, {loaded}]))
 WORD_LAYERS = ["sturmlex", "sturmlex.cli", "sturmlex.generators", "sturmlex.surds", "sturmlex.words"]
 
 
-@pytest.mark.parametrize("argv, extra", [
+COMMANDS = [
     (["generate", "thue-morse", "--len", "10"], []),
     (["analyze", "complexity", "--word", "fib", "--k-max", "4", "--prefix", "100"], []),
     (["analyze", "balance", "--word", "fib", "--prefix", "100"], []),
@@ -96,11 +96,45 @@ WORD_LAYERS = ["sturmlex", "sturmlex.cli", "sturmlex.generators", "sturmlex.surd
     (["--help"], []),
     (["modone", "classify", "--word", "fib", "--prefix", "300"], ["sturmlex.modone"]),
     (["analyze", "block-condition", "--word", "fib", "--prefix", "100"], []),
-])
+]
+
+
+@pytest.mark.parametrize("argv, extra", COMMANDS)
 def test_a_command_loads_only_its_layers(argv, extra):
     code, loaded = fresh(COMMAND.format(argv=argv, loaded=LOADED))
     assert code == 0
     assert loaded == sorted(WORD_LAYERS + extra)
+
+
+# which of ``modules`` a command loads, read before json is imported to print it
+STDLIB = """
+import contextlib, io, sys
+from sturmlex.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = main({argv!r})
+    except SystemExit as e:
+        code = e.code
+loaded = sorted(set({modules!r}) & sys.modules.keys())
+import json
+print(json.dumps([code, loaded]))
+"""
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
+def test_no_command_loads_dataclasses_or_inspect(argv):
+    code, loaded = fresh(STDLIB.format(argv=argv, modules=["dataclasses", "inspect"]))
+    assert code == 0
+    assert loaded == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "thue-morse", "--len", "10"],
+    ["generate", "mechanical", "--alpha", "(3-1*sqrt(5))/2", "--rho", "1/3", "--len", "100"],
+    ["generate", "epistandard", "--directive", "abc*", "--len", "100"],
+])
+def test_text_generate_loads_no_json(argv):
+    assert fresh(STDLIB.format(argv=argv, modules=["json"])) == [0, []]
 
 
 def test_import_loads_no_submodule():

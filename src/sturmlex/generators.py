@@ -4,9 +4,10 @@ Every infinite word grows its prefix buffer in chunks, in time linear in the
 prefix length: epistandard words by Justin's formula for iterated
 palindromic closure, characteristic words of irrational slope by standard
 words built from the slope's continued fraction, other mechanical words from
-exact floors bracketed in fixed point with one isqrt per chunk, morphic
-images by substitution over blocks of the parent's letters, and the
-Thue-Morse word by doubling.
+the carries of a fixed-point rotation, certified with one isqrt per chunk and
+read 64 letters per bisect from a table of carry words, morphic images by
+substitution over blocks of the parent's letters, and the Thue-Morse word by
+doubling.
 Everything irrational is a quadratic surd, so no floating point enters any
 construction.  The letter-by-letter constructions these replace live in
 ``sturmlex.oracle`` as the reference the tests compare against.
@@ -14,9 +15,7 @@ construction.  The letter-by-letter constructions these replace live in
 
 from __future__ import annotations
 
-from operator import sub
-
-from .surds import QuadraticSurd, progression_floors
+from .surds import QuadraticSurd, progression_letters
 from .words import (
     _SWAP,
     BINARY,
@@ -206,22 +205,18 @@ def _as_surd(x) -> QuadraticSurd:
 def _floor_differences(alpha: QuadraticSurd, rho: QuadraticSurd, use_ceiling: bool):
     """Grower of value((k+1)*alpha + rho) - value(k*alpha + rho) - floor(alpha), k >= 0.
 
-    value is floor, or ceil when use_ceiling; ceil(x) = -floor(-x).  The
-    slope's integer part moves every value by k*floor(alpha), so the floors
-    are taken of the fractional slope and the letters are their plain
-    differences.  Floors are taken CHUNK + 1 at a time, so no list longer
-    than a chunk is built.
+    value is floor, or ceil when use_ceiling.  As ceil(x) = -floor(-x), the
+    upper letters are ceil(alpha) - floor(alpha) minus the lower letters of
+    (-alpha, -rho): those letters swapped, or all 0 when alpha is an integer.
     """
-    frac = alpha - alpha.floor()
-    a, r = (-frac, -rho) if use_ceiling else (frac, rho)
+    letters = progression_letters(-alpha, -rho) if use_ceiling else progression_letters(alpha, rho)
+    swap = _SWAP if use_ceiling and alpha != alpha.floor() else None
     buf = bytearray()
 
     def grow(n: int) -> bytearray:
-        while len(buf) < n:
-            k = len(buf)
-            f = progression_floors(a, r, k, k + CHUNK + 1)
-            tail = f[1:]
-            buf.extend(bytes(map(sub, f, tail) if use_ceiling else map(sub, tail, f)))
+        k = len(buf)
+        if k < n:
+            buf.extend(letters(k, max(n, k + CHUNK)).translate(swap))
         return buf
 
     return grow
@@ -268,7 +263,7 @@ def _mechanical(alpha, rho, use_ceiling: bool, alphabet: Alphabet, kind: str) ->
         # slope p/q: the letter sequence repeats with period q from the start;
         # the whole period is buffered, so it must fit under the cap
         q = alpha.as_fraction().denominator
-        _check_cap(q)
+        _check_cap(q, f"period {q} of slope {alpha.as_fraction()}")
         period = bytes(_floor_differences(alpha, rho, use_ceiling)(q)[:q])
         return UltimatelyPeriodicWord.purely_periodic(FiniteWord(period, alphabet))
     offset = rho - alpha

@@ -5,16 +5,18 @@ only (isqrt bracketing plus sign analysis by squaring), so mechanical-word
 letters derived from these values are exact.  Rationals are the q == 0 case;
 mixing two irrational surds requires a common radicand d.  Floors along an
 arithmetic progression are bracketed in fixed point and certified by two
-floor sums, so a block of them costs one isqrt, not one per term.
+floor sums, so a block of them costs one isqrt, not one per term, and its
+letters are read from a table of carry words, 64 per bisect.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
-from operator import add, floordiv, rshift
+from operator import add, and_, floordiv, rshift, sub
 from typing import Iterator
 
 __all__ = [
@@ -23,6 +25,7 @@ __all__ = [
     "surd_ceil",
     "surd_compare",
     "progression_floors",
+    "progression_letters",
     "parse_surd",
 ]
 
@@ -34,9 +37,10 @@ MAX_RADICAND = 10**18
 # blocks of at most _BLOCK terms (one chunk of letters needs CHUNK + 1
 # floors).  Every bracket numerator stays below 2**61, a C long, and the
 # bracket of the j-th term of a block is (j + 1) / 2**48 wide, so it rarely
-# straddles an integer
+# straddles an integer.  A certified block's letters are read _CARRY per bisect
 _BITS = 48
 _BLOCK = 4097
+_CARRY = 64
 
 
 def _floor(p: int, q: int, d: int, r: int) -> int:
@@ -266,46 +270,102 @@ def _terms(first: int, step: int, n: int):
     return range(first, first + n * step, step) if step else repeat(first, n)
 
 
-def progression_floors(alpha: QuadraticSurd, rho: QuadraticSurd, start: int, stop: int) -> list[int]:
-    """floor(k*alpha + rho) for start <= k < stop, exactly, with one isqrt per block of terms.
+def _bracket(alpha, rho, bits):
+    """(floor(alpha), A, block): block(k0, n) brackets floor(k*alpha + rho), k0 <= k < k0 + n.
 
-    With frac = alpha - floor(alpha) and theta_j = (k0 + j)*frac + rho over a
-    block starting at k0, one exact floor T of theta_0 * 2**B and A = floor(frac
-    * 2**B) bracket theta_j * 2**B in [T + j*A, T + j*(A + 1) + 1), so floor(theta_j)
+    With frac = alpha - floor(alpha) and theta_j = (k0 + j)*frac + rho, one
+    exact floor T of theta_0 * 2**B (B = bits) and A = floor(frac * 2**B)
+    bracket theta_j * 2**B in [T + j*A, T + j*(A + 1) + 1), so floor(theta_j)
     lies between (T + j*A) >> B and (T + j*(A + 1)) >> B.  No upper value is
     below its lower one, so the block is exact iff the two brackets' sums
     agree; where they do not, the terms whose brackets differ take an exact
-    surd floor.  Rational slope and intercept take one exact division per term.
+    surd floor.  block returns (whole, T mod 2**B, exact), exact None if the
+    block is exact and else the list of floor(theta_j) - whole.  Rational
+    slope and intercept take one exact division per term.
     """
     alpha, rho = alpha._common(rho)
     d, r = alpha.d or rho.d, alpha.r * rho.r
     # k*alpha + rho = (k*ap + bp + (k*aq + bq)*sqrt(d)) / r
     ap, aq = alpha.p * rho.r, alpha.q * rho.r
     bp, bq = rho.p * alpha.r, rho.q * alpha.r
-    if not d:
-        n = max(stop - start, 0)
-        return list(map(floordiv, _terms(start * ap + bp, ap, n), repeat(r, n)))
     base = _floor(ap, aq, d, r)
     ap -= base * r  # now the numerator of frac
-    bits = _BITS
+    if not d:
+        return base, 0, lambda k0, n: (0, 0, list(map(floordiv, _terms(k0 * ap + bp, ap, n), repeat(r, n))))
     one = 1 << bits
     step = _floor(ap << bits, aq << bits, d, r)
-    out: list[int] = []
-    for k0 in range(start, stop, _BLOCK):
-        n = min(_BLOCK, stop - k0)
+
+    def block(k0, n):
         p, q = k0 * ap + bp, k0 * aq + bq
         t = _floor(p << bits, q << bits, d, r)
         whole, t = t >> bits, t & (one - 1)  # theta_0 = whole + t / 2**B + (less than 2**-B)
+        if _floor_sum(n, one, step, t) == _floor_sum(n, one, step + 1, t):
+            return whole, t, None
         p -= whole * r
         lows = map(rshift, _terms(t, step, n), repeat(bits, n))
-        if _floor_sum(n, one, step, t) != _floor_sum(n, one, step + 1, t):
-            highs = map(rshift, _terms(t, step + 1, n), repeat(bits, n))
-            lows = [
-                lo if lo == hi else _floor(p + j * ap, q + j * aq, d, r)
-                for j, (lo, hi) in enumerate(zip(lows, highs))
-            ]
+        highs = map(rshift, _terms(t, step + 1, n), repeat(bits, n))
+        return whole, t, [
+            lo if lo == hi else _floor(p + j * ap, q + j * aq, d, r)
+            for j, (lo, hi) in enumerate(zip(lows, highs))
+        ]
+
+    return base, step, block
+
+
+def progression_floors(alpha: QuadraticSurd, rho: QuadraticSurd, start: int, stop: int) -> list[int]:
+    """floor(k*alpha + rho) for start <= k < stop, exactly, with one isqrt per block of terms."""
+    bits = _BITS
+    base, step, block = _bracket(alpha, rho, bits)
+    out: list[int] = []
+    for k0 in range(start, stop, _BLOCK):
+        n = min(_BLOCK, stop - k0)
+        whole, t, lows = block(k0, n)
+        if lows is None:
+            lows = map(rshift, _terms(t, step, n), repeat(bits, n))
         out += map(add, lows, _terms(whole + k0 * base, base, n))
     return out
+
+
+def _carry_table(step, bits):
+    """(cuts, words): words[bisect_right(cuts, x)] is the _CARRY carries of x -> x + step mod 2**bits.
+
+    The sorted cuts are the nonzero points -i*step, i <= _CARRY.
+    """
+    one, m = 1 << bits, _CARRY
+    f = list(map(rshift, _terms(-m * step % one, step, 2 * m + 1), repeat(bits, 2 * m + 1)))
+    carries = bytes(map(sub, f[1:], f))
+    arcs = sorted({-i * step % one: m - i for i in range(m + 1)}.items())
+    return [x for x, _ in arcs[1:]], [carries[j : j + m] for _, j in arcs]
+
+
+def progression_letters(alpha: QuadraticSurd, rho: QuadraticSurd):
+    """letters(start, stop): the bytes floor((k+1)*alpha + rho) - floor(k*alpha + rho) - floor(alpha).
+
+    Letter j of a certified block is the carry of (T + j*A) mod 2**B plus A.
+    As the m + 1 arcs cut by the points -i*A, i <= m, give the factors of
+    length m (Lothaire, Algebraic Combinatorics on Words, ch. 2), a table reads
+    m = _CARRY letters per bisect.  Other blocks take exact floors.
+    """
+    bits = _BITS
+    mask = (1 << bits) - 1
+    _, step, block = _bracket(alpha, rho, bits)
+    cuts, words = _carry_table(step, bits)
+    jump = _CARRY * step
+
+    def letters(start, stop):
+        out = bytearray()
+        for k0 in range(start, stop, _BLOCK - 1):
+            n = min(_BLOCK - 1, stop - k0)  # letters, from n + 1 floors
+            _, x, exact = block(k0, n + 1)
+            if exact is None:
+                g = -(-n // _CARRY)
+                arcs = map(bisect_right, repeat(cuts, g), map(and_, _terms(x, jump, g), repeat(mask, g)))
+                out += b"".join(map(words.__getitem__, arcs))[:n]
+            else:
+                out.extend(map(sub, exact[1:], exact))
+        return bytes(out)
+
+    return letters
 
 
 def surd_compare(x: QuadraticSurd, y: QuadraticSurd | int | Fraction) -> int:

@@ -59,10 +59,10 @@ CHUNK = 4096
 _LETTER_POOL = "abcdefgh"
 
 
-def _check_cap(n: int) -> None:
-    """ValueError if n letters are more than one word may buffer."""
+def _check_cap(n: int, what: str = "prefix request {}") -> None:
+    """ValueError naming what (n fills its {}) if n letters are more than one word may buffer."""
     if n > MAX_PREFIX:
-        raise ValueError(f"prefix request {n} exceeds cap {MAX_PREFIX} (STURMLEX_MAX_LEN)")
+        raise ValueError(f"{what.format(n)} exceeds cap {MAX_PREFIX} (STURMLEX_MAX_LEN)")
 
 
 class _Record:

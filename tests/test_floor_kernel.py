@@ -2,12 +2,15 @@
 
 `surds.progression_floors` brackets each block of floors in fixed point and
 certifies the block by two floor sums, walking it with exact floors only
-where the sums differ.  Here it is checked against
+where the sums differ.  `surds.progression_letters` reads the letters of a
+certified block from a table of carry words.  Both are checked against
 `oracle.progression_floors_by_term`, one isqrt per term, at the production bit
 width and at widths of 2 to 16 bits, where the brackets are loose enough that
-the exact walk runs in most blocks.
+the exact walk runs in most blocks and the table's cut points collide.
 """
 
+from bisect import bisect_right
+from fractions import Fraction
 from unittest import mock
 
 from hypothesis import given, settings
@@ -15,7 +18,8 @@ from hypothesis import strategies as st
 
 from sturmlex import surds
 from sturmlex.oracle import progression_floors_by_term
-from sturmlex.surds import QuadraticSurd, _floor_sum, progression_floors
+from sturmlex.generators import fibonacci_slope, mechanical_lower
+from sturmlex.surds import QuadraticSurd, _carry_table, _floor_sum, progression_floors, progression_letters
 
 RADICANDS = [2, 3, 5, 7, 13, 10**6 + 3]
 
@@ -93,3 +97,73 @@ def test_floor_sum_at_a_bracket_of_the_kernel():
     n, m = surds._BLOCK, 1 << surds._BITS
     for a, b in [(m - 1, m - 1), (m // 3, 0), (0, 5), (m, 0), (12345678901, m - 2)]:
         assert _floor_sum(n, m, a, b) == sum((a * j + b) // m for j in range(n))
+
+
+def letters_by_term(alpha, rho, start, stop):
+    f = progression_floors_by_term(alpha, rho, start, stop + 1)
+    return bytes(b - a - alpha.floor() for a, b in zip(f, f[1:]))
+
+
+@st.composite
+def letter_ranges(draw):
+    """(alpha, rho, start, stop) of progressions(), starting on or off a block of 4096 letters."""
+    alpha, rho, start, stop = draw(progressions())
+    if draw(st.booleans()):
+        block_start = (surds._BLOCK - 1) * draw(st.integers(0, 300))
+        start, stop = block_start, block_start + stop - start
+    return alpha, rho, start, stop
+
+
+@given(letter_ranges(), st.one_of(st.none(), st.integers(2, 16)))
+@settings(max_examples=200, deadline=None)
+def test_letters_match_floor_differences(case, bits):
+    alpha, rho, start, stop = case
+    with mock.patch.object(surds, "_BITS", bits or surds._BITS):
+        letters = progression_letters(alpha, rho)
+        assert letters(start, stop) == letters_by_term(*case)
+        # a grower asks for consecutive ranges of one table
+        mid = (start + stop) // 2
+        assert letters(start, mid) + letters(mid, stop) == letters(start, stop)
+
+
+def carries(x, step, bits):
+    """The _CARRY carries of x -> x + step mod 2**bits, one shift per term."""
+    return bytes(((x + (i + 1) * step) >> bits) - ((x + i * step) >> bits) for i in range(surds._CARRY))
+
+
+@given(st.integers(2, 48).flatmap(lambda bits: st.tuples(st.just(bits), st.integers(0, 2**bits - 1))))
+@settings(max_examples=200, deadline=None)
+def test_each_carry_word_holds_on_its_whole_arc(case):
+    bits, step = case
+    one = 1 << bits
+    cuts, words = _carry_table(step, bits)
+    assert cuts == sorted({-i * step % one for i in range(surds._CARRY + 1)} - {0})
+    assert len(words) == len(cuts) + 1
+    for first, stop, word in zip([0, *cuts], [*cuts, one], words):
+        assert word == carries(first, step, bits) == carries(stop - 1, step, bits)
+        assert words[bisect_right(cuts, first)] is word
+
+
+def test_a_rotation_point_on_a_cut_reads_the_arc_it_starts():
+    # rho = 1/4 + eps with 0 < eps = (3 - 2*sqrt(2))**22 < 2**-48: slope 1/4 has
+    # A = 2**46 and the block's T = 2**46 = -3*A mod 2**48 is a cut point.  The
+    # block is certified, and its letters are those of the arc [T, next cut)
+    x, y = 1, 0
+    for _ in range(22):
+        x, y = 3 * x + 4 * y, 2 * x + 3 * y
+    alpha = QuadraticSurd(1, 0, 0, 4)
+    rho = alpha + QuadraticSurd(x, -y, 2)
+    assert surds._bracket(alpha, rho, surds._BITS)[2](0, surds._BLOCK) == (0, 2**46, None)
+    assert progression_letters(alpha, rho)(0, 4096) == b"\x00\x00\x01\x00" * 1024 == letters_by_term(alpha, rho, 0, 4096)
+
+
+def test_fibonacci_word_takes_one_exact_floor_per_block():
+    n = 10**5
+    alpha = fibonacci_slope()
+    with mock.patch.object(surds, "_floor", wraps=surds._floor) as exact:
+        got = mechanical_lower(alpha, Fraction(1, 3)).prefix_bytes(n)
+    assert got == letters_by_term(alpha, QuadraticSurd(1, 0, 0, 3), 0, n)
+    # the integer part and the fixed-point step of the slope, then one
+    # isqrt per block of 4096 letters: every block is certified
+    blocks = -(-n // (surds._BLOCK - 1))
+    assert exact.call_count == 2 + blocks

@@ -18,7 +18,7 @@ from sturmlex.generators import (
     mechanical_upper,
     thue_morse,
 )
-from sturmlex.oracle import closure_letters, floor_letters
+from sturmlex.oracle import closure_letters, floor_letters, progression_floors_by_term
 from sturmlex.surds import QuadraticSurd
 from sturmlex.words import (
     BINARY,
@@ -108,6 +108,29 @@ class TestMechanicalMatchesFloors:
         rho = QuadraticSurd(0, 1, 2, 3)
         for use_ceiling, make in ((False, mechanical_lower), (True, mechanical_upper)):
             assert make(alpha, rho).prefix_bytes(120) == floor_prefix(alpha, rho, 120, use_ceiling)
+
+    @pytest.mark.parametrize("slope", SLOPES)
+    @pytest.mark.parametrize("m, j", [(-1, 0), (-3, 2), (-4096, -1), (-5000, 7)])
+    def test_on_orbit_intercept(self, slope, m, j):
+        # rho = m*alpha + j makes the term -m*alpha + rho = j an integer, so the
+        # lower and upper words differ exactly at letters -m - 1 and -m
+        alpha = QuadraticSurd(*slope)
+        rho = alpha * m + j
+        lower, upper = floor_prefix(alpha, rho, N), floor_prefix(alpha, rho, N, True)
+        got_lower, got_upper = mechanical_lower(alpha, rho).prefix_bytes(N), mechanical_upper(alpha, rho).prefix_bytes(N)
+        assert got_lower == lower and got_upper == upper
+        differ = [k for k in range(N) if got_lower[k] != got_upper[k]]
+        assert differ == [k for k in range(N) if lower[k] != upper[k]] == [k for k in (-m - 1, -m) if 0 <= k < N]
+
+    def test_upper_on_orbit_word_at_the_cap(self):
+        # ceil(x) = -floor(-x): upper letters from one exact floor per term of (-alpha, -rho)
+        n = 10**6
+        alpha = QuadraticSurd(*SLOPES[0])
+        rho = QuadraticSurd(-3, 1, 5, 2)  # -alpha: the term k = 1 is the integer 0
+        f = progression_floors_by_term(-alpha, -rho, 0, n + 1)
+        expected = bytes(a - b - alpha.floor() for a, b in zip(f, f[1:]))
+        assert mechanical_upper(alpha, rho).prefix_bytes(n) == expected
+        assert expected[:2] == b"\x00\x01" and expected.count(1) == f[0] - f[n]
 
 
 class TestViewsMatchParent:

@@ -67,7 +67,7 @@ class TestFiniteEpisturmianDeepSearch:
 class TestRationalSlopeCap:
     def test_period_longer_than_cap(self, monkeypatch):
         monkeypatch.setattr(sturmlex.words, "MAX_PREFIX", 1000)
-        with pytest.raises(ValueError, match="prefix request 300000 exceeds cap 1000"):
+        with pytest.raises(ValueError, match=r"^period 300000 of slope 1/300000 exceeds cap 1000 \(STURMLEX_MAX_LEN\)$"):
             mechanical_lower(QuadraticSurd(1, 0, 0, 300000), QuadraticSurd(0))
         assert len(mechanical_lower(QuadraticSurd(1, 0, 0, 1000), QuadraticSurd(0)).period) == 1000
 
@@ -75,6 +75,12 @@ class TestRationalSlopeCap:
         monkeypatch.setattr(sturmlex.words, "MAX_PREFIX", 1000)
         code, out, err = run(capsys, "generate", "mechanical", "--alpha", "1/300000", "--len", "5")
         assert code == 2 and out == "" and "exceeds cap 1000" in err
+
+    def test_cli_names_the_period_not_the_request(self, monkeypatch, capsys):
+        monkeypatch.setattr(sturmlex.words, "MAX_PREFIX", 10**6)
+        code, out, err = run(capsys, "generate", "mechanical", "--alpha", "1/1000001", "--rho", "0", "--len", "3")
+        assert code == 2 and out == ""
+        assert "error: period 1000001 of slope 1/1000001 exceeds cap 1000000 (STURMLEX_MAX_LEN)" in err
 
 
 class TestSurdRadicandCheckedOnce:

@@ -36,6 +36,7 @@ from .words import (
     InfiniteWord,
     LexOrder,
     UltimatelyPeriodicWord,
+    _LETTER_POOL,
     balance_violation,
     block_condition,
     classify_eventually_periodic,
@@ -48,9 +49,6 @@ from .words import (
 
 if TYPE_CHECKING:
     from . import modone
-
-_POOL = "abcdefgh"
-
 
 class SpecError(ValueError):
     pass
@@ -71,9 +69,10 @@ def _rational(text: str) -> Fraction:
         raise SpecError(f"{text!r} has a zero denominator") from None
 
 
-def _widen(w, size: int):
-    """Re-embed a word over a larger alphabet (letter indices unchanged)."""
-    target = Alphabet.of_size(max(size, w.alphabet.size))
+def _widen(w, letters: str):
+    """Re-embed a word over a default alphabet that also names each default letter in ``letters`` (indices unchanged)."""
+    size = max([w.alphabet.size] + [_LETTER_POOL.index(c) + 1 for c in letters if c in _LETTER_POOL])
+    target = Alphabet.of_size(size)
     if target.size == w.alphabet.size:
         return w
     if isinstance(w, FiniteWord):
@@ -128,21 +127,11 @@ def word_from_spec(spec: str):
         )
     if head == "morphic":
         rules, _, base_spec = rest.partition(":")
-        base = word_from_spec(base_spec)
-        size = base.alphabet.size
-        for c in rules:
-            if c in _POOL:
-                size = max(size, _POOL.index(c) + 1)
-        base = _widen(base, size)
+        base = _widen(word_from_spec(base_spec), rules)
         return Morphism.from_text(rules, base.alphabet).apply(base)
     if head == "prepend":
         letters, _, base_spec = rest.partition(":")
-        base = word_from_spec(base_spec)
-        size = base.alphabet.size
-        for c in letters:
-            if c in _POOL:
-                size = max(size, _POOL.index(c) + 1)
-        base = _widen(base, size)
+        base = _widen(word_from_spec(base_spec), letters)
         from .words import prepend as _prepend
 
         return _prepend(FiniteWord.from_str(letters, base.alphabet), base)

@@ -12,7 +12,6 @@ extremal factor is attained inside the material.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from typing import Iterable
 
 from .generators import characteristic, fibonacci_slope, periodic_balanced
@@ -23,7 +22,6 @@ from .words import (
     InfiniteWord,
     LexOrder,
     UltimatelyPeriodicWord,
-    _factor_bytes,
     _factor_keys,
     _first_difference,
     _first_violation,
@@ -65,6 +63,8 @@ __all__ = [
 MAX_ORDER_ALPHABET = 8
 # gan_phi_approx enumerates 2^P words; P = 12 already takes seconds
 MAX_PHI_DEPTH = 12
+# the first width at which _first_differences compares a window tail, and its growth factor
+_PROBE = 64
 
 
 def default_material(k: int) -> int:
@@ -134,11 +134,6 @@ class BoundedVerdict(_Record):
             obj["detail"] = self.detail
         return obj
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_obj())
-
 
 # ---------------------------------------------------------------------------
 # extremal factors
@@ -158,50 +153,6 @@ def _scan_extremal(data: bytes, k: int, order: LexOrder, want_max: bool) -> byte
     best = (max if want_max else min)(ranked[i : i + k] for i in range(len(data) - k + 1))
     pos = ranked.find(best)
     return data[pos : pos + k]
-
-
-class _FactorTrie:
-    """The distinct length-k factors of ``data``, as a trie that branches only where they differ.
-
-    The factors are sorted once.  The node over a sorted range branches at the
-    first index where the range's first and last factors differ, with one
-    child per letter found there, so every order reads the same trie.  The
-    least factor under an order is reached by taking, at each branch, the
-    child whose letter ranks lowest.
-    """
-
-    def __init__(self, data: bytes, k: int):
-        _check_factor_length(data, k)
-        factors = sorted(_factor_bytes(data, k))
-        # a leaf is a factor; a branch is (letters, children), built without recursion
-        root: list = [None]
-        stack = [(0, len(factors), root, 0)]
-        while stack:
-            lo, hi, holder, slot = stack.pop()
-            if hi - lo == 1:
-                holder[slot] = factors[lo]
-                continue
-            depth = _first_difference(factors[lo], factors[hi - 1])
-            letters = bytearray()
-            children: list = []
-            while lo < hi:
-                c = factors[lo][depth]
-                end = bisect_right(factors, c, lo, hi, key=lambda f: f[depth])
-                letters.append(c)
-                children.append(None)
-                stack.append((lo, end, children, len(children) - 1))
-                lo = end
-            holder[slot] = (bytes(letters), children)
-        self.root = root[0]
-
-    def least(self, order: LexOrder) -> bytes:
-        """The least factor under ``order``."""
-        rank = order.by_rank.index
-        node = self.root
-        while type(node) is tuple:
-            letters, children = node
-            node = children[letters.index(min(letters, key=rank))]
-        return node
 
 
 def _extremal_factor(w, k: int, order: LexOrder | None, prefix_length: int | None, want_max: bool):
@@ -393,26 +344,46 @@ class EpistandardReport(_Record):
         }
 
 
-def _first_differences(
-    data: bytes, bound: bytes, K: int, L: int
-) -> tuple[int, dict[tuple[int, int], tuple[int, int]]]:
-    """Where T^k(data) first differs from ``bound``, for k <= K at depth L, under no order.
+def _first_differences(data: bytes, bound: bytes, windows: int) -> tuple[list[int], list[dict]]:
+    """Where the tail of each window first differs from ``bound``, keyed by the window's first letter.
 
-    Returns the number of shifts equal to ``bound`` through depth L, and for
-    each (found, expected) letter pair met at a first difference the earliest
-    shift and its depth.  The index of the first difference does not depend
-    on the order; under an order, shift k compares less exactly when its found
-    letter ranks below its expected one.
+    Window k < ``windows`` has lead data[k] and tail data[k+1 : k+1+len(bound)];
+    ``data`` holds every tail in full.  Returns, indexed by lead, the number of
+    tails equal to ``bound``, and a dict from each (found, expected) letter pair
+    met at a first difference to the earliest window k and the index d of that
+    difference in its tail.  No order enters: under an order, a tail compares
+    less than ``bound`` exactly when its found letter ranks below the expected one.
+
+    A tail is XORed with the bound's head over _PROBE, _PROBE**2, ... letters
+    (each head an int made once) and only then compared in full by one
+    ``startswith``, so it costs about its agreement with ``bound``.
     """
-    undecided = 0
-    first: dict[tuple[int, int], tuple[int, int]] = {}
-    for k in range(K + 1):
-        depth = _first_difference(data[k : k + L], bound)
-        if depth == L:
-            undecided += 1
-            continue
-        first.setdefault((data[k + depth], bound[depth]), (k, depth))
-    return undecided, first
+    depth = len(bound)
+    heads = []
+    width = _PROBE
+    while width < depth:
+        heads.append((width, int.from_bytes(bound[:width], "big")))
+        width *= _PROBE
+    ties = [0] * 256
+    first: list[dict[tuple[int, int], tuple[int, int]]] = [{} for _ in range(256)]
+    for k in range(windows):
+        for width, head in heads:
+            diff = int.from_bytes(data[k + 1 : k + 1 + width], "big") ^ head
+            if diff:
+                d = width - (diff.bit_length() + 7) // 8
+                break
+        else:
+            if data.startswith(bound, k + 1):
+                ties[data[k]] += 1
+                continue
+            d = _first_difference(data[k + 1 : k + 1 + depth], bound)
+        first[data[k]].setdefault((data[k + 1 + d], bound[d]), (k, d))
+    return ties, first
+
+
+def _earliest_below(first: dict[tuple[int, int], tuple[int, int]], rank) -> tuple[int, int] | None:
+    """The earliest (k, d) of a ``_first_differences`` entry whose found letter ``rank`` puts below the expected one."""
+    return min((kd for (f, e), kd in first.items() if rank(f) < rank(e)), default=None)
 
 
 def check_epistandard_ineq(
@@ -425,32 +396,35 @@ def check_epistandard_ineq(
     the material equals (a.s) truncated to K letters, i.e. whether the
     infimum is attained by the material.
 
-    Each shift is compared with a.s once per leading letter a, so the cost is
-    |A|.(K+1) comparisons; a pair then fails at the earliest shift whose first
-    difference its order ranks below a.s, an O(|A|^2) lookup.  The minimal
-    factors come from one trie of the material's length-K factors.
+    Under a pair (a, <) the letter a ranks lowest, so a window that does not
+    begin with a never falls below a.s, and a.x compares with a.s exactly as x
+    compares with s.  So every order reads two tables of window tails against
+    a prefix of s (``_first_differences``): the K+1 shifts at depth L-1, and
+    the material's length-K windows at depth K-1.  A pair fails at the
+    earliest shift behind a whose tail its order ranks below s; equality holds
+    when some window is (a.s) truncated and no tail behind a ranks below it.
     ``oracle.epistandard_ineq_by_order`` is the per-order reference.
     """
     material = material if material is not None else default_material(K)
     data = s.prefix_bytes(max(material, K + L))
     pairs = acceptable_pairs(s.alphabet)
     _check_bounds(K, L)
-    trie = _FactorTrie(data[:material], K)
-    lowers = [bytes([a]) + data[: L - 1] for a in range(s.alphabet.size)]
-    tables = [_first_differences(data, lower, K, L) for lower in lowers]
+    factors = data[:material]
+    _check_factor_length(factors, K)
+    shift_ties, shift_first = _first_differences(data, data[: L - 1], K + 1)
+    head_ties, head_first = _first_differences(factors, data[: K - 1], len(factors) - K + 1)
     results = []
     for pair in pairs:
-        undecided, first = tables[pair.letter]
-        rank = pair.order.by_rank.index
-        fail = min((kd for (f, e), kd in first.items() if rank(f) < rank(e)), default=None)
+        a, rank = pair.letter, pair.order.by_rank.index
+        fail = _earliest_below(shift_first[a], rank)
         if fail is None:
-            verdict = BoundedVerdict(True, K, L, undecided=undecided)
+            verdict = BoundedVerdict(True, K, L, undecided=shift_ties[a])
         else:
-            k, depth = fail
-            witness = _shift_witness(s.alphabet, data, k, "lower", lowers[pair.letter], depth)
+            k, d = fail
+            witness = _shift_witness(s.alphabet, data, k, "lower", bytes([a]) + data[: L - 1], d + 1)
             verdict = BoundedVerdict(False, K, L, witness=witness)
-        head = bytes([pair.letter]) + data[: K - 1]
-        results.append(PairInequality(pair, verdict, equality=(trie.least(pair.order) == head)))
+        equality = head_ties[a] > 0 and _earliest_below(head_first[a], rank) is None
+        results.append(PairInequality(pair, verdict, equality))
     return EpistandardReport(
         holds=all(r.verdict.holds for r in results),
         strict=all(r.equality for r in results),
@@ -542,16 +516,31 @@ def not_balanced_witness(w: FiniteWord) -> FiniteWord | None:
 def fine_test(t: InfiniteWord, K: int, material: int | None = None) -> BoundedVerdict:
     """Check that the min-words of all acceptable pairs agree after their first letter.
 
-    Min-words are length-K extremal factors of the material, read for every
-    order from one trie of its length-K factors.  A disagreement inside the
-    horizon is a definitive failure; agreement holds at the recorded bounds.
+    Min-words are length-K extremal factors of the material.  The least one
+    under an order is c.x, with c the order's lowest-ranked letter leading a
+    window and x the least tail behind c.  So with b.t the first pair's
+    min-word, another pair agrees iff some window c.t occurs and no tail behind
+    c first differs from t at a letter its order ranks lower: one table of
+    tails against t (``_first_differences``) decides every order.  A
+    disagreement inside the horizon is a definitive failure, witnessed by one
+    more scan; agreement holds at the recorded bounds.
     ``oracle.fine_by_order`` is the per-order reference.
     """
     material = material if material is not None else default_material(K)
     data = t.prefix_bytes(material)
     pairs = acceptable_pairs(t.alphabet)
-    trie = _FactorTrie(data, K)
-    return _fine_verdict(t.alphabet, K, material, [(pair, trie.least(pair.order)) for pair in pairs])
+    base = _scan_extremal(data, K, pairs[0].order, want_max=False)
+    windows = len(data) - K + 1
+    ties, first = _first_differences(data, base[1:], windows)
+    leads = set(data[:windows])
+    mins = [(pairs[0], base)]
+    for pair in pairs[1:]:
+        rank = pair.order.by_rank.index
+        c = min(leads, key=rank)
+        if not ties[c] or _earliest_below(first[c], rank) is not None:
+            mins.append((pair, _scan_extremal(data, K, pair.order, want_max=False)))
+            break
+    return _fine_verdict(t.alphabet, K, material, mins)
 
 
 def _fine_verdict(
@@ -729,7 +718,9 @@ def _characteristic_roster() -> list[InfiniteWord]:
 
 
 def _max_rotation(v: bytes) -> bytes:
-    return max(v[i:] + v[:i] for i in range(len(v)))
+    """The greatest rotation of a primitive word v: vv read from its greatest suffix, which starts in the first copy."""
+    i = _greatest_suffix(v + v)
+    return (v + v)[i : i + len(v)]
 
 
 def gan_phi_approx(

@@ -24,6 +24,7 @@ from .words import (
     FiniteWord,
     InfiniteWord,
     UltimatelyPeriodicWord,
+    _LETTER_POOL,
     _check_cap,
     _FrozenRecord,
 )
@@ -84,8 +85,8 @@ class DirectiveWord(_FrozenRecord):
             pre_text = text
         if alphabet is None:
             seen = sorted(set(pre_text + (cycle_text or "")))
-            if all(c in "abcdefgh" for c in seen):
-                hi = max(("abcdefgh".index(c) for c in seen), default=0)
+            if all(c in _LETTER_POOL for c in seen):
+                hi = max((_LETTER_POOL.index(c) for c in seen), default=0)
                 alphabet = Alphabet.of_size(max(hi + 1, 2))
             else:
                 alphabet = BINARY

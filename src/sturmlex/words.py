@@ -45,8 +45,6 @@ __all__ = [
     "classify_eventually_periodic",
     "word_to_text",
     "word_from_text",
-    "complexity_json",
-    "factors_json",
 ]
 
 # Safety cap for any single prefix evaluation; overridable via environment.
@@ -789,14 +787,3 @@ def word_from_text(text: str) -> FiniteWord | UltimatelyPeriodicWord:
         )
     return FiniteWord([alphabet.index(c) for c in body], alphabet)
 
-
-def complexity_json(values: list[int]) -> str:
-    import json
-
-    return json.dumps([{"k": k + 1, "p": p} for k, p in enumerate(values)])
-
-
-def factors_json(fs: set[FiniteWord]) -> str:
-    import json
-
-    return json.dumps(sorted(f.as_str() for f in fs))

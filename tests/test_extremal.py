@@ -374,6 +374,16 @@ class TestSigmaAndPhi:
         assert res.word.prefix_bytes(400) == expected.prefix_bytes(400)
         assert "P=4" in res.label and "K=200" in res.label
 
+    def test_max_rotation_of_every_short_primitive_word(self):
+        from sturmlex.extremal import _max_rotation
+
+        for n in range(1, 13):
+            for bits in itertools.product(b"\x00\x01", repeat=n):
+                v = bytes(bits)
+                if any(v == v[p:] + v[:p] for p in range(1, n)):
+                    continue  # not primitive
+                assert _max_rotation(v) == max(v[i:] + v[:i] for i in range(n))
+
 
 def check_shift_maximal(w, K, L):
     data = w.prefix_bytes(K + L)

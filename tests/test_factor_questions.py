@@ -122,18 +122,22 @@ out = io.StringIO()
 start = time.perf_counter()
 with contextlib.redirect_stdout(out):
     code = main(sys.argv[1:])
-print(code, out.getvalue().strip(), time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(code, out.getvalue().split()[0], time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def at_the_cap(what, word):
-    """Exit code, verdict line, seconds and peak RSS in kB of `analyze <what>` on 10^6 letters, in a child process."""
-    argv = ["analyze", what, "--word", word, "--prefix", "1000000"]
+def in_a_child(argv):
+    """Exit code, first word of the output, seconds and peak RSS in kB of one command, in a child process."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     child = subprocess.run([sys.executable, "-c", LAUNCH, sys.executable, "-c", AT_THE_CAP, *argv], env=env,
                            capture_output=True, text=True, timeout=60, check=True)
     code, verdict, seconds, peak_kb = child.stdout.split()
     return int(code), verdict, float(seconds), int(peak_kb)
+
+
+def at_the_cap(what, word):
+    """`analyze <what>` on 10^6 letters, in a child process."""
+    return in_a_child(["analyze", what, "--word", word, "--prefix", "1000000"])
 
 
 @pytest.mark.parametrize("word, code, verdict", [("fib", 0, "true"), ("thue-morse", 1, "false")])
@@ -151,6 +155,17 @@ def test_balance_violation_at_the_prefix_cap():
     assert (code, verdict) == (1, "false")
     assert seconds < 10
     assert peak_kb < 40 * 1024
+
+
+@pytest.mark.parametrize("argv", [
+    ["extremal", "fine", "--word", "tribonacci", "--K", "10000"],
+    ["extremal", "epistandard-ineq", "--word", "tribonacci", "--K", "10000", "--L", "100"],
+], ids=["fine", "epistandard-ineq"])
+def test_all_orders_checks_in_small_memory(argv):
+    """K = 10^4: about 16 MB; the sorted set of every distinct length-K factor took 209 MB."""
+    code, verdict, seconds, peak_kb = in_a_child(argv)
+    assert (code, verdict) == (0, "holds")
+    assert peak_kb < 64 * 1024
 
 
 def test_block_condition_rejects_larger_alphabets():

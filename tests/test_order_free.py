@@ -75,25 +75,73 @@ def test_kbonacci8_all_orders():
     assert rep.holds and len(rep.pairs) == 40320
 
 
-@given(
-    st.integers(2, 4).flatmap(
-        lambda size: st.tuples(
+def ultimately_periodic_words(sizes):
+    """(alphabet size, preperiod, period) over letters 0..size-1, the letters used drawn as a subset."""
+    def over(size):
+        letters = st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True)
+        return letters.flatmap(lambda used: st.tuples(
             st.just(size),
-            st.lists(st.integers(0, size - 1), max_size=6),
-            st.lists(st.integers(0, size - 1), min_size=1, max_size=6),
-        )
-    ),
+            st.lists(st.sampled_from(used), max_size=6),
+            st.lists(st.sampled_from(used), min_size=1, max_size=6),
+        ))
+    return sizes.flatmap(over)
+
+
+@given(
+    ultimately_periodic_words(st.integers(2, 5)),
     st.integers(1, 30),
     st.integers(1, 30),
     st.one_of(st.none(), st.integers(0, 60)),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_random_ultimately_periodic(word, K, L, extra):
     size, pre, per = word
     w = periodic(per, Alphabet.of_size(size), pre)
     material = None if extra is None else K + extra
     same_report(w, K, L, material)
     same_fine(w, K, material)
+
+
+@pytest.mark.parametrize(
+    "letters,preperiod",
+    [
+        # {a,b,d,e} over five letters: c never occurs, so no window begins with it
+        ([0, 1, 0, 3, 0, 4], ()),
+        ([3, 1, 3, 4], (0,)),
+        # only b and e occur: under most orders the least leading letter is not the pair's letter
+        ([1, 4, 1, 1, 4], ()),
+        ([4], (1, 1)),
+    ],
+)
+@pytest.mark.parametrize("K", [1, 3, 40, 100])
+def test_words_that_omit_letters_of_a_five_letter_alphabet(letters, preperiod, K):
+    w = periodic(letters, Alphabet.of_size(5), preperiod)
+    same_report(w, K, 70)
+    same_fine(w, K)
+    same_fine(w, K, material=K + 5)
+
+
+# ties run past the first compared width of a tail (64 letters), and some tails
+# first differ there, after a long agreement with the bound
+LONG_AGREEMENT = [
+    periodic([0] * 70 + [1], Alphabet.of_size(3)),
+    periodic([0] * 70 + [2] + [0] * 70 + [1], Alphabet.of_size(3)),
+    periodic([2, 0, 1] * 30 + [2, 1], Alphabet.of_size(3), preperiod=[1]),
+]
+
+
+@pytest.mark.parametrize("w", LONG_AGREEMENT, ids=lambda w: w.recipe[:40])
+@pytest.mark.parametrize("K,L", [(100, 300), (300, 80), (500, 500)])
+def test_tails_that_agree_past_the_first_width(w, K, L):
+    same_report(w, K, L)
+    same_fine(w, K)
+
+
+@pytest.mark.parametrize("w", [kbonacci(2), kbonacci(3), thue_morse()], ids=lambda w: w.recipe[:40])
+def test_tails_that_agree_past_the_second_width(w):
+    # at depth 5000 a tail is compared over 64, then 4096 letters, then in full
+    same_report(w, 5000, 5000)
+    same_fine(w, 5000)
 
 
 def error_of(fn, *args):

@@ -273,20 +273,6 @@ class TestSerialization:
             word_from_text("a,b\n")
 
 
-class TestJsonExports:
-    def test_complexity_table(self, fib):
-        from sturmlex.words import complexity_json
-
-        assert complexity_json(complexity(fib, 3, 100)) == (
-            '[{"k": 1, "p": 2}, {"k": 2, "p": 3}, {"k": 3, "p": 4}]'
-        )
-
-    def test_factor_set(self):
-        from sturmlex.words import factors_json
-
-        assert factors_json(factors(W("abaab"), 2)) == '["aa", "ab", "ba"]'
-
-
 class TestConcurrency:
     def test_parallel_prefix_reads(self):
         import threading

@@ -43,6 +43,8 @@ from .words import (
     complement,
     complexity,
     detect_period,
+    prepend,
+    shift,
     special_factors,
     word_from_text,
 )
@@ -132,15 +134,10 @@ def word_from_spec(spec: str):
     if head == "prepend":
         letters, _, base_spec = rest.partition(":")
         base = _widen(word_from_spec(base_spec), letters)
-        from .words import prepend as _prepend
-
-        return _prepend(FiniteWord.from_str(letters, base.alphabet), base)
+        return prepend(FiniteWord.from_str(letters, base.alphabet), base)
     if head == "shift":
         k_text, _, base_spec = rest.partition(":")
-        base = word_from_spec(base_spec)
-        from .words import shift as _shift
-
-        return _shift(base, int(k_text))
+        return shift(word_from_spec(base_spec), int(k_text))
     if head == "complement":
         return complement(word_from_spec(rest))
     if head == "file":

@@ -26,8 +26,10 @@ from .words import (
     _first_difference,
     _first_violation,
     _FrozenRecord,
-    _greatest_suffix,
+    _least_suffix,
+    _rank_table,
     _Record,
+    _SWAP,
     _unbalanced_core,
     complement,
     prepend,
@@ -146,13 +148,16 @@ def _check_factor_length(data: bytes, k: int) -> None:
         raise ValueError(f"factor length {k} exceeds available material {len(data)}")
 
 
-def _scan_extremal(data: bytes, k: int, order: LexOrder, want_max: bool) -> bytes:
-    """The least (greatest) length-k factor of data under the order, by one scan of every window."""
+def _ranked(data: bytes, order: LexOrder, want_max: bool) -> bytes:
+    """data as ranks under the order, reversed for max so that the greatest letter ranks least."""
+    return data.translate(_rank_table(order.by_rank[::-1] if want_max else order.by_rank))
+
+
+def _extremal_bytes(data: bytes, k: int, order: LexOrder, want_max: bool) -> bytes:
+    """The least (greatest) length-k factor of data under the order: the k-prefix of the least long enough suffix."""
     _check_factor_length(data, k)
-    ranked = data.translate(order.table)
-    best = (max if want_max else min)(ranked[i : i + k] for i in range(len(data) - k + 1))
-    pos = ranked.find(best)
-    return data[pos : pos + k]
+    p = _least_suffix(_ranked(data, order, want_max), len(data) - k)
+    return data[p : p + k]
 
 
 def _extremal_factor(w, k: int, order: LexOrder | None, prefix_length: int | None, want_max: bool):
@@ -166,7 +171,7 @@ def _extremal_factor(w, k: int, order: LexOrder | None, prefix_length: int | Non
     else:
         data = w.prefix_bytes(default_material(k))
     order = order or LexOrder.natural(w.alphabet.size)
-    return FiniteWord(_scan_extremal(data, k, order, want_max), w.alphabet)
+    return FiniteWord(_extremal_bytes(data, k, order, want_max), w.alphabet)
 
 
 def min_factor(
@@ -219,15 +224,14 @@ def _finite_extremal(w: FiniteWord, order: LexOrder | None, want_max: bool) -> F
 
     The least length-k factors form a chain of prefixes exactly up to the
     length of the least suffix of w when a suffix ranks above its own
-    extensions, which is the greatest suffix under the reversed order and
-    plain bytes order.  Dually, max(w) is the greatest suffix under the order.
+    extensions, as it does with a sentinel above every rank; max(w) is the
+    same under the reversed ranks.
     """
     if len(w) == 0:
         raise ValueError(f"{'max' if want_max else 'min'} of the empty word is undefined")
     order = order or LexOrder.natural(w.alphabet.size)
-    if not want_max:
-        order = LexOrder(order.by_rank[::-1])
-    return FiniteWord(w.data[_greatest_suffix(w.data.translate(order.table)) :], w.alphabet)
+    p = _least_suffix(_ranked(w.data, order, want_max) + b"\xff", len(w) - 1)
+    return FiniteWord(w.data[p:], w.alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +533,7 @@ def fine_test(t: InfiniteWord, K: int, material: int | None = None) -> BoundedVe
     material = material if material is not None else default_material(K)
     data = t.prefix_bytes(material)
     pairs = acceptable_pairs(t.alphabet)
-    base = _scan_extremal(data, K, pairs[0].order, want_max=False)
+    base = _extremal_bytes(data, K, pairs[0].order, want_max=False)
     windows = len(data) - K + 1
     ties, first = _first_differences(data, base[1:], windows)
     leads = set(data[:windows])
@@ -538,7 +542,7 @@ def fine_test(t: InfiniteWord, K: int, material: int | None = None) -> BoundedVe
         rank = pair.order.by_rank.index
         c = min(leads, key=rank)
         if not ties[c] or _earliest_below(first[c], rank) is not None:
-            mins.append((pair, _scan_extremal(data, K, pair.order, want_max=False)))
+            mins.append((pair, _extremal_bytes(data, K, pair.order, want_max=False)))
             break
     return _fine_verdict(t.alphabet, K, material, mins)
 
@@ -718,9 +722,10 @@ def _characteristic_roster() -> list[InfiniteWord]:
 
 
 def _max_rotation(v: bytes) -> bytes:
-    """The greatest rotation of a primitive word v: vv read from its greatest suffix, which starts in the first copy."""
-    i = _greatest_suffix(v + v)
-    return (v + v)[i : i + len(v)]
+    """The greatest rotation of a binary word v: the greatest length-|v| factor of vv, least with 0 and 1 swapped."""
+    vv = v + v
+    i = _least_suffix(vv.translate(_SWAP), len(v))
+    return vv[i : i + len(v)]
 
 
 def gan_phi_approx(

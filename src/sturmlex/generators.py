@@ -331,15 +331,6 @@ class Morphism(_FrozenRecord):
         return Morphism(alphabet, images)
 
     @staticmethod
-    def psi_bar(letter: int, alphabet: Alphabet) -> "Morphism":
-        """letter -> letter, x -> x.letter for every other letter x."""
-        images = tuple(
-            FiniteWord([c] if c == letter else [c, letter], alphabet)
-            for c in range(alphabet.size)
-        )
-        return Morphism(alphabet, images)
-
-    @staticmethod
     def exchange(a: int, b: int, alphabet: Alphabet) -> "Morphism":
         perm = list(range(alphabet.size))
         perm[a], perm[b] = perm[b], perm[a]

@@ -8,12 +8,12 @@ word letters one at a time (epistandard words by one palindromic closure per
 directive letter, mechanical words by one surd floor per letter), floors
 along a progression by one isqrt per term, shift-chain checks by one ranked
 slice per shift and bound, compared letter by letter, the all-orders
-extremal checks by one such check and one factor scan per acceptable pair,
-factor complexity by one set of factors per length, special factors and local
-balance by one entry per window, the block condition by one factor set per
-length, finite min/max words by
-one factor scan per prefix length, and fractional parts and covering arcs by
-one numerator per shift and Fraction arithmetic.
+extremal checks by one such check and one min over every window per
+acceptable pair, factor complexity by one set of factors per length, special
+factors and local balance by one entry per window, the block condition by one
+factor set per length, finite min/max words by one such min per prefix
+length, and fractional parts and covering arcs by one numerator per shift and
+Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from .extremal import (
     EpistandardReport,
     PairInequality,
     _check_bounds,
+    _check_factor_length,
     _fine_verdict,
     _local_balance_material,
     _local_balance_verdict,
     _names,
-    _scan_extremal,
     acceptable_pairs,
     default_material,
 )
@@ -57,6 +57,7 @@ __all__ = [
     "special_factors_by_window",
     "local_balance_by_length",
     "block_violation_by_length",
+    "extremal_factor_by_windows",
     "finite_extremal_by_chain",
     "fractional_parts_by_shift",
     "covering_by_fractions",
@@ -225,6 +226,15 @@ def naive_min_max(
     )
 
 
+def extremal_factor_by_windows(data: bytes, k: int, order: LexOrder, want_max: bool) -> bytes:
+    """The least (greatest) length-k factor of data under the order, by one min (max) over every window."""
+    _check_factor_length(data, k)
+    ranked = data.translate(order.table)
+    best = (max if want_max else min)(ranked[i : i + k] for i in range(len(data) - k + 1))
+    pos = ranked.find(best)
+    return data[pos : pos + k]
+
+
 def shift_chain_by_letters(
     s: InfiniteWord, lower: bytes | None, upper: bytes | None, K: int, L: int, order: LexOrder
 ) -> BoundedVerdict:
@@ -264,7 +274,7 @@ def epistandard_ineq_by_order(
     for pair in acceptable_pairs(s.alphabet):
         prefixed = bytes([pair.letter]) + data[: max(L, K) - 1]
         verdict = shift_chain_by_letters(s, prefixed[:L], None, K, L, pair.order)
-        m = _scan_extremal(data[:material], K, pair.order, want_max=False)
+        m = extremal_factor_by_windows(data[:material], K, pair.order, want_max=False)
         results.append(PairInequality(pair, verdict, equality=(m == prefixed[:K])))
     return EpistandardReport(
         holds=all(r.verdict.holds for r in results),
@@ -281,7 +291,7 @@ def fine_by_order(t: InfiniteWord, K: int, material: int | None = None) -> Bound
     material = material if material is not None else default_material(K)
     data = t.prefix_bytes(material)
     pairs = acceptable_pairs(t.alphabet)
-    mins = [(pair, _scan_extremal(data, K, pair.order, want_max=False)) for pair in pairs]
+    mins = [(pair, extremal_factor_by_windows(data, K, pair.order, want_max=False)) for pair in pairs]
     return _fine_verdict(t.alphabet, K, material, mins)
 
 
@@ -326,10 +336,10 @@ def finite_extremal_by_chain(w: FiniteWord, order: LexOrder, want_max: bool) -> 
 
     Rescans the whole word once per prefix length.
     """
-    prev = _scan_extremal(w.data, 1, order, want_max)
+    prev = extremal_factor_by_windows(w.data, 1, order, want_max)
     k = 1
     while k < len(w):
-        nxt = _scan_extremal(w.data, k + 1, order, want_max)
+        nxt = extremal_factor_by_windows(w.data, k + 1, order, want_max)
         if nxt[:k] != prev:
             break
         prev = nxt

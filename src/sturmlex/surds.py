@@ -22,7 +22,6 @@ from typing import Iterator
 __all__ = [
     "QuadraticSurd",
     "surd_floor",
-    "surd_ceil",
     "surd_compare",
     "progression_floors",
     "progression_letters",
@@ -116,10 +115,6 @@ class QuadraticSurd:
     @property
     def is_rational(self) -> bool:
         return self.q == 0
-
-    @property
-    def is_irrational(self) -> bool:
-        return not self.is_rational
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
@@ -238,10 +233,6 @@ class QuadraticSurd:
 
 def surd_floor(x: QuadraticSurd) -> int:
     return x.floor()
-
-
-def surd_ceil(x: QuadraticSurd) -> int:
-    return x.ceil()
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:

@@ -647,38 +647,47 @@ def _unbalanced_core(data: bytes) -> bytes | None:
 
     Such a u exists iff w is unbalanced, and then 0u0 and 1u1 are factors of
     w, which is the block condition (Lothaire, Algebraic Combinatorics on
-    Words, ch. 2).  min(w) is the greatest suffix when 0 and 1 are swapped,
-    max(w) the greatest suffix; the two agree after their first letter up to
-    index c, so a shorter u is followed by equal letters in both, and a
-    longer u differs.
+    Words, ch. 2).  min(w) is the least suffix of w and a sentinel above both
+    letters, max(w) the same with 0 and 1 swapped; the two agree after their
+    first letter up to index c, so a shorter u is followed by equal letters in
+    both, and a longer u differs.
     """
     if not data:
         return None
     view = memoryview(data)  # slices share data's buffer
-    m = view[_greatest_suffix(data.translate(_SWAP)) :]
-    x = view[_greatest_suffix(data) :]
+    last = len(data) - 1
+    m = view[_least_suffix(data + b"\xff", last) :]
+    x = view[_least_suffix(data.translate(_SWAP) + b"\xff", last) :]
     c = _first_difference(m[1:], x[1:])
     if c < min(len(m), len(x)) - 1 and (m[0], m[c + 1], x[0], x[c + 1]) == (0, 0, 1, 1):
         return bytes(m[1 : c + 1])
     return None
 
 
-def _greatest_suffix(s: bytes) -> int:
-    """Start of the greatest suffix of s in bytes order, by two candidates compared in step."""
-    i, j, k = 0, 1, 0
+def _least_suffix(s: bytes, last: int) -> int:
+    """Start of the least suffix of s starting at or before last: the last Lyndon factor starting there or earlier.
+
+    Duval's factorization (Lothaire, Combinatorics on Words, ch. 5), O(len(s)), stopped past last.
+    """
     n = len(s)
-    while j + k < n:
-        a, b = s[i + k], s[j + k]
-        if a == b:
-            k += 1
-            continue
-        if a > b:
-            j += k + 1
-        else:
-            i = max(i + k + 1, j)
-            j = i + 1
-        k = 0
-    return i
+    i = 0
+    while True:
+        j, k = i + 1, i
+        while j < n:
+            a, b = s[k], s[j]
+            if a == b:
+                k += 1
+            elif a < b:
+                k = i
+            else:
+                break
+            j += 1
+        # factors of length p start at i, i + p, ... up to k
+        p = j - k
+        nxt = i + ((k - i) // p + 1) * p
+        if nxt > last:
+            return i + (min(k, last) - i) // p * p
+        i = nxt
 
 
 def lex_compare(

@@ -429,8 +429,8 @@ def cmd_modone(args) -> Report:
     elif args.what == "gamma-tilde":
         x = _rational(args.x)
         member = modone.gamma_tilde_member(x)
-        orbit = modone.gamma_tilde_orbit(x)
-        rep.boolean(member, {"x": modone._frac_str(x), "member": member, "orbit_size": len(orbit)})
+        orbit_size = len(modone._doubling_orbit(x)[0])
+        rep.boolean(member, {"x": modone._frac_str(x), "member": member, "orbit_size": orbit_size})
     elif args.what == "veerman":
         r0, r1 = modone.veerman_interval(_parse_alpha(args.alpha), args.L)
         gap = r1.lo - r0.lo

@@ -18,6 +18,7 @@ from .words import (
     FiniteWord,
     InfiniteWord,
     UltimatelyPeriodicWord,
+    _check_cap,
     _first_violation,
     _FrozenRecord,
     _Record,
@@ -52,23 +53,49 @@ def _frac_str(x: Fraction) -> str:
 
 
 class RationalInterval(_FrozenRecord):
-    """A closed interval [lo, hi] with exact rational endpoints."""
+    """A closed interval [lo, hi] with exact rational endpoints.
 
-    __slots__ = _fields = ("lo", "hi")  # fractional_parts returns thousands at a time
+    The endpoints are kept as integer numerators over one positive
+    denominator; ``lo`` and ``hi`` build the reduced Fractions on demand.
+    """
+
+    # fractional_parts returns thousands at a time, all over base^precision
+    __slots__ = ("_lo", "_hi", "_den")
+    _fields = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction):
+        lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError("interval endpoints out of order")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        den = math.lcm(lo.denominator, hi.denominator)
+        object.__setattr__(self, "_lo", lo.numerator * (den // lo.denominator))
+        object.__setattr__(self, "_hi", hi.numerator * (den // hi.denominator))
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _over(cls, lo: int, hi: int, den: int) -> RationalInterval:
+        """[lo/den, hi/den] for integers lo <= hi and den > 0, with no Fraction built."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_hi", hi)
+        object.__setattr__(self, "_den", den)
+        return self
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self._lo, self._den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self._hi, self._den)
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self._hi - self._lo, self._den)
 
     @property
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self._lo + self._hi, 2 * self._den)
 
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
@@ -108,14 +135,14 @@ def digits_from_rational(xi: Fraction, base: int, n: int) -> DigitExpansion:
         raise ValueError("xi must lie strictly between 0 and 1")
     if n < 1:
         raise ValueError("need at least one digit")
+    _check_cap(n, "digit request {}")
     alphabet = Alphabet.digits(base)
     out = bytearray()
-    x = xi
+    # xi = r/q: the next digit and remainder are divmod(base * r, q)
+    r, q = xi.numerator, xi.denominator
     for _ in range(n):
-        x *= base
-        d = int(x)  # 0 < x, floor
+        d, r = divmod(r * base, q)
         out.append(d)
-        x -= d
     return DigitExpansion(base, FiniteWord(out, alphabet), "from-rational")
 
 
@@ -125,8 +152,7 @@ def real_bounds_from_digits(d: DigitExpansion, n: int | None = None) -> Rational
     value = 0
     for digit in digits:
         value = value * d.base + digit
-    scale = d.base ** len(digits)
-    return RationalInterval(Fraction(value, scale), Fraction(value + 1, scale))
+    return RationalInterval._over(value, value + 1, d.base ** len(digits))
 
 
 def fractional_parts(d: DigitExpansion, shifts: int, precision: int) -> list[RationalInterval]:
@@ -150,7 +176,7 @@ def fractional_parts(d: DigitExpansion, shifts: int, precision: int) -> list[Rat
     for n in range(shifts):
         if n:
             value = (value - data[n - 1] * top) * base + data[n + precision - 1]
-        out.append(RationalInterval(Fraction(value, scale), Fraction(value + 1, scale)))
+        out.append(RationalInterval._over(value, value + 1, scale))
     return out
 
 
@@ -168,13 +194,18 @@ class TorusPointSet(_FrozenRecord):
 
 def _endpoints(
     items: TorusPointSet | list[RationalInterval] | list[Fraction],
-) -> Iterator[tuple[Fraction, Fraction]]:
+) -> Iterator[tuple[int, int, int]]:
+    """(lo, hi, den) per point or interval: integer numerators over a positive denominator."""
     if isinstance(items, TorusPointSet):
-        return ((p, p) for p in items.points)
-    return (
-        (it.lo, it.hi) if isinstance(it, RationalInterval) else (Fraction(it), Fraction(it))
-        for it in items
-    )
+        return ((p.numerator, p.numerator, p.denominator) for p in items.points)
+    return (_integer_endpoints(it) for it in items)
+
+
+def _integer_endpoints(it: RationalInterval | Fraction) -> tuple[int, int, int]:
+    if isinstance(it, RationalInterval):
+        return it._lo, it._hi, it._den
+    x = Fraction(it)
+    return x.numerator, x.numerator, x.denominator
 
 
 def min_covering_interval(
@@ -187,25 +218,24 @@ def min_covering_interval(
     interval may have hi > 1 to represent an arc wrapping through 0.
     """
     # integer numerators over the common denominator (base^precision for
-    # fractional parts); the endpoints are read twice rather than stored
-    den = math.lcm(*{x.denominator for pair in _endpoints(items) for x in pair})
-
-    def scaled(x: Fraction) -> int:
-        return x.numerator if x.denominator == den else x.numerator * (den // x.denominator)
+    # fractional parts, which share it); the endpoints are read twice rather
+    # than stored
+    den = math.lcm(*{d for _, _, d in _endpoints(items)})
 
     # (start, length) sorts as (start, end); an orbit interval's length is
     # the shared small int 1, so the sorted list costs little beyond its tuples
     intervals = []
-    for lo, hi in _endpoints(items):
-        start = scaled(lo)
-        intervals.append((start, scaled(hi) - start))
+    for lo, hi, d in _endpoints(items):
+        if d != den:
+            lo, hi = lo * (den // d), hi * (den // d)
+        intervals.append((lo, hi - lo))
     intervals.sort()
     if not intervals:
         raise ValueError("empty input")
     if not circular:
         lo = intervals[0][0]
         hi = max(a + b for a, b in intervals)
-        return Fraction(hi - lo, den), RationalInterval(Fraction(lo, den), Fraction(hi, den))
+        return Fraction(hi - lo, den), RationalInterval._over(lo, hi, den)
     # the largest gap between an interval's start and the furthest end before
     # it, the gap through 0 last; the first of equal gaps wins
     best_gap, best_start = None, 0
@@ -218,10 +248,9 @@ def min_covering_interval(
     if best_gap is None or intervals[0][0] + den - max_hi > best_gap:
         best_gap, best_start = intervals[0][0] + den - max_hi, 0
     if best_gap <= 0:
-        return Fraction(1), RationalInterval(Fraction(0), Fraction(1))
-    length = Fraction(den - best_gap, den)
-    lo = Fraction(intervals[best_start][0], den)
-    return length, RationalInterval(lo, lo + length)
+        return Fraction(1), RationalInterval._over(0, 1, 1)
+    lo = intervals[best_start][0]
+    return Fraction(den - best_gap, den), RationalInterval._over(lo, lo + den - best_gap, den)
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +425,26 @@ def self_sturmian_test(s: InfiniteWord, K: int, L: int) -> BoundedVerdict:
 # Gamma-tilde and named constants
 
 
-def gamma_tilde_orbit(x: Fraction, cap: int = 1_000_000) -> list[Fraction]:
-    """Doubling-map orbit of a rational until the first repeat (exact)."""
+def _doubling_orbit(x: Fraction, cap: int = 1_000_000) -> tuple[list[int], int]:
+    """Numerators over q = x.denominator of the doubling-map orbit of {x}, to the first repeat."""
+    x = Fraction(x)
+    q = x.denominator
     orbit = []
     seen = set()
-    y = x - int(x)  # {x}; x = 1 maps to 0
-    while y not in seen:
-        if len(orbit) > cap:
-            raise ValueError("orbit cap exceeded")
+    y = x.numerator - int(x) * q  # {x}; x = 1 maps to 0
+    for _ in range(cap + 2):  # an orbit of more than cap + 1 points raises
+        if y in seen:
+            return orbit, q
         seen.add(y)
         orbit.append(y)
-        y = (2 * y) % 1
-    return orbit
+        y = 2 * y % q
+    raise ValueError("orbit cap exceeded")
+
+
+def gamma_tilde_orbit(x: Fraction, cap: int = 1_000_000) -> list[Fraction]:
+    """Doubling-map orbit of a rational until the first repeat (exact)."""
+    orbit, q = _doubling_orbit(x, cap)
+    return [Fraction(y, q) for y in orbit]
 
 
 def gamma_tilde_member(x: Fraction, cap: int = 1_000_000) -> bool:
@@ -419,7 +456,10 @@ def gamma_tilde_member(x: Fraction, cap: int = 1_000_000) -> bool:
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError("x must lie in [0, 1]")
-    return all(1 - x <= y <= x for y in gamma_tilde_orbit(x, cap))
+    orbit, q = _doubling_orbit(x, cap)
+    # 1 - x <= y/q <= x with x = p/q
+    p = x.numerator
+    return all(q - p <= y <= p for y in orbit)
 
 
 def thue_morse_constant(n_terms: int) -> RationalInterval:
@@ -427,8 +467,9 @@ def thue_morse_constant(n_terms: int) -> RationalInterval:
     if n_terms < 1:
         raise ValueError("need at least one term")
     digits = thue_morse().prefix_bytes(n_terms)
-    value = sum(Fraction(d, 2**n) for n, d in enumerate(digits))
-    return RationalInterval(value, value + Fraction(2, 2**n_terms))
+    # the sum over 2^(n_terms-1): the digits read as one binary numeral
+    value = int(digits.translate(bytes.maketrans(b"\x00\x01", b"01")), 2)
+    return RationalInterval._over(value, value + 1, 2 ** (n_terms - 1))
 
 
 def veerman_interval(alpha: QuadraticSurd, precision: int) -> tuple[RationalInterval, RationalInterval]:

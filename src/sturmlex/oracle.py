@@ -12,8 +12,9 @@ extremal checks by one such check and one min over every window per
 acceptable pair, factor complexity by one set of factors per length, special
 factors and local balance by one entry per window, the block condition by one
 factor set per length, finite min/max words by one such min per prefix
-length, and fractional parts and covering arcs by one numerator per shift and
-Fraction arithmetic.
+length, fractional parts and covering arcs by one numerator per shift and
+Fraction arithmetic, and rational digits, doubling orbits and the Thue-Morse
+constant by Fraction arithmetic step by step.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .extremal import (
     acceptable_pairs,
     default_material,
 )
-from .generators import DirectiveWord, _pal_closure_bytes, epistandard, kbonacci
+from .generators import DirectiveWord, _pal_closure_bytes, epistandard, kbonacci, thue_morse
 from .modone import DigitExpansion, RationalInterval, TorusPointSet
 from .surds import QuadraticSurd, _floor
 from .words import Alphabet, FiniteWord, InfiniteWord, LexOrder, _Record
@@ -61,6 +62,10 @@ __all__ = [
     "finite_extremal_by_chain",
     "fractional_parts_by_shift",
     "covering_by_fractions",
+    "digits_by_fractions",
+    "doubling_orbit_by_fractions",
+    "gamma_tilde_by_fractions",
+    "thue_morse_constant_by_sum",
 ]
 
 MAX_ENUM_LENGTH = 16
@@ -399,3 +404,44 @@ def covering_by_fractions(
     length = 1 - best_gap
     lo = intervals[best_start][0]
     return length, RationalInterval(lo, lo + length)
+
+
+def digits_by_fractions(xi: Fraction, base: int, n: int) -> bytes:
+    """The first n greedy base-b digits of xi in (0, 1), one Fraction multiply and floor per digit."""
+    out = bytearray()
+    x = xi
+    for _ in range(n):
+        x *= base
+        d = int(x)  # 0 < x, floor
+        out.append(d)
+        x -= d
+    return bytes(out)
+
+
+def doubling_orbit_by_fractions(x: Fraction, cap: int = 1_000_000) -> list[Fraction]:
+    """modone.gamma_tilde_orbit recomputed with one Fraction doubling mod 1 per point."""
+    orbit = []
+    seen = set()
+    y = x - int(x)  # {x}; x = 1 maps to 0
+    while y not in seen:
+        if len(orbit) > cap:
+            raise ValueError("orbit cap exceeded")
+        seen.add(y)
+        orbit.append(y)
+        y = (2 * y) % 1
+    return orbit
+
+
+def gamma_tilde_by_fractions(x: Fraction, cap: int = 1_000_000) -> bool:
+    """modone.gamma_tilde_member recomputed by comparing every Fraction orbit point with x and 1 - x."""
+    x = Fraction(x)
+    if not 0 <= x <= 1:
+        raise ValueError("x must lie in [0, 1]")
+    return all(1 - x <= y <= x for y in doubling_orbit_by_fractions(x, cap))
+
+
+def thue_morse_constant_by_sum(n_terms: int) -> RationalInterval:
+    """modone.thue_morse_constant recomputed as a sum of n_terms Fractions t_n / 2^n."""
+    digits = thue_morse().prefix_bytes(n_terms)
+    value = sum(Fraction(d, 2**n) for n, d in enumerate(digits))
+    return RationalInterval(value, value + Fraction(2, 2**n_terms))

@@ -167,12 +167,9 @@ class FiniteWord:
 
     @classmethod
     def from_str(cls, text: str, alphabet: Alphabet | None = None) -> "FiniteWord":
-        if alphabet is None:
-            if set(text) <= {"0", "1"}:
-                alphabet = BINARY
-            else:
-                hi = max((_LETTER_POOL.index(c) for c in text if c in _LETTER_POOL), default=0)
-                alphabet = Alphabet.of_size(max(hi + 1, 2))
+        if alphabet is None:  # digits 0..max or letters a..max, at least two
+            pool = "0123456789" if set(text) <= set("0123456789") else _LETTER_POOL
+            alphabet = Alphabet(tuple(pool[: max(2, 1 + max(map(pool.find, text), default=0))]))
         return cls([alphabet.index(c) for c in text], alphabet)
 
     @property

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import sturmlex.words
 from sturmlex.cli import main, word_from_spec
 from sturmlex.words import UltimatelyPeriodicWord, word_to_text
 
@@ -181,6 +182,27 @@ class TestModone:
                            "(3-1*sqrt(5))/2", "--L", "64")
         assert code == 0 and json.loads(out)["difference"] == "1/2"
 
+    def test_gamma_tilde_reads_unreduced_and_even_denominators(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "modone", "gamma-tilde", "--x", "4/6")
+        assert code == 0 and json.loads(out) == {"x": "2/3", "member": True, "orbit_size": 2}
+        code, out, _ = run(capsys, "--format", "json", "modone", "gamma-tilde", "--x", "3/4")
+        assert code == 1 and json.loads(out) == {"x": "3/4", "member": False, "orbit_size": 3}
+
+    @pytest.mark.parametrize("argv, digits", [
+        (("digits", "--xi", "1/3", "--n"), 0),
+        (("frac-parts", "--xi", "1/3", "--L", "2", "--N"), 2),
+        (("cover", "--xi", "1/3", "--L", "2", "--N"), 2),
+        (("classify", "--xi", "1/3", "--prefix"), 0),
+    ])
+    def test_rational_digit_requests_obey_the_cap(self, capsys, monkeypatch, argv, digits):
+        # `digits` extra digits beyond the count the command is given
+        monkeypatch.setattr(sturmlex.words, "MAX_PREFIX", 100)
+        code, _, err = run(capsys, "modone", *argv, str(100 - digits))
+        assert code in (0, 1) and err == ""
+        code, out, err = run(capsys, "modone", *argv, str(101 - digits))
+        assert (code, out) == (2, "")
+        assert err == "error: digit request 101 exceeds cap 100 (STURMLEX_MAX_LEN)\n"
+
 
 class TestOracle:
     def test_enumerate(self, capsys):
@@ -225,6 +247,15 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["generate"])
         assert exc.value.code == 2
+
+    def test_digit_text_over_three_letters(self, capsys):
+        # digit text names its letters 0..max digit, not a..h
+        code, out, err = run(capsys, "extremal", "min-max", "--word", "periodic:012", "--k", "2")
+        assert (code, out, err) == (0, "min: 01\nmax: 20\n", "")
+        code, out, err = run(capsys, "extremal", "min-max", "--word", "up:0|2", "--k", "1")
+        assert (code, out, err) == (0, "min: 0\nmax: 2\n", "")
+        code, out, _ = run(capsys, "extremal", "min-max", "--word", "periodic:abc", "--k", "2")
+        assert (code, out) == (0, "min: ab\nmax: ca\n")
 
     def test_word_file_round_trip(self, capsys, tmp_path):
         w = word_from_spec("up:b|ab")

@@ -1,0 +1,169 @@
+"""modone's integer-numerator kernels against the Fraction references in oracle."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sturmlex.modone import (
+    DigitExpansion,
+    RationalInterval,
+    _doubling_orbit,
+    digits_from_rational,
+    fractional_parts,
+    gamma_tilde_member,
+    gamma_tilde_orbit,
+    real_bounds_from_digits,
+    thue_morse_constant,
+)
+from sturmlex.oracle import (
+    digits_by_fractions,
+    doubling_orbit_by_fractions,
+    gamma_tilde_by_fractions,
+    thue_morse_constant_by_sum,
+)
+from sturmlex.words import Alphabet, FiniteWord
+
+
+def same_interval(a: RationalInterval, b: RationalInterval) -> None:
+    assert a == b and b == a and not a != b
+    assert hash(a) == hash(b)
+    assert (a.lo, a.hi, a.width, a.midpoint) == (b.lo, b.hi, b.width, b.midpoint)
+    assert a.to_obj() == b.to_obj() and repr(a) == repr(b)
+    assert all(type(x) is Fraction for x in (a.lo, a.hi, a.width, a.midpoint))
+
+
+@st.composite
+def digit_words(draw):
+    base = draw(st.integers(2, 10))
+    precision = draw(st.integers(1, 40))
+    shifts = draw(st.integers(0, 30))
+    data = draw(st.lists(st.integers(0, base - 1), min_size=shifts + precision,
+                         max_size=shifts + precision))
+    return DigitExpansion(base, FiniteWord(data, Alphabet.digits(base))), shifts, precision
+
+
+@given(digit_words())
+@settings(max_examples=300, deadline=None)
+def test_fractional_parts_agree_with_fraction_intervals(case):
+    d, shifts, precision = case
+    scale = d.base**precision
+    data = d.prefix_digits(shifts + precision)
+    parts = fractional_parts(d, shifts, precision)
+    assert len(parts) == shifts
+    for n, part in enumerate(parts):
+        value = 0
+        for digit in data[n : n + precision]:
+            value = value * d.base + digit
+        same_interval(part, RationalInterval(Fraction(value, scale), Fraction(value + 1, scale)))
+
+
+@given(digit_words())
+@settings(max_examples=100, deadline=None)
+def test_digit_bounds_agree_with_fraction_intervals(case):
+    d, _, _ = case
+    digits = d.prefix_digits(len(d.digits))
+    value = sum(Fraction(x, d.base ** (i + 1)) for i, x in enumerate(digits))
+    same_interval(real_bounds_from_digits(d),
+                  RationalInterval(value, value + Fraction(1, d.base ** len(digits))))
+
+
+@given(st.integers(-50, 50), st.integers(1, 60), st.integers(-50, 50), st.integers(1, 60))
+def test_public_constructor_keeps_reduced_endpoints(a, b, c, e):
+    lo, hi = sorted((Fraction(a, b), Fraction(c, e)))
+    iv = RationalInterval(lo, hi)
+    assert (iv.lo, iv.hi) == (lo, hi)
+    assert (iv.lo.denominator, iv.hi.denominator) == (lo.denominator, hi.denominator)
+    same_interval(iv, RationalInterval._over(lo.numerator * hi.denominator,
+                                             hi.numerator * lo.denominator,
+                                             lo.denominator * hi.denominator))
+
+
+def test_integer_endpoints_need_no_common_reduction():
+    # 2/4 and 1/2 are one endpoint over different denominators
+    a, b = RationalInterval._over(2, 3, 4), RationalInterval(Fraction(1, 2), Fraction(3, 4))
+    same_interval(a, b)
+    assert RationalInterval(0, 1) == RationalInterval._over(0, 1, 1)
+    assert a.contains(Fraction(1, 2)) and a.contains(Fraction(3, 4)) and not a.contains(Fraction(4, 5))
+
+
+# x in [0, 1] with odd and even denominators; 0 and 1 included
+rationals = st.builds(Fraction, st.integers(0, 400), st.integers(1, 400)).filter(lambda x: x <= 1)
+
+
+@given(rationals, st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_gamma_tilde_matches_fraction_oracle(x, k):
+    orbit = doubling_orbit_by_fractions(x)
+    assert gamma_tilde_orbit(x) == orbit
+    assert all(type(y) is Fraction for y in gamma_tilde_orbit(x))
+    member = gamma_tilde_by_fractions(x)
+    assert gamma_tilde_member(x) is member
+    # the same rational written unreduced, as the command line may give it
+    unreduced = Fraction(f"{k * x.numerator}/{k * x.denominator}")
+    assert gamma_tilde_member(unreduced) is member
+    assert _doubling_orbit(unreduced) == ([y.numerator * (x.denominator // y.denominator)
+                                           for y in orbit], x.denominator)
+
+
+@pytest.mark.parametrize("x, member, orbit", [
+    (Fraction(0), False, [Fraction(0)]),
+    (Fraction(1), True, [Fraction(0)]),
+    (Fraction(2, 3), True, [Fraction(2, 3), Fraction(1, 3)]),
+    (Fraction(4, 6), True, [Fraction(2, 3), Fraction(1, 3)]),
+    (Fraction(3, 4), False, [Fraction(3, 4), Fraction(1, 2), Fraction(0)]),
+    (Fraction(5, 8), False, [Fraction(5, 8), Fraction(1, 4), Fraction(1, 2), Fraction(0)]),
+])
+def test_gamma_tilde_edges(x, member, orbit):
+    assert gamma_tilde_member(x) is member is gamma_tilde_by_fractions(x)
+    assert gamma_tilde_orbit(x) == orbit == doubling_orbit_by_fractions(x)
+
+
+@given(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 60)))
+def test_gamma_tilde_orbit_of_any_rational(x):
+    # the orbit starts at x - int(x), negative for negative non-integers
+    assert gamma_tilde_orbit(x) == doubling_orbit_by_fractions(x)
+
+
+@given(rationals)
+@settings(max_examples=200, deadline=None)
+def test_orbit_cap_threshold(x):
+    size = len(doubling_orbit_by_fractions(x))
+    # an orbit of cap + 1 points passes; cap + 2 points raise
+    assert len(gamma_tilde_orbit(x, cap=size - 1)) == size
+    assert gamma_tilde_member(x, cap=size - 1) is gamma_tilde_by_fractions(x, cap=size - 1)
+    if size >= 2:
+        for run in (gamma_tilde_orbit, gamma_tilde_member, doubling_orbit_by_fractions,
+                    gamma_tilde_by_fractions):
+            with pytest.raises(ValueError, match="^orbit cap exceeded$"):
+                run(x, cap=size - 2)
+
+
+def test_gamma_tilde_range_is_checked_before_the_orbit():
+    for x in (Fraction(-1, 3), Fraction(3, 2)):
+        for run in (gamma_tilde_member, gamma_tilde_by_fractions):
+            with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\]$"):
+                run(x, cap=0)
+
+
+@given(st.integers(2, 10**6), st.integers(1, 10**6), st.integers(2, 10), st.integers(1, 200))
+@settings(max_examples=200, deadline=None)
+def test_digits_match_fraction_oracle(q, p, base, n):
+    xi = Fraction(p % (q - 1) + 1, q)
+    d = digits_from_rational(xi, base, n)
+    assert d.digits.data == digits_by_fractions(xi, base, n)
+    assert d.digits.alphabet == Alphabet.digits(base)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 65, 1000])
+def test_thue_morse_constant_matches_fraction_sum(n):
+    same_interval(thue_morse_constant(n), thue_morse_constant_by_sum(n))
+
+
+def test_thue_morse_constant_width():
+    for n in (1, 10, 100):
+        iv = thue_morse_constant(n)
+        assert iv.width == Fraction(1, 2 ** (n - 1))
+        assert math.gcd(iv.lo.numerator, iv.lo.denominator) == 1

@@ -226,5 +226,5 @@ def test_torus_points_are_sorted_and_deduplicated():
 
 def test_rational_interval_has_slots_and_no_dict():
     iv = RationalInterval(Fraction(0), Fraction(1))
-    assert set(RationalInterval.__slots__) == {"lo", "hi"}
+    assert set(RationalInterval.__slots__) == {"_lo", "_hi", "_den"}
     assert not hasattr(iv, "__dict__")

@@ -29,14 +29,14 @@ from .generators import (
     skew_word,
     thue_morse,
 )
-from .surds import QuadraticSurd, parse_surd
+from .surds import parse_surd
 from .words import (
     Alphabet,
     FiniteWord,
     InfiniteWord,
     LexOrder,
     UltimatelyPeriodicWord,
-    _LETTER_POOL,
+    _material,
     balance_violation,
     block_condition,
     classify_eventually_periodic,
@@ -56,13 +56,6 @@ class SpecError(ValueError):
     pass
 
 
-def _parse_alpha(text: str) -> QuadraticSurd:
-    try:
-        return parse_surd(text)
-    except ValueError as e:
-        raise SpecError(str(e)) from None
-
-
 def _rational(text: str) -> Fraction:
     """A rational from p/q or decimal text; a zero denominator is a usage error."""
     try:
@@ -72,10 +65,9 @@ def _rational(text: str) -> Fraction:
 
 
 def _widen(w, letters: str):
-    """Re-embed a word over a default alphabet that also names each default letter in ``letters`` (indices unchanged)."""
-    size = max([w.alphabet.size] + [_LETTER_POOL.index(c) + 1 for c in letters if c in _LETTER_POOL])
-    target = Alphabet.of_size(size)
-    if target.size == w.alphabet.size:
+    """w over ``Alphabet.for_text`` of its names and ``letters`` (indices unchanged) if that names more letters, else w."""
+    target = Alphabet.for_text("".join(w.alphabet.names) + letters)
+    if target.size <= w.alphabet.size:
         return w
     if isinstance(w, FiniteWord):
         return FiniteWord(w.data, target)
@@ -110,26 +102,26 @@ def word_from_spec(spec: str):
         parts = rest.split(":")
         if len(parts) != 2:
             raise SpecError(f"{head}: expected {head}:ALPHA:RHO")
-        alpha = _parse_alpha(parts[0])
-        rho = alpha if parts[1].strip().lower() == "same" else _parse_alpha(parts[1])
+        alpha = parse_surd(parts[0])
+        rho = alpha if parts[1].strip().lower() == "same" else parse_surd(parts[1])
         make = mechanical_upper if head == "mechanical-upper" else mechanical_lower
         return make(alpha, rho)
     if head == "characteristic":
-        return characteristic(_parse_alpha(rest))
+        return characteristic(parse_surd(rest))
     if head == "epistandard":
         return epistandard(DirectiveWord.from_text(rest))
     if head == "periodic":
         return UltimatelyPeriodicWord.purely_periodic(FiniteWord.from_str(rest))
     if head == "up":
         u_text, _, v_text = rest.partition("|")
-        body = FiniteWord.from_str(u_text + v_text)
-        alphabet = body.alphabet
+        alphabet = Alphabet.for_text(u_text + v_text)
         return UltimatelyPeriodicWord(
             FiniteWord.from_str(u_text, alphabet), FiniteWord.from_str(v_text, alphabet)
         )
     if head == "morphic":
         rules, _, base_spec = rest.partition(":")
-        base = _widen(word_from_spec(base_spec), rules)
+        # only the rules' letters: with ">" and "," digit rules would read as letters
+        base = _widen(word_from_spec(base_spec), "".join(rules.replace(">", " ").replace(",", " ").split()))
         return Morphism.from_text(rules, base.alphabet).apply(base)
     if head == "prepend":
         letters, _, base_spec = rest.partition(":")
@@ -243,8 +235,8 @@ def _emit(args, rep: Report) -> int:
 def cmd_generate(args) -> Report:
     rep = Report()
     if args.what == "mechanical":
-        alpha = _parse_alpha(args.alpha)
-        rho = alpha if args.rho.lower() == "same" else _parse_alpha(args.rho)
+        alpha = parse_surd(args.alpha)
+        rho = alpha if args.rho.lower() == "same" else parse_surd(args.rho)
         w = (mechanical_upper if args.upper else mechanical_lower)(alpha, rho)
     elif args.what == "epistandard":
         w = epistandard(DirectiveWord.from_text(args.directive))
@@ -272,7 +264,7 @@ def cmd_analyze(args) -> Report:
     w = word_from_spec(args.word)
     L = args.prefix
     if args.what == "complexity":
-        values = complexity(w, args.k_max, L if isinstance(w, InfiniteWord) else None)
+        values = complexity(w, args.k_max, L)
         rep.obj = {
             "word": args.word,
             "prefix": L,
@@ -280,12 +272,12 @@ def cmd_analyze(args) -> Report:
         }
         rep.lines.extend(f"p({k + 1}) = {p}" for k, p in enumerate(values))
     elif args.what == "balance":
-        pair = balance_violation(w, L if isinstance(w, InfiniteWord) else None)
+        pair = balance_violation(w, L)
         ok = pair is None
         rep.boolean(ok, {"word": args.word, "prefix": L, "balanced": ok,
                          "violation": None if ok else [pair[0].as_str(), pair[1].as_str()]})
     elif args.what == "special":
-        out = special_factors(w, args.n, args.side, L if isinstance(w, InfiniteWord) else None)
+        out = special_factors(w, args.n, args.side, L)
         names = sorted(f.as_str() for f in out)
         rep.obj = {"word": args.word, "n": args.n, "side": args.side, "factors": names}
         rep.lines.append(" ".join(names) if names else "(none)")
@@ -294,13 +286,10 @@ def cmd_analyze(args) -> Report:
 
         rep.verdict(extremal.local_balance_check(w, args.n_max, L))
     elif args.what == "block-condition":
-        ok = block_condition(w, L if isinstance(w, InfiniteWord) else None)
+        ok = block_condition(w, L)
         rep.boolean(ok, {"word": args.word, "prefix": L, "block_condition": ok})
     elif args.what == "period":
-        if isinstance(w, InfiniteWord):
-            material = w.prefix(L if L is not None else 2000)
-        else:
-            material = w
+        material = FiniteWord(_material(w, L, 2000), w.alphabet)
         cert = classify_eventually_periodic(material)
         obj = {"word": args.word, "prefix": len(material), "smallest_period": detect_period(material)}
         if cert is None:
@@ -321,9 +310,8 @@ def cmd_extremal(args) -> Report:
     if args.what == "min-max":
         w = word_from_spec(args.word)
         order = _order_for(w, args.order)
-        L = args.prefix if isinstance(w, InfiniteWord) else None
-        lo = extremal.min_factor(w, args.k, order, L)
-        hi = extremal.max_factor(w, args.k, order, L)
+        lo = extremal.min_factor(w, args.k, order, args.prefix)
+        hi = extremal.max_factor(w, args.k, order, args.prefix)
         rep.obj = {"word": args.word, "k": args.k, "min": lo.as_str(), "max": hi.as_str()}
         rep.lines.append(f"min: {lo.as_str()}")
         rep.lines.append(f"max: {hi.as_str()}")
@@ -429,10 +417,10 @@ def cmd_modone(args) -> Report:
     elif args.what == "gamma-tilde":
         x = _rational(args.x)
         member = modone.gamma_tilde_member(x)
-        orbit_size = len(modone._doubling_orbit(x)[0])
+        orbit_size = sum(1 for _ in modone._doubling_points(x))
         rep.boolean(member, {"x": modone._frac_str(x), "member": member, "orbit_size": orbit_size})
     elif args.what == "veerman":
-        r0, r1 = modone.veerman_interval(_parse_alpha(args.alpha), args.L)
+        r0, r1 = modone.veerman_interval(parse_surd(args.alpha), args.L)
         gap = r1.lo - r0.lo
         rep.obj = {"L": args.L, "r0": r0.to_obj(), "r1": r1.to_obj(), "difference": modone._frac_str(gap)}
         rep.lines.append(f"r0 in [{modone._frac_str(r0.lo)}, {modone._frac_str(r0.hi)}]")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .generators import characteristic, fibonacci_slope, periodic_balanced
+from .generators import characteristic, fibonacci_slope, iterated_pal
 from .surds import QuadraticSurd
 from .words import (
     Alphabet,
@@ -27,11 +27,11 @@ from .words import (
     _first_violation,
     _FrozenRecord,
     _least_suffix,
+    _material,
     _rank_table,
     _Record,
     _SWAP,
     _unbalanced_core,
-    complement,
     prepend,
 )
 
@@ -161,15 +161,12 @@ def _extremal_bytes(data: bytes, k: int, order: LexOrder, want_max: bool) -> byt
 
 
 def _extremal_factor(w, k: int, order: LexOrder | None, prefix_length: int | None, want_max: bool):
-    if isinstance(w, FiniteWord):
-        data = w.data
-    elif prefix_length is not None:
-        data = w.prefix_bytes(prefix_length)
-    elif isinstance(w, UltimatelyPeriodicWord):
+    if isinstance(w, UltimatelyPeriodicWord):
         # every factor of u v^w occurs inside u v . first k-1 letters of v^w
-        data = w.prefix_bytes(len(w.preperiod) + len(w.period) + k - 1)
+        default = len(w.preperiod) + len(w.period) + k - 1
     else:
-        data = w.prefix_bytes(default_material(k))
+        default = default_material(k)
+    data = _material(w, prefix_length, default)
     order = order or LexOrder.natural(w.alphabet.size)
     return FiniteWord(_extremal_bytes(data, k, order, want_max), w.alphabet)
 
@@ -253,25 +250,16 @@ def _shift_witness(alphabet: Alphabet, data: bytes, k: int, name: str, bound: by
     return {"shift": k, "bound": name, "depth": depth, "expected": expected, "found": found}
 
 
-def _shift_chain_check(
-    s: InfiniteWord,
-    lower: bytes | None,
-    upper: bytes | None,
-    K: int,
-    L: int,
-    order: LexOrder,
-) -> BoundedVerdict:
-    """Verify lower <= T^k(s) <= upper for all k <= K at comparison depth L; each bound has L letters.
+def _shift_chain_check(s: InfiniteWord, lower: bytes | None, upper: bytes | None, K: int, L: int) -> BoundedVerdict:
+    """Verify lower <= T^k(s) <= upper for all k <= K at comparison depth L, letters in their natural order.
 
-    The prefix is ranked once, each shift costs one slice comparison per bound
+    Each bound has L letters.  Each shift costs one slice comparison per bound
     (``words._first_violation``), and the depth of the first difference is
     found for a witness only.  ``oracle.shift_chain_by_letters`` is the reference.
     """
     _check_bounds(K, L)
     data = s.prefix_bytes(K + L)
-    table = order.table
-    lo, hi = (None if b is None else b.translate(table) for b in (lower, upper))
-    found, undecided = _first_violation(data.translate(table), lo, hi, K, L)
+    found, undecided = _first_violation(data, lower, upper, K, L)
     if found is None:
         return BoundedVerdict(True, K, L, undecided=undecided)
     k, name = found
@@ -288,7 +276,7 @@ def check_sturmian_extremal(s: InfiniteWord, u: InfiniteWord, K: int, L: int) ->
     up = u.prefix_bytes(L - 1)
     lower = bytes([0]) + up
     upper = bytes([1]) + up
-    return _shift_chain_check(s, lower, upper, K, L, LexOrder.natural(2))
+    return _shift_chain_check(s, lower, upper, K, L)
 
 
 def characteristic_check(s: InfiniteWord, K: int, L: int) -> BoundedVerdict:
@@ -594,10 +582,7 @@ def local_balance_check(
 def _local_balance_material(t: InfiniteWord | FiniteWord, n_max: int, prefix_length: int | None) -> bytes:
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    if isinstance(t, FiniteWord):
-        data = t.data
-    else:
-        data = t.prefix_bytes(prefix_length if prefix_length is not None else 2000)
+    data = _material(t, prefix_length, 2000)
     if len(data) < n_max + 2:
         raise ValueError("material too short for the requested factor length")
     return data
@@ -647,8 +632,7 @@ def gamma_membership(u: InfiniteWord, K: int, L: int) -> BoundedVerdict:
         raise ValueError("binary word required")
     _check_bounds(K, L)
     data = u.prefix_bytes(L)
-    comp = complement(u).prefix_bytes(L)
-    return _shift_chain_check(u, comp, data, K, L, LexOrder.natural(2))
+    return _shift_chain_check(u, data.translate(_SWAP), data, K, L)
 
 
 def allowed_pair_check(r: InfiniteWord, s: InfiniteWord, K: int, L: int) -> BoundedVerdict:
@@ -667,7 +651,7 @@ def allowed_pair_check(r: InfiniteWord, s: InfiniteWord, K: int, L: int) -> Boun
         raise ValueError("allowed pairs must be distinct (equal through the depth bound)")
     undecided = 0
     for source in (r, s):
-        verdict = _shift_chain_check(source, rp, sp, K, L, LexOrder.natural(2))
+        verdict = _shift_chain_check(source, rp, sp, K, L)
         if not verdict.holds:
             w = verdict.witness
             return BoundedVerdict(
@@ -688,7 +672,7 @@ def sigma_xy_member(
         if w.alphabet.size != 2:
             raise ValueError(f"binary words required: {name} has {w.alphabet.size} letters")
     _check_bounds(K, L)
-    return _shift_chain_check(s, x.prefix_bytes(L), y.prefix_bytes(L), K, L, LexOrder.natural(2))
+    return _shift_chain_check(s, x.prefix_bytes(L), y.prefix_bytes(L), K, L)
 
 
 class GanCandidate(_Record):
@@ -721,13 +705,6 @@ def _characteristic_roster() -> list[InfiniteWord]:
     return [characteristic(a) for a in slopes]
 
 
-def _max_rotation(v: bytes) -> bytes:
-    """The greatest rotation of a binary word v: the greatest length-|v| factor of vv, least with 0 and 1 swapped."""
-    vv = v + v
-    i = _least_suffix(vv.translate(_SWAP), len(v))
-    return vv[i : i + len(v)]
-
-
 def gan_phi_approx(
     x: InfiniteWord,
     P: int,
@@ -739,9 +716,10 @@ def gan_phi_approx(
     When x begins with 1 the answer is 1^w.  Otherwise, writing x = 0u, the
     candidates are 1.c for the roster of characteristic words together with
     the shift-maximal rotations of the periodic balanced words (Pal(v)xy)^w
-    with |v| <= P; the lexicographically least candidate satisfying
-    x <= T^i(s) <= 1u and T^i(s) <= s at the bounds is returned.  This is a
-    candidate at bounds (P, K, L), never an exact infimum.
+    with |v| <= P, which for xy = 01 and xy = 10 alike are the upper
+    Christoffel words (1.Pal(v).0)^w; the lexicographically least candidate
+    satisfying x <= T^i(s) <= 1u and T^i(s) <= s at the bounds is returned.
+    This is a candidate at bounds (P, K, L), never an exact infimum.
     """
     if x.alphabet.size != 2:
         raise ValueError("binary word required")
@@ -767,22 +745,19 @@ def gan_phi_approx(
     alphabet = x.alphabet
     for n in range(0, P + 1):
         for bits in itertools.product((0, 1), repeat=n):
-            v = FiniteWord(bits, alphabet)
-            for a, b in ((0, 1), (1, 0)):
-                z = periodic_balanced(v, a, b)
-                rot = _max_rotation(z.period.data)
-                w = UltimatelyPeriodicWord.purely_periodic(FiniteWord(rot, alphabet))
-                key = w.prefix_bytes(L)
-                if key not in seen:
-                    seen.add(key)
-                    candidates.append(w)
+            pal = iterated_pal(FiniteWord(bits, alphabet)).data
+            w = UltimatelyPeriodicWord.purely_periodic(FiniteWord(b"\x01" + pal + b"\x00", alphabet))
+            key = w.prefix_bytes(L)
+            if key not in seen:
+                seen.add(key)
+                candidates.append(w)
 
     candidates.sort(key=lambda w: w.prefix_bytes(L))
     for w in candidates:
-        inside = _shift_chain_check(w, lower, upper, K, L, LexOrder.natural(2))
+        inside = _shift_chain_check(w, lower, upper, K, L)
         if not inside.holds:
             continue
-        maximal = _shift_chain_check(w, None, w.prefix_bytes(L), K, L, LexOrder.natural(2))
+        maximal = _shift_chain_check(w, None, w.prefix_bytes(L), K, L)
         if maximal.holds:
             return GanCandidate(w, label, searched=len(candidates))
     return GanCandidate(None, label, searched=len(candidates))

@@ -24,7 +24,6 @@ from .words import (
     FiniteWord,
     InfiniteWord,
     UltimatelyPeriodicWord,
-    _LETTER_POOL,
     _check_cap,
     _FrozenRecord,
 )
@@ -83,18 +82,9 @@ class DirectiveWord(_FrozenRecord):
             pre_text, cycle_text = "", text[:-1]
         else:
             pre_text = text
-        if alphabet is None:
-            seen = sorted(set(pre_text + (cycle_text or "")))
-            if all(c in _LETTER_POOL for c in seen):
-                hi = max((_LETTER_POOL.index(c) for c in seen), default=0)
-                alphabet = Alphabet.of_size(max(hi + 1, 2))
-            else:
-                alphabet = BINARY
-        pre = FiniteWord([alphabet.index(c) for c in pre_text], alphabet)
-        if cycle_text is None:
-            return DirectiveWord(pre, None)
-        cyc = FiniteWord([alphabet.index(c) for c in cycle_text], alphabet)
-        return DirectiveWord(pre, cyc)
+        alphabet = alphabet or Alphabet.for_text(pre_text + (cycle_text or ""))
+        pre = FiniteWord.from_str(pre_text, alphabet)
+        return DirectiveWord(pre, None if cycle_text is None else FiniteWord.from_str(cycle_text, alphabet))
 
     @property
     def alphabet(self) -> Alphabet:

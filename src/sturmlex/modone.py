@@ -425,20 +425,32 @@ def self_sturmian_test(s: InfiniteWord, K: int, L: int) -> BoundedVerdict:
 # Gamma-tilde and named constants
 
 
-def _doubling_orbit(x: Fraction, cap: int = 1_000_000) -> tuple[list[int], int]:
-    """Numerators over q = x.denominator of the doubling-map orbit of {x}, to the first repeat."""
-    x = Fraction(x)
+def _doubling_points(x: Fraction, cap: int = 1_000_000) -> Iterator[int]:
+    """Numerators over q = x.denominator of the doubling-map orbit of {x}, to the first repeat.
+
+    With q = 2^a m and m odd, the first a points (and a negative start) are
+    never met again and the rest is a cycle, so the walk stops when it comes
+    back to the point after them, and keeps no set.  An orbit of more than
+    cap + 1 points raises.
+    """
     q = x.denominator
-    orbit = []
-    seen = set()
     y = x.numerator - int(x) * q  # {x}; x = 1 maps to 0
-    for _ in range(cap + 2):  # an orbit of more than cap + 1 points raises
-        if y in seen:
-            return orbit, q
-        seen.add(y)
-        orbit.append(y)
+    start = max((q & -q).bit_length() - 1, int(y < 0))  # index of the first point on the cycle
+    cycle = None
+    for i in range(cap + 1):
+        if i == start:
+            cycle = y
+        yield y
         y = 2 * y % q
+        if y == cycle:
+            return
     raise ValueError("orbit cap exceeded")
+
+
+def _doubling_orbit(x: Fraction, cap: int = 1_000_000) -> tuple[list[int], int]:
+    """The numerators of ``_doubling_points`` as a list, and their denominator."""
+    x = Fraction(x)
+    return list(_doubling_points(x, cap)), x.denominator
 
 
 def gamma_tilde_orbit(x: Fraction, cap: int = 1_000_000) -> list[Fraction]:
@@ -456,10 +468,10 @@ def gamma_tilde_member(x: Fraction, cap: int = 1_000_000) -> bool:
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError("x must lie in [0, 1]")
-    orbit, q = _doubling_orbit(x, cap)
-    # 1 - x <= y/q <= x with x = p/q
-    p = x.numerator
-    return all(q - p <= y <= p for y in orbit)
+    # 1 - x <= y/q <= x with x = p/q, at every point: the whole orbit is
+    # walked, so an orbit over the cap raises whatever its points
+    p, q = x.numerator, x.denominator
+    return sum(not q - p <= y <= p for y in _doubling_points(x, cap)) == 0
 
 
 def thue_morse_constant(n_terms: int) -> RationalInterval:

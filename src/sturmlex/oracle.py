@@ -39,7 +39,7 @@ from .extremal import (
 from .generators import DirectiveWord, _pal_closure_bytes, epistandard, kbonacci, thue_morse
 from .modone import DigitExpansion, RationalInterval, TorusPointSet
 from .surds import QuadraticSurd, _floor
-from .words import Alphabet, FiniteWord, InfiniteWord, LexOrder, _Record
+from .words import Alphabet, FiniteWord, InfiniteWord, LexOrder, _material, _Record
 
 __all__ = [
     "closure_letters",
@@ -211,12 +211,7 @@ def naive_min_max(
     prefix_length: int | None = None,
 ) -> tuple[FiniteWord, FiniteWord]:
     """Extremal length-k factors recomputed by sorting the full factor list."""
-    if isinstance(w, FiniteWord):
-        data = w.data
-    else:
-        if prefix_length is None:
-            raise ValueError("infinite word: a prefix length is required")
-        data = w.prefix_bytes(prefix_length)
+    data = _material(w, prefix_length)
     if k < 1 or k > len(data):
         raise ValueError("factor length out of range")
     order = order or LexOrder.natural(w.alphabet.size)

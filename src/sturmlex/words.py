@@ -112,14 +112,18 @@ class Alphabet(_FrozenRecord):
         object.__setattr__(self, "names", names)
 
     @staticmethod
-    def of_size(size: int, names: str | None = None) -> "Alphabet":
+    def of_size(size: int) -> "Alphabet":
         if size < 1:
             raise ValueError("alphabet size must be >= 1")
-        if names is None:
-            if size > len(_LETTER_POOL):
-                raise ValueError(f"default names only cover sizes up to {len(_LETTER_POOL)}")
-            names = _LETTER_POOL[:size]
-        return Alphabet(tuple(names))
+        if size > len(_LETTER_POOL):
+            raise ValueError(f"default names only cover sizes up to {len(_LETTER_POOL)}")
+        return Alphabet(tuple(_LETTER_POOL[:size]))
+
+    @staticmethod
+    def for_text(text: str) -> "Alphabet":
+        """Digits 0..max for all-digit text, else letters a..max; at least two."""
+        pool = "0123456789" if set(text) <= set("0123456789") else _LETTER_POOL
+        return Alphabet(tuple(pool[: max(2, 1 + max(map(pool.find, text), default=0))]))
 
     @staticmethod
     def digits(base: int) -> "Alphabet":
@@ -167,9 +171,7 @@ class FiniteWord:
 
     @classmethod
     def from_str(cls, text: str, alphabet: Alphabet | None = None) -> "FiniteWord":
-        if alphabet is None:  # digits 0..max or letters a..max, at least two
-            pool = "0123456789" if set(text) <= set("0123456789") else _LETTER_POOL
-            alphabet = Alphabet(tuple(pool[: max(2, 1 + max(map(pool.find, text), default=0))]))
+        alphabet = alphabet or Alphabet.for_text(text)
         return cls([alphabet.index(c) for c in text], alphabet)
 
     @property
@@ -430,19 +432,19 @@ def _first_difference(x: bytes, y: bytes) -> int:
 
 
 def _first_violation(
-    ranked: bytes, lo: bytes | None, hi: bytes | None, K: int, L: int
+    data: bytes, lo: bytes | None, hi: bytes | None, K: int, L: int
 ) -> tuple[tuple[int, str] | None, int]:
     """Where a shift first leaves its bounds: ((k, "lower" or "upper") or None, ties met on the way).
 
-    k is the least shift <= K with ranked[k:k+L] < lo or > hi, the lower bound
-    checked first.  ``ranked`` holds at least K + L letters and each bound
-    exactly L letters (or is None), all translated to ranks: slice and bound
+    k is the least shift <= K with data[k:k+L] < lo or > hi, the lower bound
+    checked first.  ``data`` holds at least K + L letters and each bound
+    exactly L letters (or is None), compared as raw letters: slice and bound
     then have one length, so bytes order is the depth-L comparison, and
     equality is a tie through depth L, undecided and never a violation.
     """
     undecided = 0
     for k in range(K + 1):
-        seg = ranked[k : k + L]
+        seg = data[k : k + L]
         if lo is not None:
             if seg < lo:
                 return (k, "lower"), undecided
@@ -454,12 +456,14 @@ def _first_violation(
     return None, undecided
 
 
-def _material(w: FiniteWord | InfiniteWord, prefix_length: int | None) -> bytes:
+def _material(w: FiniteWord | InfiniteWord, prefix_length: int | None, default: int | None = None) -> bytes:
+    """The material of w: a finite word whole, else its first prefix_length (or default) letters."""
     if isinstance(w, FiniteWord):
-        return w.data if prefix_length is None else w.data[:prefix_length]
-    if prefix_length is None:
+        return w.data
+    n = default if prefix_length is None else prefix_length
+    if n is None:
         raise ValueError("infinite word: a prefix length is required")
-    return w.prefix_bytes(prefix_length)
+    return w.prefix_bytes(n)
 
 
 # ---------------------------------------------------------------------------
@@ -624,19 +628,16 @@ def is_balanced(w: FiniteWord | InfiniteWord, prefix_length: int | None = None) 
     return _unbalanced_core(_binary_material(w, prefix_length)) is None
 
 
-def _binary_material(w: FiniteWord | InfiniteWord, prefix_length: int | None) -> bytes:
+def _binary_material(w: FiniteWord | InfiniteWord, prefix_length: int | None, what: str = "balance") -> bytes:
     data = _material(w, prefix_length)
     if w.alphabet.size != 2:
-        raise ValueError("balance is defined for binary alphabets only")
+        raise ValueError(f"{what} is defined for binary alphabets only")
     return data
 
 
 def block_condition(w: FiniteWord | InfiniteWord, prefix_length: int | None = None) -> bool:
     """True iff no word u has both 0u0 and 1u1 among the material's factors."""
-    data = _material(w, prefix_length)
-    if w.alphabet.size != 2:
-        raise ValueError("the block condition is defined for binary alphabets only")
-    return _unbalanced_core(data) is None
+    return _unbalanced_core(_binary_material(w, prefix_length, "the block condition")) is None
 
 
 def _unbalanced_core(data: bytes) -> bytes | None:
@@ -695,15 +696,15 @@ def lex_compare(
 ) -> ComparisonOutcome:
     """Depth-bounded lexicographic comparison of two words.
 
-    Both words must supply ``depth`` letters (finite words shorter than the
-    requested depth are rejected; omit depth to use their common length).
+    Both words must supply ``depth`` letters, and are read that far: depth
+    cuts finite words too (shorter ones are rejected; omit depth to use their
+    common length).
     """
     if depth is None:
         if isinstance(u, InfiniteWord) or isinstance(v, InfiniteWord):
             raise ValueError("a comparison depth is required for infinite words")
         depth = min(len(u), len(v))
-    ud = _material(u, depth)
-    vd = _material(v, depth)
+    ud, vd = _material(u, depth)[:depth], _material(v, depth)[:depth]
     if len(ud) < depth or len(vd) < depth:
         raise ValueError("both words must supply prefixes of the requested depth")
     if order is None:
@@ -780,16 +781,13 @@ def word_to_text(w: FiniteWord | UltimatelyPeriodicWord) -> str:
 
 
 def word_from_text(text: str) -> FiniteWord | UltimatelyPeriodicWord:
-    lines = [line for line in text.splitlines() if line.strip() != ""]
+    lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) != 2:
         raise ValueError("expected two lines: alphabet, body")
     alphabet = Alphabet(tuple(name.strip() for name in lines[0].split(",")))
     body = lines[1].strip()
     if "|" in body:
         u_text, v_text = body.split("|", 1)
-        return UltimatelyPeriodicWord(
-            FiniteWord([alphabet.index(c) for c in u_text], alphabet),
-            FiniteWord([alphabet.index(c) for c in v_text], alphabet),
-        )
-    return FiniteWord([alphabet.index(c) for c in body], alphabet)
+        return UltimatelyPeriodicWord(FiniteWord.from_str(u_text, alphabet), FiniteWord.from_str(v_text, alphabet))
+    return FiniteWord.from_str(body, alphabet)
 

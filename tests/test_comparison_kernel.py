@@ -99,7 +99,12 @@ def bound(draw, s, K, L):
 
 
 def same_verdict(s, lower, upper, K, L, order):
-    fast = _shift_chain_check(s, lower, upper, K, L, order).to_obj()
+    """The order-free check on s relabelled by rank, each rank named as its letter, against the letter loop under order."""
+    table = order.table
+    names = Alphabet(tuple(s.alphabet.names[c] for c in order.by_rank))
+    ranked = InfiniteWord(lambda n: s.prefix_bytes(n).translate(table), names, s.recipe)
+    lo, hi = (None if b is None else b.translate(table) for b in (lower, upper))
+    fast = _shift_chain_check(ranked, lo, hi, K, L).to_obj()
     assert fast == shift_chain_by_letters(s, lower, upper, K, L, order).to_obj()
     return fast
 

@@ -23,6 +23,7 @@ from sturmlex.generators import (
     characteristic,
     epistandard,
     fibonacci_slope,
+    iterated_pal,
     kbonacci,
     mechanical_lower,
     periodic_balanced,
@@ -374,15 +375,14 @@ class TestSigmaAndPhi:
         assert res.word.prefix_bytes(400) == expected.prefix_bytes(400)
         assert "P=4" in res.label and "K=200" in res.label
 
-    def test_max_rotation_of_every_short_primitive_word(self):
-        from sturmlex.extremal import _max_rotation
-
-        for n in range(1, 13):
-            for bits in itertools.product(b"\x00\x01", repeat=n):
-                v = bytes(bits)
-                if any(v == v[p:] + v[:p] for p in range(1, n)):
-                    continue  # not primitive
-                assert _max_rotation(v) == max(v[i:] + v[:i] for i in range(n))
+    def test_greatest_rotation_of_pal_v_xy_is_the_upper_christoffel_word(self):
+        # gan_phi_approx builds its periodic candidates as (1 Pal(v) 0)^w
+        for n in range(11):
+            for bits in itertools.product((0, 1), repeat=n):
+                pal = iterated_pal(FiniteWord(bits, BINARY)).data
+                for xy in (b"\x00\x01", b"\x01\x00"):
+                    z = pal + xy
+                    assert max(z[i:] + z[:i] for i in range(len(z))) == b"\x01" + pal + b"\x00"
 
 
 def check_shift_maximal(w, K, L):

@@ -65,9 +65,18 @@ def _rational(text: str) -> Fraction:
 
 
 def _widen(w, letters: str):
-    """w over ``Alphabet.for_text`` of its names and ``letters`` (indices unchanged) if that names more letters, else w."""
-    target = Alphabet.for_text("".join(w.alphabet.names) + letters)
-    if target.size <= w.alphabet.size:
+    """w over the default names of the larger alphabet ``letters`` call for (indices unchanged), else w.
+
+    They call for ``Alphabet.for_text(letters)`` when its greatest letter is
+    one of them, not only its two-letter floor.  Letters a..h re-embed any
+    word; digits only extend a word over 0..n-1.  So a file word keeps its own
+    names unless letters a..h past its size are added.
+    """
+    names = w.alphabet.names
+    target = Alphabet.for_text(letters)
+    if target.size <= len(names) or target.names[-1] not in letters:
+        return w
+    if target.names[0] == "0" and target.names[: len(names)] != names:
         return w
     if isinstance(w, FiniteWord):
         return FiniteWord(w.data, target)
@@ -120,8 +129,7 @@ def word_from_spec(spec: str):
         )
     if head == "morphic":
         rules, _, base_spec = rest.partition(":")
-        # only the rules' letters: with ">" and "," digit rules would read as letters
-        base = _widen(word_from_spec(base_spec), "".join(rules.replace(">", " ").replace(",", " ").split()))
+        base = _widen(word_from_spec(base_spec), Morphism.letters_of(rules))
         return Morphism.from_text(rules, base.alphabet).apply(base)
     if head == "prepend":
         letters, _, base_spec = rest.partition(":")

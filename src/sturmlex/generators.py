@@ -327,14 +327,21 @@ class Morphism(_FrozenRecord):
         return Morphism(alphabet, tuple(FiniteWord([c], alphabet) for c in perm))
 
     @staticmethod
+    def _rules(text: str) -> list[tuple[str, str]]:
+        """The (letter, image) texts of a literal like "a>ab,b>a", blanks around them stripped."""
+        return [(src.strip(), dst.strip()) for src, _, dst in (rule.partition(">") for rule in text.split(","))]
+
+    @staticmethod
+    def letters_of(text: str) -> str:
+        """Every letter a literal like "a>ab,b>a" names, in order."""
+        return "".join(src + dst for src, dst in Morphism._rules(text))
+
+    @staticmethod
     def from_text(text: str, alphabet: Alphabet) -> "Morphism":
         """Parse a literal like "a>ab,b>a"; unlisted letters map to themselves."""
         images = [FiniteWord([c], alphabet) for c in range(alphabet.size)]
-        for rule in text.split(","):
-            src, _, dst = rule.partition(">")
-            images[alphabet.index(src.strip())] = FiniteWord(
-                [alphabet.index(c) for c in dst.strip()], alphabet
-            )
+        for src, dst in Morphism._rules(text):
+            images[alphabet.index(src)] = FiniteWord([alphabet.index(c) for c in dst], alphabet)
         return Morphism(alphabet, tuple(images))
 
     def apply(self, w: FiniteWord | InfiniteWord):

@@ -76,9 +76,40 @@ def test_widening_keeps_custom_names_unless_letters_are_added():
     assert _widen(w, "x") is w and _widen(w, "yx") is w  # custom file names stay
     assert "".join(_widen(w, "c").alphabet.names) == "abc"
     assert _widen(w, "c").data == w.data
+    ac = word_from_text("a,c\nac\n")
+    assert "".join(_widen(ac, "c").alphabet.names) == "abc"  # c past its size: a..h names
     binary = FiniteWord.from_str("0110")
     assert _widen(binary, "a") is binary and _widen(binary, "1") is binary
     assert "".join(_widen(binary, "2").alphabet.names) == "012"
+
+
+@pytest.mark.parametrize("names, letters", [
+    ("0,2", "2"),    # digit names that are not 0..n-1
+    ("0,2", "0220"),
+    ("0,2", "3"),    # an unknown digit is still an unknown letter
+    ("a,c", "a"),    # pool letters that are not a..n
+    ("c,a", "ab"),
+    ("1,0", "1"),
+    ("x", "x"),      # one letter: the two-letter floor of for_text adds none
+    ("x", "a"),
+    ("0", "0"),
+])
+def test_widening_keeps_file_names_the_letters_do_not_outgrow(names, letters):
+    w = word_from_text(f"{names}\n{names[0]}\n")
+    assert _widen(w, letters) is w
+
+
+@pytest.mark.parametrize("spec, names, prefix", [
+    ("prepend:2:file:{}", "02", "2022020"),
+    ("morphic:0>02,2>0:file:{}", "02", "0200020"),
+    ("prepend:a:file:{}", "ac", "aaccaca"),
+])
+def test_added_letters_that_a_file_word_names_keep_its_names(tmp_path, spec, names, prefix):
+    path = tmp_path / "w.txt"
+    path.write_text(f"{names[0]},{names[1]}\n{names[0]}{names[1]}|{names[1]}{names[0]}\n")
+    w = word_from_spec(spec.format(path))
+    assert "".join(w.alphabet.names) == names
+    assert w.prefix(7).as_str() == prefix
 
 
 FINITE = FiniteWord.from_str("01001010011")

@@ -36,6 +36,7 @@ from .words import (
     InfiniteWord,
     LexOrder,
     UltimatelyPeriodicWord,
+    _image,
     _material,
     balance_violation,
     block_condition,
@@ -78,13 +79,7 @@ def _widen(w, letters: str):
         return w
     if target.names[0] == "0" and target.names[: len(names)] != names:
         return w
-    if isinstance(w, FiniteWord):
-        return FiniteWord(w.data, target)
-    if isinstance(w, UltimatelyPeriodicWord):
-        return UltimatelyPeriodicWord(
-            FiniteWord(w.preperiod.data, target), FiniteWord(w.period.data, target)
-        )
-    return InfiniteWord(w._fill, target, w.recipe)
+    return _image(w, bytes, target, str)
 
 
 def word_from_spec(spec: str):
@@ -261,8 +256,9 @@ def cmd_generate(args) -> Report:
         w = periodic_balanced(v, v.alphabet.index(args.x), v.alphabet.index(args.y))
     else:  # pragma: no cover
         raise SpecError(args.what)
-    text = w.prefix(args.len).as_str()
-    rep.obj = {"recipe": getattr(w, "recipe", "finite"), "length": args.len, "word": text}
+    data = _material(w, args.len)[: args.len]
+    text = FiniteWord(data, w.alphabet).as_str()
+    rep.obj = {"recipe": getattr(w, "recipe", "finite"), "length": len(data), "word": text}
     rep.lines.append(text)
     return rep
 

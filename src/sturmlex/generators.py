@@ -26,6 +26,7 @@ from .words import (
     UltimatelyPeriodicWord,
     _check_cap,
     _FrozenRecord,
+    _image,
 )
 
 __all__ = [
@@ -347,28 +348,10 @@ class Morphism(_FrozenRecord):
     def apply(self, w: FiniteWord | InfiniteWord):
         if w.alphabet.size != self.alphabet.size:
             raise ValueError("alphabet mismatch")
-        if isinstance(w, FiniteWord):
-            return FiniteWord(
-                b"".join(self.images[c].data for c in w.data), self.alphabet
-            )
-        if self.is_erasing:
+        if self.is_erasing and isinstance(w, InfiniteWord):
             raise ValueError("cannot apply an erasing morphism to an infinite word")
-        if isinstance(w, UltimatelyPeriodicWord):
-            return UltimatelyPeriodicWord(self.apply(w.preperiod), self.apply(w.period))
         images = [im.data for im in self.images]
-        out = bytearray()
-        read = 0
-
-        def grow(n: int) -> bytearray:
-            nonlocal read
-            while len(out) < n:
-                # the parent's own error if it ends here; else its buffer, with slack
-                block = w._fill(read + 1)[read : read + CHUNK]
-                out.extend(b"".join(map(images.__getitem__, block)))
-                read += len(block)
-            return out
-
-        return InfiniteWord(grow, self.alphabet, f"image({w.recipe})")
+        return _image(w, lambda block: b"".join(map(images.__getitem__, block)), self.alphabet, "image({})".format)
 
     def __call__(self, w):
         return self.apply(w)

@@ -51,7 +51,7 @@ __all__ = [
 MAX_PREFIX = int(os.environ.get("STURMLEX_MAX_LEN", "1000000"))
 
 # Letters a generator adds at least per growth, and most parent letters a
-# morphic image substitutes at a time.
+# view reads at a time.
 CHUNK = 4096
 
 _LETTER_POOL = "abcdefgh"
@@ -232,10 +232,10 @@ class InfiniteWord:
     ``grow(n)`` returns a prefix of at least n letters, or the whole word when
     it ends sooner; the word keeps what it returns as its buffer.  A grower
     may return the same append-only bytearray on every call, and should
-    extend it by at least CHUNK letters at a time, so that views reading the
-    word a little further at each call copy its buffer once per chunk.  A
-    request past the end of a word that ends raises ValueError (the word is
-    only defined up to the material the construction can supply).
+    extend it by at least CHUNK letters at a time: a view reads one block of
+    its parent's buffer per ``_fill`` call, from that slack, and never copies
+    the buffer.  A request past the end of a word that ends raises ValueError
+    (the word is only defined up to the material the construction can supply).
     """
 
     def __init__(self, grow: Callable[[int], bytes | bytearray], alphabet: Alphabet, recipe: str):
@@ -272,12 +272,7 @@ class InfiniteWord:
     def shifted(self, k: int) -> "InfiniteWord":
         if k < 0:
             raise ValueError("shift must be non-negative")
-        if k == 0:
-            return self
-        # past the cap, the parent's error names the first letter it cannot give
-        return InfiniteWord(
-            lambda n: self._fill(min(n + k, MAX_PREFIX + 1))[k:], self.alphabet, f"T^{k}({self.recipe})"
-        )
+        return _image(self, bytes, self.alphabet, f"T^{k}({{}})".format, start=k) if k else self
 
     def __repr__(self):
         return f"InfiniteWord({self.recipe})"
@@ -497,23 +492,41 @@ def complement(w: FiniteWord | InfiniteWord):
     """Exchange the two letters of a binary word."""
     if w.alphabet.size != 2:
         raise ValueError("complement requires a binary alphabet")
-    if isinstance(w, FiniteWord):
-        return FiniteWord(w.data.translate(_SWAP), w.alphabet)
-    if isinstance(w, UltimatelyPeriodicWord):
-        return UltimatelyPeriodicWord(complement(w.preperiod), complement(w.period))
-    return InfiniteWord(lambda n: w._fill(n).translate(_SWAP), w.alphabet, f"complement({w.recipe})")
+    return _image(w, lambda block: block.translate(_SWAP), w.alphabet, "complement({})".format)
 
 
-def prepend(head: FiniteWord, tail: InfiniteWord) -> InfiniteWord:
-    """The infinite word head . tail (alphabet sizes must agree)."""
+def prepend(head: FiniteWord, tail: FiniteWord | InfiniteWord):
+    """The word head . tail (alphabet sizes must agree)."""
     if head.alphabet.size != tail.alphabet.size:
         raise ValueError("alphabet mismatch")
-    if isinstance(tail, UltimatelyPeriodicWord):
-        return UltimatelyPeriodicWord(head + tail.preperiod, tail.period)
-    data = head.data
-    return InfiniteWord(
-        lambda n: data + tail._fill(max(n - len(data), 0)), tail.alphabet, f"{head.as_str()}.{tail.recipe}"
-    )
+    return _image(tail, bytes, tail.alphabet, lambda recipe: f"{head.as_str()}.{recipe}", head.data)
+
+
+def _image(w, f: Callable, alphabet: Alphabet, recipe: Callable[[str], str], head: bytes = b"", start: int = 0):
+    """The view head . f(w) over alphabet, for a map f of letter blocks with f(xy) = f(x) f(y).
+
+    A finite word and u v^omega map whole.  Any other w gives a word named
+    recipe(w.recipe) that reads w from letter ``start`` on, one block per
+    ``_fill`` call and never past the cap, so w's own error names the first
+    letter it cannot give.
+    """
+    if isinstance(w, FiniteWord):
+        return FiniteWord(head + f(w.data), alphabet)
+    if isinstance(w, UltimatelyPeriodicWord):
+        u, v = head + f(w.preperiod.data), f(w.period.data)
+        return UltimatelyPeriodicWord(FiniteWord(u, alphabet), FiniteWord(v, alphabet))
+    out = bytearray(head)
+    read = start
+
+    def grow(n: int) -> bytearray:
+        nonlocal read
+        while len(out) < n:
+            block = w._fill(read + 1)[read : min(read + CHUNK, MAX_PREFIX)]
+            out.extend(f(block))
+            read += len(block)
+        return out
+
+    return InfiniteWord(grow, alphabet, recipe(w.recipe))
 
 
 def factors(w: FiniteWord | InfiniteWord, n: int, prefix_length: int | None = None) -> set[FiniteWord]:

@@ -11,6 +11,8 @@ given when it was cubic; it is linear now.
 
 import contextlib
 import io
+import os
+import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -38,8 +40,15 @@ RULES = st.lists(
     st.builds("{}>{}".format, st.sampled_from("abc"), st.text("abc", max_size=3)), max_size=3
 ).map(",".join)
 
+# two word files, written once: a finite word and u v^omega
+WORD_FILES = tempfile.TemporaryDirectory()
+for name, body in (("finite.txt", "a,b\nabaababaabaab\n"), ("periodic.txt", "a,b\nab|aab\n")):
+    with open(os.path.join(WORD_FILES.name, name), "w", encoding="utf-8") as fh:
+        fh.write(body)
+
 # the word-spec grammar of `word_from_spec`, leaves first
 WORD_LEAF = st.one_of(
+    st.sampled_from([f"file:{os.path.join(WORD_FILES.name, name)}" for name in ("finite.txt", "periodic.txt")]),
     st.sampled_from(["fib", "fibonacci", "tribonacci", "thue-morse", "tm", "bogus", ""]),
     st.builds("kbonacci:{}".format, st.integers(-1, 4)),
     st.builds(

@@ -1,5 +1,7 @@
 """Chunked word production against the letter-by-letter oracle constructions."""
 
+import json
+import re
 from fractions import Fraction
 from itertools import islice
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sturmlex.words
 from sturmlex.cli import main
 from sturmlex.generators import (
     DirectiveWord,
@@ -167,6 +170,66 @@ class TestViewsMatchParent:
         assert image.prefix_bytes(len(full)) == full
         with pytest.raises(ValueError, match=rf"^epistandard\(abcab\): word only defined up to length {len(whole)}$"):
             image.prefix_bytes(len(full) + 1)
+
+    @pytest.mark.parametrize(
+        "directive, view, extra",
+        [
+            ("abcab", lambda w: shift(w, 5), -5),
+            ("abcab", lambda w: prepend(FiniteWord.from_str("ca"), w), 2),
+            ("abaab", complement, 0),
+        ],
+    )
+    def test_views_of_a_finite_word_raise_the_parent_error(self, directive, view, extra):
+        delta = DirectiveWord.from_text(directive)
+        whole = closure_prefix(delta, N)
+        parent, w = epistandard(delta), view(epistandard(delta))
+        assert len(w.prefix_bytes(len(whole) + extra)) == len(whole) + extra
+        with pytest.raises(ValueError, match=rf"^{re.escape(parent.recipe)}: word only defined up to length {len(whole)}$"):
+            w.prefix_bytes(len(whole) + extra + 1)
+
+    def test_cap_edge_read_directly_and_through_an_identity_morphism(self, monkeypatch, capsys):
+        monkeypatch.setattr(sturmlex.words, "MAX_PREFIX", 1000)
+        view = shift(characteristic(QuadraticSurd(*SLOPES[0])), 7)
+        image = Morphism.identity(BINARY).apply(view)
+        assert image.prefix_bytes(993) == view.prefix_bytes(993)
+        for w in (view, image):
+            with pytest.raises(ValueError, match=r"^prefix request 1001 exceeds cap 1000 \(STURMLEX_MAX_LEN\)$"):
+                w.prefix_bytes(1000)
+        assert main(["generate", "morphic", "--morphism", "a>a", "--word", "shift:7:fib", "--len", "1000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: prefix request 1001 exceeds cap 1000" in err
+
+
+class TestViewsOfFiniteWords:
+    """shift:, complement:, prepend: and morphic: over a finite file word are finite words too."""
+
+    @pytest.fixture
+    def word_file(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("a,b\nabaababaabaab\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize(
+        "spec, letters",
+        [
+            ("shift:2:{}", "aababaabaabab"),
+            ("complement:{}", "babbababbabba"),
+            ("prepend:b:{}", "babaababaabaab"),
+            ("morphic:a>ab,b>a:{}", "abaababaabaababaababa"),
+        ],
+    )
+    def test_generate_prints_the_whole_view(self, word_file, spec, letters, capsys):
+        argv = ["--format", "json", "generate", "morphic", "--morphism", "a>a"]
+        assert main([*argv, "--word", spec.format(f"file:{word_file}"), "--len", "100"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"recipe": "finite", "length": len(letters), "word": letters}
+
+    def test_generate_cuts_a_finite_word_at_len(self, word_file, capsys):
+        assert main(["generate", "morphic", "--morphism", "a>ab,b>a", "--word", f"file:{word_file}", "--len", "5"]) == 0
+        assert capsys.readouterr().out == "abaab\n"
+
+    def test_analysis_of_a_prepended_file_word(self, word_file, capsys):
+        assert main(["analyze", "complexity", "--word", f"prepend:0:file:{word_file}", "--k-max", "3"]) == 0
+        assert capsys.readouterr().out == "p(1) = 2\np(2) = 3\np(3) = 4\n"
 
 
 class TestLengths:

@@ -2,19 +2,20 @@
 
 These routines deliberately avoid the analysis code paths they are used to
 check.  Balance is tested straight from the definition (all pairs of
-equal-length factors), extremal factors by sorting the full factor list, the
-episturmian corpus by collecting factors of explicitly generated words,
-word letters one at a time (epistandard words by one palindromic closure per
-directive letter, mechanical words by one surd floor per letter), floors
-along a progression by one isqrt per term, shift-chain checks by one ranked
-slice per shift and bound, compared letter by letter, the all-orders
-extremal checks by one such check and one min over every window per
-acceptable pair, factor complexity by one set of factors per length, special
-factors and local balance by one entry per window, the block condition by one
-factor set per length, finite min/max words by one such min per prefix
-length, fractional parts and covering arcs by one numerator per shift and
-Fraction arithmetic, and rational digits, doubling orbits and the Thue-Morse
-constant by Fraction arithmetic step by step.
+equal-length factors), extremal factors by sorting the full factor list,
+least suffixes by Duval's loop one letter per step, the episturmian corpus
+by collecting factors of explicitly generated words, word letters one at a
+time (epistandard words by one palindromic closure per directive letter,
+mechanical words by one surd floor per letter), floors along a progression
+by one isqrt per term, shift-chain checks by one ranked slice per shift and
+bound, compared letter by letter, the all-orders extremal checks by one such
+check and one min over every window per acceptable pair, factor complexity
+by one set of factors per length, special factors and local balance by one
+entry per window, the block condition by one factor set per length, finite
+min/max words by one such min per prefix length, fractional parts and
+covering arcs by one numerator per shift and Fraction arithmetic, and
+rational digits, doubling orbits and the Thue-Morse constant by Fraction
+arithmetic step by step.
 """
 
 from __future__ import annotations
@@ -233,6 +234,29 @@ def extremal_factor_by_windows(data: bytes, k: int, order: LexOrder, want_max: b
     best = (max if want_max else min)(ranked[i : i + k] for i in range(len(data) - k + 1))
     pos = ranked.find(best)
     return data[pos : pos + k]
+
+
+def least_suffix_by_letters(s: bytes, last: int) -> int:
+    """Start of the least suffix of s starting at or before last, by Duval's loop one letter per step."""
+    n = len(s)
+    i = 0
+    while True:
+        j, k = i + 1, i
+        while j < n:
+            a, b = s[k], s[j]
+            if a == b:
+                k += 1
+            elif a < b:
+                k = i
+            else:
+                break
+            j += 1
+        # factors of length p start at i, i + p, ... up to k
+        p = j - k
+        nxt = i + ((k - i) // p + 1) * p
+        if nxt > last:
+            return i + (min(k, last) - i) // p * p
+        i = nxt
 
 
 def shift_chain_by_letters(

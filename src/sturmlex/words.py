@@ -56,6 +56,9 @@ CHUNK = 4096
 
 _LETTER_POOL = "abcdefgh"
 
+# Length at which Duval's loop checks if an equal run goes on as far again, and then finishes it in C.
+_RUN = 16
+
 
 def _check_cap(n: int, what: str = "prefix request {}") -> None:
     """ValueError naming what (n fills its {}) if n letters are more than one word may buffer."""
@@ -234,8 +237,9 @@ class InfiniteWord:
     may return the same append-only bytearray on every call, and should
     extend it by at least CHUNK letters at a time: a view reads one block of
     its parent's buffer per ``_fill`` call, from that slack, and never copies
-    the buffer.  A request past the end of a word that ends raises ValueError
-    (the word is only defined up to the material the construction can supply).
+    the buffer (u v^omega, which no view reads, adds min(n, CHUNK)).  A
+    request past the end of a word that ends raises ValueError (the word is
+    only defined up to the material the construction can supply).
     """
 
     def __init__(self, grow: Callable[[int], bytes | bytearray], alphabet: Alphabet, recipe: str):
@@ -293,7 +297,7 @@ class UltimatelyPeriodicWord(InfiniteWord):
         label_u = self.preperiod.as_str()
         label_v = self.period.as_str()
         recipe = f"{label_u}|{label_v}" if label_u else f"({label_v})^w"
-        super().__init__(lambda n: u + v * ((n + CHUNK - len(u)) // len(v) + 1), alphabet, recipe)
+        super().__init__(lambda n: u + v * ((n + min(n, CHUNK) - len(u)) // len(v) + 1), alphabet, recipe)
 
     @classmethod
     def purely_periodic(cls, period: FiniteWord) -> "UltimatelyPeriodicWord":
@@ -678,27 +682,49 @@ def _unbalanced_core(data: bytes) -> bytes | None:
 def _least_suffix(s: bytes, last: int) -> int:
     """Start of the least suffix of s starting at or before last: the last Lyndon factor starting there or earlier.
 
-    Duval's factorization (Lothaire, Combinatorics on Words, ch. 5), O(len(s)), stopped past last.
+    Duval's factorization (Lothaire, Combinatorics on Words, ch. 5), O(len(s)), stopped past last; an equal
+    run of _RUN letters whose next _RUN letters agree too is finished by one `_common_run`.
     """
     n = len(s)
     i = 0
     while True:
-        j, k = i + 1, i
-        while j < n:
-            a, b = s[k], s[j]
-            if a == b:
-                k += 1
-            elif a < b:
-                k = i
+        j, k, t = i + 1, i, i + _RUN
+        while True:
+            for j in range(j, n):
+                a, b = s[k], s[j]
+                if a == b:
+                    k += 1
+                    if k == t and s[k : k + _RUN] == s[j + 1 : j + 1 + _RUN]:
+                        break
+                elif a < b:
+                    k = i
+                else:
+                    t = 0  # s[k] > s[j] ends the scan
+                    break
             else:
+                j = n
                 break
-            j += 1
+            if not t:
+                break
+            r = _common_run(s, k, j + 1)
+            k += r
+            j += r + 1
         # factors of length p start at i, i + p, ... up to k
         p = j - k
         nxt = i + ((k - i) // p + 1) * p
         if nxt > last:
             return i + (min(k, last) - i) // p * p
         i = nxt
+
+
+def _common_run(s: bytes, k: int, j: int) -> int:
+    """Length of the common prefix of s[k:] and s[j:] for k < j, in windows doubling up to 64 KB."""
+    start, w = j, 8 * _RUN
+    while True:
+        x, y = s[k : k + w], s[j : j + w]
+        if x != y:
+            return j - start + _first_difference(x, y)
+        k, j, w = k + w, j + w, min(2 * w, 1 << 16)
 
 
 def lex_compare(

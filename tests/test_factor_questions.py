@@ -168,6 +168,14 @@ def test_all_orders_checks_in_small_memory(argv):
     assert peak_kb < 64 * 1024
 
 
+def test_phi_approx_candidates_buffer_only_what_they_read():
+    """P = 12: 8191 periodic candidates read to L = 400 letters in about 38 MB; 4096 letters each took 65 MB."""
+    argv = ["extremal", "phi-approx", "--word", "prepend:0:fib", "--P", "12", "--K", "200", "--L", "400"]
+    code, _, _, peak_kb = in_a_child(argv)
+    assert code == 0
+    assert peak_kb < 45 * 1024
+
+
 def test_block_condition_rejects_larger_alphabets():
     with pytest.raises(ValueError, match="binary"):
         block_condition(FiniteWord(b"\x00\x01\x02", Alphabet.of_size(3)))

@@ -10,6 +10,7 @@ files; see ``--help`` of each subcommand.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -722,7 +723,17 @@ def main(argv: list[str] | None = None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    return _emit(args, rep)
+    try:
+        code = _emit(args, rep)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, so the interpreter's last flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before the output was written", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -91,10 +91,6 @@ class DirectiveWord(_FrozenRecord):
     def alphabet(self) -> Alphabet:
         return self.preperiod.alphabet
 
-    @property
-    def is_finite(self) -> bool:
-        return self.cycle is None
-
     def letter(self, i: int) -> int:
         if i < len(self.preperiod):
             return self.preperiod[i]

@@ -12,16 +12,21 @@ bound, compared letter by letter, the all-orders extremal checks by one such
 check and one min over every window per acceptable pair, factor complexity
 by one set of factors per length, special factors and local balance by one
 entry per window, the block condition by one factor set per length, finite
-min/max words by one such min per prefix length, fractional parts and
-covering arcs by one numerator per shift and Fraction arithmetic, and
-rational digits, doubling orbits and the Thue-Morse constant by Fraction
-arithmetic step by step.
+min/max words by one such min per prefix length, balance witnesses by one
+count array per length, periodic certificates by one backward scan per
+period, the canonical form of u v^omega by one letter per step, smallest
+periods by one slice comparison per shift, fractional parts and covering
+arcs by one numerator per shift and Fraction arithmetic, and rational
+digits, doubling orbits and the Thue-Morse constant by Fraction arithmetic
+step by step.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from fractions import Fraction
+from operator import sub
 from typing import Iterator
 
 from .extremal import (
@@ -59,6 +64,10 @@ __all__ = [
     "special_factors_by_window",
     "local_balance_by_length",
     "block_violation_by_length",
+    "balance_violation_by_length",
+    "eventually_periodic_by_tails",
+    "canonical_uv_by_letters",
+    "smallest_period_by_shifts",
     "extremal_factor_by_windows",
     "finite_extremal_by_chain",
     "fractional_parts_by_shift",
@@ -353,6 +362,48 @@ def block_violation_by_length(data: bytes) -> bytes | None:
             if f[0] == 0 and f[-1] == 0 and b"\x01" + f[1:-1] + b"\x01" in facs:
                 return f[1:-1]
     return None
+
+
+def balance_violation_by_length(data: bytes) -> tuple[bytes, bytes] | None:
+    """words.balance_violation by one count array per length: the first least and greatest windows, or None."""
+    # 4-byte ints: n + 1 Python ints would take about 36 bytes each
+    pre = array("i", itertools.accumulate(data, initial=0))
+    for length in range(1, len(data) + 1):
+        counts = array("i", map(sub, itertools.islice(pre, length, None), pre))
+        lo, hi = min(counts), max(counts)
+        if hi - lo >= 2:
+            i, j = counts.index(lo), counts.index(hi)
+            return data[i : i + length], data[j : j + length]
+    return None
+
+
+def eventually_periodic_by_tails(data: bytes) -> tuple[bytes, bytes] | None:
+    """words.classify_eventually_periodic by one backward scan per period: (u, v) before canonical form, or None."""
+    n = len(data)
+    for p in range(1, n // 3 + 1):
+        a = 0
+        for i in range(n - p - 1, -1, -1):
+            if data[i] != data[i + p]:
+                a = i + 1
+                break
+        tail = n - a
+        if tail >= 3 * p and 2 * tail >= n:
+            return data[:a], data[a : a + p]
+    return None
+
+
+def canonical_uv_by_letters(u: bytes, v: bytes) -> tuple[bytes, bytes]:
+    """The canonical u v^omega: v cut to its primitive root, then one shared last letter of u moved into v per step."""
+    m = len(v)
+    v = v[: next(d for d in range(1, m + 1) if m % d == 0 and v[:d] * (m // d) == v)]
+    while u and u[-1] == v[-1]:
+        u, v = u[:-1], v[-1:] + v[:-1]
+    return u, v
+
+
+def smallest_period_by_shifts(data: bytes) -> int:
+    """words.detect_period by one slice comparison per shift p: the least p with data[p:] == data[:n - p]."""
+    return next(p for p in range(1, len(data) + 1) if data[p:] == data[: len(data) - p])
 
 
 def finite_extremal_by_chain(w: FiniteWord, order: LexOrder, want_max: bool) -> FiniteWord:

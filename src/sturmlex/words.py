@@ -15,8 +15,6 @@ import threading
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, islice
-from operator import sub
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -331,12 +329,13 @@ class UltimatelyPeriodicWord(InfiniteWord):
 
 
 def _canonical_uv(u: bytes, v: bytes) -> tuple[bytes, bytes]:
-    p = _smallest_period(v)
-    if p < len(v) and len(v) % p == 0:
+    """v cut to its primitive root, then the longest common suffix of u and ...vvv, s letters, moved into v (rotated by s)."""
+    p = len(v) - _borders(v)[-1]
+    if len(v) % p == 0:
         v = v[:p]
-    while u and u[-1] == v[-1]:
-        u, v = u[:-1], v[-1:] + v[:-1]
-    return u, v
+    s = _first_difference(u[::-1], v[::-1] * (len(u) // len(v) + 1))
+    r = len(v) - s % len(v)
+    return u[: len(u) - s], v[r:] + v[:r]
 
 
 # ---------------------------------------------------------------------------
@@ -367,17 +366,6 @@ class LexOrder(_FrozenRecord):
     @property
     def size(self) -> int:
         return len(self.by_rank)
-
-    @property
-    def min_letter(self) -> int:
-        return self.by_rank[0]
-
-    @property
-    def max_letter(self) -> int:
-        return self.by_rank[-1]
-
-    def rank(self, letter: int) -> int:
-        return self.by_rank.index(letter)
 
     @property
     def table(self) -> bytes:
@@ -417,10 +405,6 @@ class ComparisonOutcome(_FrozenRecord):
     def __init__(self, relation: Relation, depth: int):
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "depth", depth)
-
-    @property
-    def decided(self) -> bool:
-        return self.relation is not Relation.EQUAL_THROUGH_DEPTH
 
 
 def _first_difference(x: bytes, y: bytes) -> int:
@@ -616,29 +600,20 @@ def special_factors(
 def balance_violation(
     w: FiniteWord | InfiniteWord, prefix_length: int | None = None
 ) -> tuple[FiniteWord, FiniteWord] | None:
-    """A pair of equal-length factors whose 1-counts differ by >= 2, if any.
+    """The first least- and greatest-count windows of the shortest violating length, or None when balanced.
 
-    The verdict is linear (``_unbalanced_core``); only unbalanced material
-    is scanned, by length, for the shortest violation and its first windows.
+    They are 0u0 and 1u1 for the u of ``_unbalanced_core``.  At the shortest
+    violating length every least-count window is 0u0 and every greatest-count
+    window 1u1, for one u: a first or last place where two such middles differ
+    would give a shorter violation.  And the kernel's u has that length, since
+    min(w) begins at or below 0u'0 and max(w) at or above 1u'1 for every
+    violating u', so a u longer than u' would begin with a word
+    at least u'1 and at most u'0.
     """
-    data = _binary_material(w, prefix_length)
-    if _unbalanced_core(data) is None:
+    u = _unbalanced_core(_binary_material(w, prefix_length))
+    if u is None:
         return None
-    from array import array  # only this scan uses it: importing it with words adds to every start
-
-    n = len(data)
-    # 4-byte ints: n + 1 Python ints would take about 36 bytes each
-    pre = array("i", accumulate(data, initial=0))
-    for length in range(1, n + 1):
-        counts = array("i", map(sub, islice(pre, length, None), pre))
-        lo, hi = min(counts), max(counts)
-        if hi - lo >= 2:
-            i, j = counts.index(lo), counts.index(hi)
-            return (
-                FiniteWord(data[i : i + length], w.alphabet),
-                FiniteWord(data[j : j + length], w.alphabet),
-            )
-    raise AssertionError("unbalanced material without a violating pair")  # pragma: no cover
+    return FiniteWord(b"\x00" + u + b"\x00", w.alphabet), FiniteWord(b"\x01" + u + b"\x01", w.alphabet)
 
 
 def is_balanced(w: FiniteWord | InfiniteWord, prefix_length: int | None = None) -> bool:
@@ -756,24 +731,24 @@ def lex_compare(
     return ComparisonOutcome(Relation.LESS if x[i] < y[i] else Relation.GREATER, i)
 
 
-def _smallest_period(data: bytes) -> int:
-    """Smallest p with data[i] == data[i+p] for all valid i (KMP border)."""
-    n = len(data)
-    if n == 0:
-        raise ValueError("period of the empty word is undefined")
-    pi = [0] * n
+def _borders(data: bytes) -> list[int]:
+    """KMP border table: pi[i] is the length of the longest proper border of data[: i + 1]."""
+    pi = [0] * len(data)
     k = 0
-    for i in range(1, n):
+    for i in range(1, len(data)):
         while k and data[i] != data[k]:
             k = pi[k - 1]
         if data[i] == data[k]:
             k += 1
         pi[i] = k
-    return n - pi[n - 1]
+    return pi
 
 
 def detect_period(w: FiniteWord) -> int:
-    return _smallest_period(w.data)
+    """Smallest p with w[i] == w[i+p] for all valid i: the length less the longest border."""
+    if len(w) == 0:
+        raise ValueError("period of the empty word is undefined")
+    return len(w) - _borders(w.data)[-1]
 
 
 def classify_eventually_periodic(
@@ -786,19 +761,22 @@ def classify_eventually_periodic(
     full periods and at least half of the material.  This is a consistency
     claim about the prefix, never a proof of ultimate periodicity: aperiodic
     words contain high powers, so certain prefix lengths admit candidates.
+
+    Period p qualifies iff the last T = max(3p, ceil(n/2)) letters have
+    period p, that is, iff the smallest period T - pi[T-1] of the reversed
+    material's T-prefix divides p (Fine and Wilf: p <= T/3).  One
+    ``_first_difference`` then gives the longest tail of the least such p.
     """
     data = _material(w, prefix_length)
     n = len(data)
     if n == 0:
         raise ValueError("empty material")
+    r = data[::-1]
+    pi = _borders(r)
     for p in range(1, n // 3 + 1):
-        a = 0
-        for i in range(n - p - 1, -1, -1):
-            if data[i] != data[i + p]:
-                a = i + 1
-                break
-        tail = n - a
-        if tail >= 3 * p and 2 * tail >= n:
+        t = max(3 * p, (n + 1) // 2)
+        if p % (t - pi[t - 1]) == 0:
+            a = n - p - _first_difference(r, r[p:])
             alphabet = w.alphabet
             return UltimatelyPeriodicWord(
                 FiniteWord(data[:a], alphabet), FiniteWord(data[a : a + p], alphabet)

@@ -125,7 +125,7 @@ def test_shift_chain_check_matches_the_letter_loop(data):
 def test_both_bounds_broken_at_one_shift_names_the_lower(s):
     for perm in itertools.permutations(range(s.alphabet.size)):
         order = LexOrder(perm)
-        lower, upper = bytes([order.max_letter]) * 12, bytes([order.min_letter]) * 12
+        lower, upper = bytes([order.by_rank[-1]]) * 12, bytes([order.by_rank[0]]) * 12
         obj = same_verdict(s, lower, upper, 30, 12, order)
         assert obj["witness"]["shift"] == 0 and obj["witness"]["bound"] == "lower"
 
@@ -147,8 +147,8 @@ def test_ties_through_depth_are_counted_not_failed(K, L):
 def test_one_sided_and_missing_bounds():
     for order in (LexOrder((0, 1)), LexOrder((1, 0))):
         assert same_verdict(FIB, None, None, 40, 20, order)["status"] == "holds"
-        low = bytes([order.min_letter]) * 20
-        high = bytes([order.max_letter]) * 20
+        low = bytes([order.by_rank[0]]) * 20
+        high = bytes([order.by_rank[-1]]) * 20
         assert same_verdict(FIB, low, None, 40, 20, order)["status"] == "holds"
         assert same_verdict(FIB, None, high, 40, 20, order)["status"] == "holds"
         assert same_verdict(FIB, high, None, 40, 20, order)["witness"]["bound"] == "lower"

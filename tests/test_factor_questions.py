@@ -126,9 +126,9 @@ print(code, out.getvalue().split()[0], time.perf_counter() - start, resource.get
 """
 
 
-def in_a_child(argv):
+def in_a_child(argv, **env):
     """Exit code, first word of the output, seconds and peak RSS in kB of one command, in a child process."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])), **env)
     child = subprocess.run([sys.executable, "-c", LAUNCH, sys.executable, "-c", AT_THE_CAP, *argv], env=env,
                            capture_output=True, text=True, timeout=60, check=True)
     code, verdict, seconds, peak_kb = child.stdout.split()
@@ -150,11 +150,20 @@ def test_block_condition_at_the_prefix_cap(word, code, verdict):
 
 
 def test_balance_violation_at_the_prefix_cap():
-    """The witness scan keeps its prefix sums in int arrays: n + 1 Python ints took about 74 MB."""
+    """The witness is read off the balance kernel's u: about 20 MB; a scan by length took 31-74 MB."""
     code, verdict, seconds, peak_kb = at_the_cap("balance", "thue-morse")
     assert (code, verdict) == (1, "false")
     assert seconds < 10
     assert peak_kb < 40 * 1024
+
+
+def test_balance_violation_at_ten_million_letters():
+    """10^7 Thue-Morse letters: about 0.2 s and 65 MB; a scan by length took 4-5 s and 173 MB."""
+    argv = ["analyze", "balance", "--word", "thue-morse", "--prefix", "10000000"]
+    code, verdict, seconds, peak_kb = in_a_child(argv, STURMLEX_MAX_LEN="10000000")
+    assert (code, verdict) == (1, "false")
+    assert seconds < 10
+    assert peak_kb < 100 * 1024
 
 
 @pytest.mark.parametrize("argv", [

@@ -50,7 +50,7 @@ class TestDirectiveWord:
         d = DirectiveWord.from_text("ab|cd")
         assert [d.letter(i) for i in range(6)] == [0, 1, 2, 3, 2, 3]
         d = DirectiveWord.from_text("ab")
-        assert d.is_finite
+        assert d.cycle is None
         with pytest.raises(IndexError):
             d.letter(2)
 

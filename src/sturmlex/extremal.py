@@ -32,6 +32,7 @@ from .words import (
     _Record,
     _SWAP,
     _unbalanced_core,
+    _z_array,
     prepend,
 )
 
@@ -63,10 +64,8 @@ __all__ = [
 ]
 
 MAX_ORDER_ALPHABET = 8
-# gan_phi_approx enumerates 2^P words; P = 12 already takes seconds
+# gan_phi_approx enumerates 2^P words; P = 12 takes about 0.3 s
 MAX_PHI_DEPTH = 12
-# the first width at which _first_differences compares a window tail, and its growth factor
-_PROBE = 64
 
 
 def default_material(k: int) -> int:
@@ -346,30 +345,19 @@ def _first_differences(data: bytes, bound: bytes, windows: int) -> tuple[list[in
     difference in its tail.  No order enters: under an order, a tail compares
     less than ``bound`` exactly when its found letter ranks below the expected one.
 
-    A tail is XORed with the bound's head over _PROBE, _PROBE**2, ... letters
-    (each head an int made once) and only then compared in full by one
-    ``startswith``, so it costs about its agreement with ``bound``.
+    Each d is read off the Z-array of bound . sentinel . data at the tail's
+    start; the sentinel is never a letter, so d stops at len(bound).
     """
     depth = len(bound)
-    heads = []
-    width = _PROBE
-    while width < depth:
-        heads.append((width, int.from_bytes(bound[:width], "big")))
-        width *= _PROBE
+    z = _z_array(bound + b"\xff" + data[: windows + depth])
     ties = [0] * 256
     first: list[dict[tuple[int, int], tuple[int, int]]] = [{} for _ in range(256)]
     for k in range(windows):
-        for width, head in heads:
-            diff = int.from_bytes(data[k + 1 : k + 1 + width], "big") ^ head
-            if diff:
-                d = width - (diff.bit_length() + 7) // 8
-                break
+        d = z[depth + 2 + k]
+        if d == depth:
+            ties[data[k]] += 1
         else:
-            if data.startswith(bound, k + 1):
-                ties[data[k]] += 1
-                continue
-            d = _first_difference(data[k + 1 : k + 1 + depth], bound)
-        first[data[k]].setdefault((data[k + 1 + d], bound[d]), (k, d))
+            first[data[k]].setdefault((data[k + 1 + d], bound[d]), (k, d))
     return ties, first
 
 

@@ -327,7 +327,7 @@ def _characteristic_shift_candidate(data: bytes) -> int | None:
     n = len(data)
     span = max(32, n // 6)  # comparison depth and shift count for each tail
     for j in range(1, n - 2 * span):
-        u = data[j:]
+        u = data[j : j + 2 * span]  # the K + L letters the check reads
         lower, upper = b"\x00" + u[: span - 1], b"\x01" + u[: span - 1]
         if _first_violation(u, lower, upper, span, span)[0] is None:
             return j

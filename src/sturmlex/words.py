@@ -305,18 +305,6 @@ class UltimatelyPeriodicWord(InfiniteWord):
     def is_purely_periodic(self) -> bool:
         return len(self.preperiod) == 0
 
-    def shifted(self, k: int) -> "UltimatelyPeriodicWord":
-        if k < 0:
-            raise ValueError("shift must be non-negative")
-        u, v = self.preperiod.data, self.period.data
-        if k <= len(u):
-            return UltimatelyPeriodicWord(self.preperiod[k:], self.period)
-        j = (k - len(u)) % len(v)
-        return UltimatelyPeriodicWord(
-            FiniteWord(b"", self.alphabet),
-            FiniteWord(v[j:] + v[:j], self.alphabet),
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, UltimatelyPeriodicWord)
@@ -329,10 +317,11 @@ class UltimatelyPeriodicWord(InfiniteWord):
 
 
 def _canonical_uv(u: bytes, v: bytes) -> tuple[bytes, bytes]:
-    """v cut to its primitive root, then the longest common suffix of u and ...vvv, s letters, moved into v (rotated by s)."""
-    p = len(v) - _borders(v)[-1]
-    if len(v) % p == 0:
-        v = v[:p]
+    """v cut to its primitive root, then the longest common suffix of u and ...vvv, s letters, moved into v (rotated by s).
+
+    The root ends where v first recurs in vv.
+    """
+    v = v[: (v + v).find(v, 1)]
     s = _first_difference(u[::-1], v[::-1] * (len(u) // len(v) + 1))
     r = len(v) - s % len(v)
     return u[: len(u) - s], v[r:] + v[:r]
@@ -493,15 +482,15 @@ def prepend(head: FiniteWord, tail: FiniteWord | InfiniteWord):
 def _image(w, f: Callable, alphabet: Alphabet, recipe: Callable[[str], str], head: bytes = b"", start: int = 0):
     """The view head . f(w) over alphabet, for a map f of letter blocks with f(xy) = f(x) f(y).
 
-    A finite word and u v^omega map whole.  Any other w gives a word named
-    recipe(w.recipe) that reads w from letter ``start`` on, one block per
-    ``_fill`` call and never past the cap, so w's own error names the first
-    letter it cannot give.
+    A finite word maps whole, and u v^omega as u[start:] and v rotated by the letters read
+    past u.  Any other w gives a word named recipe(w.recipe) that reads w from letter
+    ``start`` on, one block per ``_fill`` call and never past the cap, so w's own error names
+    the first letter it cannot give.
     """
     if isinstance(w, FiniteWord):
         return FiniteWord(head + f(w.data), alphabet)
     if isinstance(w, UltimatelyPeriodicWord):
-        u, v = head + f(w.preperiod.data), f(w.period.data)
+        u, v = head + f(w.preperiod.data[start:]), f(shift(w.period, max(0, start - len(w.preperiod))).data)
         return UltimatelyPeriodicWord(FiniteWord(u, alphabet), FiniteWord(v, alphabet))
     out = bytearray(head)
     read = start
@@ -731,24 +720,41 @@ def lex_compare(
     return ComparisonOutcome(Relation.LESS if x[i] < y[i] else Relation.GREATER, i)
 
 
-def _borders(data: bytes) -> list[int]:
-    """KMP border table: pi[i] is the length of the longest proper border of data[: i + 1]."""
-    pi = [0] * len(data)
-    k = 0
-    for i in range(1, len(data)):
-        while k and data[i] != data[k]:
-            k = pi[k - 1]
-        if data[i] == data[k]:
-            k += 1
-        pi[i] = k
-    return pi
+def _z_array(s: bytes) -> memoryview:
+    """z[i], i <= len(s), is the length of the common prefix of s and s[i:] (Gusfield's Z-array, O(len(s))).
+
+    Inside the box [l, r) of the last match z is read from the box; a position reaching r
+    compares letters one by one; after _RUN equal ones it extends by `_common_run`.
+    """
+    n = len(s)
+    z = memoryview(bytearray(4 * n + 4)).cast("i")  # 4-byte ints, z[n] = 0
+    z[0] = n
+    l = r = 0
+    for i in range(1, n):
+        j = i
+        if i < r:
+            k = z[i - l]
+            if k < r - i:
+                z[i] = k
+                continue
+            j = r
+        t = j + _RUN
+        while j < n and s[j - i] == s[j]:
+            j += 1
+            if j == t:
+                j += _common_run(s, j - i, j)
+                break
+        l, r = i, j
+        z[i] = j - i
+    return z
 
 
 def detect_period(w: FiniteWord) -> int:
-    """Smallest p with w[i] == w[i+p] for all valid i: the length less the longest border."""
+    """Smallest p with w[i] == w[i+p] for all valid i: the least p with z[p] + p = |w|."""
     if len(w) == 0:
         raise ValueError("period of the empty word is undefined")
-    return len(w) - _borders(w.data)[-1]
+    n, z = len(w), _z_array(w.data)
+    return next((p for p in range(1, n) if z[p] + p == n), n)
 
 
 def classify_eventually_periodic(
@@ -763,24 +769,18 @@ def classify_eventually_periodic(
     words contain high powers, so certain prefix lengths admit candidates.
 
     Period p qualifies iff the last T = max(3p, ceil(n/2)) letters have
-    period p, that is, iff the smallest period T - pi[T-1] of the reversed
-    material's T-prefix divides p (Fine and Wilf: p <= T/3).  One
-    ``_first_difference`` then gives the longest tail of the least such p.
+    period p, iff z[p] >= T - p for the Z-array z of the reversed material;
+    the longest tail of period p then has z[p] + p letters.
     """
     data = _material(w, prefix_length)
     n = len(data)
     if n == 0:
         raise ValueError("empty material")
-    r = data[::-1]
-    pi = _borders(r)
+    z = _z_array(data[::-1])
     for p in range(1, n // 3 + 1):
-        t = max(3 * p, (n + 1) // 2)
-        if p % (t - pi[t - 1]) == 0:
-            a = n - p - _first_difference(r, r[p:])
-            alphabet = w.alphabet
-            return UltimatelyPeriodicWord(
-                FiniteWord(data[:a], alphabet), FiniteWord(data[a : a + p], alphabet)
-            )
+        if z[p] >= max(3 * p, (n + 1) // 2) - p:
+            a = n - p - z[p]
+            return UltimatelyPeriodicWord(FiniteWord(data[:a], w.alphabet), FiniteWord(data[a : a + p], w.alphabet))
     return None
 
 

@@ -157,6 +157,14 @@ def test_balance_violation_at_the_prefix_cap():
     assert peak_kb < 40 * 1024
 
 
+def test_period_at_the_prefix_cap():
+    """10^6 Fibonacci letters: about 0.6 s and 27 MB; two KMP border tables as lists of ints took 68 MB."""
+    code, _, seconds, peak_kb = at_the_cap("period", "fib")
+    assert code == 0
+    assert seconds < 10
+    assert peak_kb < 40 * 1024
+
+
 def test_balance_violation_at_ten_million_letters():
     """10^7 Thue-Morse letters: about 0.2 s and 65 MB; a scan by length took 4-5 s and 173 MB."""
     argv = ["analyze", "balance", "--word", "thue-morse", "--prefix", "10000000"]

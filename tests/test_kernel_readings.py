@@ -1,12 +1,14 @@
 """The balance witness, the periodic certificate and the canonical u v^omega, read off kernels in `words`.
 
 `balance_violation` returns 0u0 and 1u1 for the u of the balance kernel,
-`classify_eventually_periodic` and `detect_period` read one border table,
-and `UltimatelyPeriodicWord` moves the common suffix of u and ...vvv into v
-with one first-difference search.  Each is checked here against the search
-loop it replaced, kept in `oracle`: exhaustively on short words, by
-hypothesis on periodic, generated and one-letter-tailed words, and in a
-child process on inputs where those loops were quadratic.
+`classify_eventually_periodic` and `detect_period` read one Z-array
+(`words._z_array`), and `UltimatelyPeriodicWord` moves the common suffix of
+u and ...vvv into v with one first-difference search.  Each is checked here
+against the search loop it replaced, kept in `oracle`: exhaustively on short
+words, by hypothesis on periodic, generated and one-letter-tailed words, and
+in a child process on inputs where those loops were quadratic.  The Z-array
+itself is checked against `_first_difference` of each tail, and the shift of
+u v^omega against its letters.
 """
 
 import itertools
@@ -32,9 +34,12 @@ from sturmlex.words import (
     Alphabet,
     FiniteWord,
     UltimatelyPeriodicWord,
+    _first_difference,
+    _z_array,
     balance_violation,
     classify_eventually_periodic,
     detect_period,
+    shift,
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -92,6 +97,71 @@ def test_canonical_form_of_every_short_pair(size, longest_u, longest_v):
         for v in periods:
             w = UltimatelyPeriodicWord(FiniteWord(u, alphabet), FiniteWord(v, alphabet))
             assert (w.preperiod.data, w.period.data) == canonical_uv_by_letters(u, v), (u, v)
+
+
+def assert_z_array(s: bytes) -> None:
+    z = _z_array(s)
+    assert z.itemsize == 4
+    assert list(z) == [_first_difference(s[i:], s) for i in range(len(s) + 1)], s
+
+
+@pytest.mark.parametrize("size, longest", [(2, 14), (3, 8)])
+def test_z_array_of_every_short_word(size, longest):
+    for n in range(longest + 1):
+        for letters in itertools.product(range(size), repeat=n):
+            assert_z_array(bytes(letters))
+
+
+@st.composite
+def z_materials(draw):
+    """A prefix of u v^k, of a generated word, of 0^n, or random letters, up to a few thousand letters."""
+    kind = draw(st.sampled_from(["periodic", "generated", "zeros", "random"]))
+    n = draw(st.integers(0, 3000))
+    if kind == "periodic":
+        u = draw(st.lists(st.integers(0, 2), max_size=8))
+        v = draw(st.lists(st.integers(0, 2), min_size=1, max_size=300))
+        return bytes(u + v * (n // len(v) + 1))[:n]
+    if kind == "generated":
+        source = draw(st.sampled_from(LONG_GENERATED))
+        start = draw(st.integers(0, 100))
+        return source[start : start + n]
+    if kind == "zeros":
+        return bytes(n)
+    return draw(st.binary(max_size=n).map(lambda b: bytes(c % 3 for c in b)))
+
+
+LONG_GENERATED = [
+    characteristic(fibonacci_slope()).prefix_bytes(3100),
+    thue_morse().prefix_bytes(3100),
+    kbonacci(3).prefix_bytes(3100),
+    epistandard(DirectiveWord.from_text("aab*")).prefix_bytes(3100),
+]
+
+
+@given(z_materials())
+@settings(max_examples=150, deadline=None)
+def test_z_array_on_structured_words(s):
+    # agreements of hundreds of letters run through several windows of _common_run
+    assert_z_array(s)
+
+
+def test_shift_of_every_short_periodic_word():
+    """T^k(u v^omega) is u[k:] v' in canonical form, v' being v rotated by the letters read past u."""
+    binary = Alphabet.of_size(2)
+
+    def words(shortest, longest):
+        return [bytes(b) for n in range(shortest, longest + 1) for b in itertools.product(range(2), repeat=n)]
+
+    for u in words(0, 5):
+        for v in words(1, 4):
+            w = UltimatelyPeriodicWord(FiniteWord(u, binary), FiniteWord(v, binary))
+            n = len(u) + len(v)
+            for k in range(len(u) + 2 * len(v) + 1):
+                got = shift(w, k)
+                # the same word, built from the letters after k and the unrotated period
+                tail = (u + v * (k // len(v) + 1))[k:]
+                assert got == UltimatelyPeriodicWord(FiniteWord(tail, binary), FiniteWord(v, binary)), (u, v, k)
+                assert got.prefix_bytes(n) == w.prefix_bytes(k + n)[k:], (u, v, k)
 
 
 @st.composite

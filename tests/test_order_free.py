@@ -25,6 +25,9 @@ def corpus():
     words.append(Morphism.psi(2, A3).apply(epistandard(DirectiveWord.from_text("ab*", A3))))
     words.append(thue_morse())
     words.append(periodic([0, 0, 1, 0, 2], A3))
+    # every tail ties with the bound, or every tail but the first
+    words.append(periodic([0], Alphabet.of_size(2)))
+    words.append(periodic([1], Alphabet.of_size(2), preperiod=[0]))
     return words
 
 
@@ -56,6 +59,8 @@ class TestMatchesPerOrderLoop:
 
     @pytest.mark.parametrize("K", [1, 12, 50])
     def test_material_just_at_K(self, w, K):
+        # at L = 1 the shifts' bound is empty, and at K = 1 so is the windows' bound
+        same_report(w, K, 1, material=K)
         same_report(w, K, 9, material=K)
         same_report(w, K, 9, material=K + 1)
         same_fine(w, K, material=K)
@@ -121,8 +126,8 @@ def test_words_that_omit_letters_of_a_five_letter_alphabet(letters, preperiod, K
     same_fine(w, K, material=K + 5)
 
 
-# ties run past the first compared width of a tail (64 letters), and some tails
-# first differ there, after a long agreement with the bound
+# ties run past 64 letters, and some tails first differ there, after a long
+# agreement with the bound
 LONG_AGREEMENT = [
     periodic([0] * 70 + [1], Alphabet.of_size(3)),
     periodic([0] * 70 + [2] + [0] * 70 + [1], Alphabet.of_size(3)),
@@ -139,7 +144,7 @@ def test_tails_that_agree_past_the_first_width(w, K, L):
 
 @pytest.mark.parametrize("w", [kbonacci(2), kbonacci(3), thue_morse()], ids=lambda w: w.recipe[:40])
 def test_tails_that_agree_past_the_second_width(w):
-    # at depth 5000 a tail is compared over 64, then 4096 letters, then in full
+    # at depth 5000 tails agree with the bound over thousands of letters
     same_report(w, 5000, 5000)
     same_fine(w, 5000)
 

@@ -39,12 +39,11 @@ from .words import (
     UltimatelyPeriodicWord,
     _image,
     _material,
+    _periods,
     balance_violation,
     block_condition,
-    classify_eventually_periodic,
     complement,
     complexity,
-    detect_period,
     prepend,
     shift,
     special_factors,
@@ -294,9 +293,9 @@ def cmd_analyze(args) -> Report:
         ok = block_condition(w, L)
         rep.boolean(ok, {"word": args.word, "prefix": L, "block_condition": ok})
     elif args.what == "period":
-        material = FiniteWord(_material(w, L, 2000), w.alphabet)
-        cert = classify_eventually_periodic(material)
-        obj = {"word": args.word, "prefix": len(material), "smallest_period": detect_period(material)}
+        material = _material(w, L, 2000)
+        period, cert = _periods(material, w.alphabet)
+        obj = {"word": args.word, "prefix": len(material), "smallest_period": period}
         if cert is None:
             obj["certificate"] = None
         else:
@@ -421,8 +420,7 @@ def cmd_modone(args) -> Report:
         rep.verdict(modone.self_sturmian_test(w, args.K, args.L))
     elif args.what == "gamma-tilde":
         x = _rational(args.x)
-        member = modone.gamma_tilde_member(x)
-        orbit_size = sum(1 for _ in modone._doubling_points(x))
+        member, orbit_size = modone._gamma_tilde_walk(x)
         rep.boolean(member, {"x": modone._frac_str(x), "member": member, "orbit_size": orbit_size})
     elif args.what == "veerman":
         r0, r1 = modone.veerman_interval(parse_surd(args.alpha), args.L)

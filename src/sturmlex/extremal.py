@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 MAX_ORDER_ALPHABET = 8
-# gan_phi_approx enumerates 2^P words; P = 12 takes about 0.3 s
+# gan_phi_approx enumerates 2^P words; P = 12 takes about 0.15 s in process
 MAX_PHI_DEPTH = 12
 
 
@@ -249,7 +249,7 @@ def _shift_witness(alphabet: Alphabet, data: bytes, k: int, name: str, bound: by
     return {"shift": k, "bound": name, "depth": depth, "expected": expected, "found": found}
 
 
-def _shift_chain_check(s: InfiniteWord, lower: bytes | None, upper: bytes | None, K: int, L: int) -> BoundedVerdict:
+def _shift_chain_check(s: InfiniteWord, lower: bytes, upper: bytes, K: int, L: int) -> BoundedVerdict:
     """Verify lower <= T^k(s) <= upper for all k <= K at comparison depth L, letters in their natural order.
 
     Each bound has L letters.  Each shift costs one slice comparison per bound
@@ -706,7 +706,9 @@ def gan_phi_approx(
     the shift-maximal rotations of the periodic balanced words (Pal(v)xy)^w
     with |v| <= P, which for xy = 01 and xy = 10 alike are the upper
     Christoffel words (1.Pal(v).0)^w; the lexicographically least candidate
-    satisfying x <= T^i(s) <= 1u and T^i(s) <= s at the bounds is returned.
+    satisfying x <= T^i(s) <= 1u at the bounds is returned.  Every candidate
+    is its own greatest shift (each shift of c lies below 1c, and 1.Pal(v).0
+    is the greatest of its conjugates), so T^i(s) <= s needs no check.
     This is a candidate at bounds (P, K, L), never an exact infimum.
     """
     if x.alphabet.size != 2:
@@ -715,37 +717,29 @@ def gan_phi_approx(
     if not 0 <= P <= MAX_PHI_DEPTH:
         raise ValueError(f"P must be between 0 and {MAX_PHI_DEPTH}, got {P}")
     label = f"candidate at bounds (P={P}, K={K}, L={L})"
+    alphabet = x.alphabet
     if x.letter(0) == 1:
-        ones = UltimatelyPeriodicWord.purely_periodic(FiniteWord(b"\x01", x.alphabet))
+        ones = UltimatelyPeriodicWord.purely_periodic(FiniteWord(b"\x01", alphabet))
         return GanCandidate(ones, label, searched=0)
-    u = x.shifted(1)
-    upper = bytes([1]) + u.prefix_bytes(L - 1)
+    upper = b"\x01" + x.shifted(1).prefix_bytes(L - 1)
     lower = x.prefix_bytes(L)
 
-    candidates: list[InfiniteWord] = []
-    seen: set[bytes] = set()
+    # one candidate per L-letter prefix, the first one built; a periodic one is kept as its period until checked
+    candidates: dict[bytes, InfiniteWord | bytes] = {}
     for c in _characteristic_roster():
-        w = prepend(FiniteWord(b"\x01", x.alphabet), c)
-        key = w.prefix_bytes(L)
-        if key not in seen:
-            seen.add(key)
-            candidates.append(w)
-    alphabet = x.alphabet
+        w = prepend(FiniteWord(b"\x01", alphabet), c)
+        candidates.setdefault(w.prefix_bytes(L), w)
     for n in range(0, P + 1):
         for bits in itertools.product((0, 1), repeat=n):
-            pal = iterated_pal(FiniteWord(bits, alphabet)).data
-            w = UltimatelyPeriodicWord.purely_periodic(FiniteWord(b"\x01" + pal + b"\x00", alphabet))
-            key = w.prefix_bytes(L)
-            if key not in seen:
-                seen.add(key)
-                candidates.append(w)
+            v = b"\x01" + iterated_pal(FiniteWord(bits, alphabet)).data + b"\x00"
+            candidates.setdefault((v * (L // len(v) + 1))[:L], v)
 
-    candidates.sort(key=lambda w: w.prefix_bytes(L))
-    for w in candidates:
-        inside = _shift_chain_check(w, lower, upper, K, L)
-        if not inside.holds:
-            continue
-        maximal = _shift_chain_check(w, None, w.prefix_bytes(L), K, L)
-        if maximal.holds:
+    for key in sorted(candidates):
+        if key > upper:  # fails at shift 0, as every later key does
+            break
+        w = candidates[key]
+        if isinstance(w, bytes):
+            w = UltimatelyPeriodicWord.purely_periodic(FiniteWord(w, alphabet))
+        if _shift_chain_check(w, lower, upper, K, L).holds:
             return GanCandidate(w, label, searched=len(candidates))
     return GanCandidate(None, label, searched=len(candidates))

@@ -21,6 +21,7 @@ from .words import (
     _check_cap,
     _first_violation,
     _FrozenRecord,
+    _material,
     _Record,
     classify_eventually_periodic,
     complexity,
@@ -122,11 +123,10 @@ class DigitExpansion(_FrozenRecord):
         object.__setattr__(self, "provenance", provenance)
 
     def prefix_digits(self, n: int) -> bytes:
-        if isinstance(self.digits, FiniteWord):
-            if n > len(self.digits):
-                raise ValueError(f"only {len(self.digits)} digits available, {n} requested")
-            return self.digits.data[:n]
-        return self.digits.prefix_bytes(n)
+        digits = _material(self.digits, n)
+        if n > len(digits):
+            raise ValueError(f"only {len(digits)} digits available, {n} requested")
+        return digits[:n]
 
 
 def digits_from_rational(xi: Fraction, base: int, n: int) -> DigitExpansion:
@@ -148,7 +148,7 @@ def digits_from_rational(xi: Fraction, base: int, n: int) -> DigitExpansion:
 
 def real_bounds_from_digits(d: DigitExpansion, n: int | None = None) -> RationalInterval:
     """Interval of width base^-N containing every real with the given digit prefix."""
-    digits = d.prefix_digits(n) if n is not None else d.prefix_digits(len(d.digits))
+    digits = _material(d.digits, None) if n is None else d.prefix_digits(n)
     value = 0
     for digit in digits:
         value = value * d.base + digit
@@ -465,13 +465,22 @@ def gamma_tilde_member(x: Fraction, cap: int = 1_000_000) -> bool:
     Rational orbits under doubling are eventually periodic, so cycle
     detection makes the check exact; ``cap`` only guards degenerate inputs.
     """
+    return _gamma_tilde_walk(x, cap)[0]
+
+
+def _gamma_tilde_walk(x: Fraction, cap: int = 1_000_000) -> tuple[bool, int]:
+    """``gamma_tilde_member(x, cap)`` and the size of the doubling orbit of x, from one walk of the orbit."""
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError("x must lie in [0, 1]")
-    # 1 - x <= y/q <= x with x = p/q, at every point: the whole orbit is
-    # walked, so an orbit over the cap raises whatever its points
-    p, q = x.numerator, x.denominator
-    return sum(not q - p <= y <= p for y in _doubling_points(x, cap)) == 0
+    # 1 - x <= y/q <= x at every point y/q; the whole orbit is walked,
+    # so an orbit over the cap raises whatever its points
+    lo, hi = x.denominator - x.numerator, x.numerator
+    inside, size = True, 0
+    for size, y in enumerate(_doubling_points(x, cap), 1):
+        if not lo <= y <= hi:
+            inside = False
+    return inside, size
 
 
 def thue_morse_constant(n_terms: int) -> RationalInterval:

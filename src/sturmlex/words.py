@@ -140,11 +140,8 @@ class Alphabet(_FrozenRecord):
     def index(self, name: str) -> int:
         if name in self.names:
             return self.names.index(name)
-        # binary words are written equally with 0/1 and a/b
-        if self.size == 2:
-            alias = {"0": 0, "1": 1, "a": 0, "b": 1}
-            if name in alias:
-                return alias[name]
+        if self.size == 2 and name in ("0", "1", "a", "b"):  # binary words are written equally with 0/1 and a/b
+            return "01ab".index(name) % 2
         raise ValueError(f"unknown letter {name!r} for alphabet {''.join(self.names)}")
 
     def __repr__(self):
@@ -403,28 +400,21 @@ def _first_difference(x: bytes, y: bytes) -> int:
     return n - (diff.bit_length() + 7) // 8
 
 
-def _first_violation(
-    data: bytes, lo: bytes | None, hi: bytes | None, K: int, L: int
-) -> tuple[tuple[int, str] | None, int]:
-    """Where a shift first leaves its bounds: ((k, "lower" or "upper") or None, ties met on the way).
+def _first_violation(data: bytes, lo: bytes, hi: bytes, K: int, L: int) -> tuple[tuple[int, str] | None, int]:
+    """Where a shift first leaves its bounds: ((k, "lower" or "upper") or None, ties met before k).
 
-    k is the least shift <= K with data[k:k+L] < lo or > hi, the lower bound
-    checked first.  ``data`` holds at least K + L letters and each bound
-    exactly L letters (or is None), compared as raw letters: slice and bound
-    then have one length, so bytes order is the depth-L comparison, and
-    equality is a tie through depth L, undecided and never a violation.
+    k is the least shift <= K with data[k:k+L] < lo or > hi, the lower bound checked first.  data holds
+    K + L letters or more and each bound L, compared raw: bytes order is then the depth-L comparison,
+    and equality a tie through depth L, undecided and never a violation.
     """
     undecided = 0
     for k in range(K + 1):
         seg = data[k : k + L]
-        if lo is not None:
-            if seg < lo:
-                return (k, "lower"), undecided
-            undecided += seg == lo
-        if hi is not None:
-            if seg > hi:
-                return (k, "upper"), undecided
-            undecided += seg == hi
+        if seg < lo:
+            return (k, "lower"), undecided
+        if seg > hi:
+            return (k, "upper"), undecided
+        undecided += (seg == lo) + (seg == hi)
     return None, undecided
 
 
@@ -749,39 +739,40 @@ def _z_array(s: bytes) -> memoryview:
     return z
 
 
-def detect_period(w: FiniteWord) -> int:
-    """Smallest p with w[i] == w[i+p] for all valid i: the least p with z[p] + p = |w|."""
-    if len(w) == 0:
-        raise ValueError("period of the empty word is undefined")
-    n, z = len(w), _z_array(w.data)
-    return next((p for p in range(1, n) if z[p] + p == n), n)
+def _periods(data: bytes, alphabet: Alphabet) -> tuple[int, UltimatelyPeriodicWord | None]:
+    """Smallest period of data and the `classify_eventually_periodic` certificate, off one Z-array.
 
-
-def classify_eventually_periodic(
-    w: FiniteWord | InfiniteWord, prefix_length: int | None = None
-) -> UltimatelyPeriodicWord | None:
-    """Heuristic certificate that the material is consistent with u v^omega.
-
-    Returns the candidate with minimal period (then minimal preperiod), or
-    None.  A candidate requires the periodic tail to cover at least three
-    full periods and at least half of the material.  This is a consistency
-    claim about the prefix, never a proof of ultimate periodicity: aperiodic
-    words contain high powers, so certain prefix lengths admit candidates.
-
-    Period p qualifies iff the last T = max(3p, ceil(n/2)) letters have
-    period p, iff z[p] >= T - p for the Z-array z of the reversed material;
-    the longest tail of period p then has z[p] + p letters.
+    With z that of data reversed, the longest tail of period p starts at a = n - p - z[p]: p is a period
+    iff a = 0 and certifies iff a <= n - max(3p, ceil(n/2)), as any period p <= n/3 does.
     """
-    data = _material(w, prefix_length)
     n = len(data)
     if n == 0:
         raise ValueError("empty material")
-    z = _z_array(data[::-1])
-    for p in range(1, n // 3 + 1):
-        if z[p] >= max(3 * p, (n + 1) // 2) - p:
-            a = n - p - z[p]
-            return UltimatelyPeriodicWord(FiniteWord(data[:a], w.alphabet), FiniteWord(data[a : a + p], w.alphabet))
-    return None
+    z, half = _z_array(data[::-1]), (n + 1) // 2
+    c = next((p for p in range(1, n // 3 + 1) if z[p] + p >= half and z[p] >= 2 * p), 0)
+    period = next((p for p in range(c or n // 3 + 1, n) if z[p] + p == n), n)
+    if not c:
+        return period, None
+    a = n - c - z[c]
+    return period, UltimatelyPeriodicWord(FiniteWord(data[:a], alphabet), FiniteWord(data[a : a + c], alphabet))
+
+
+def detect_period(w: FiniteWord) -> int:
+    """Smallest p with w[i] == w[i+p] for all valid i."""
+    if len(w) == 0:
+        raise ValueError("period of the empty word is undefined")
+    return _periods(w.data, w.alphabet)[0]
+
+
+def classify_eventually_periodic(w: FiniteWord | InfiniteWord, prefix_length: int | None = None) -> UltimatelyPeriodicWord | None:
+    """Heuristic certificate that the material is consistent with u v^omega.
+
+    Returns the candidate with minimal period (then minimal preperiod), or None.  A candidate
+    requires the periodic tail to cover at least three full periods and at least half of the
+    material.  This is a consistency claim about the prefix, never a proof of ultimate periodicity:
+    aperiodic words contain high powers, so certain prefix lengths admit candidates.
+    """
+    return _periods(_material(w, prefix_length), w.alphabet)[1]
 
 
 # ---------------------------------------------------------------------------

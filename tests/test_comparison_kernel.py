@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sturmlex.cli import main
+from sturmlex.cli import main, word_from_spec
 from sturmlex.extremal import (
     MAX_PHI_DEPTH,
+    GanCandidate,
+    _characteristic_roster,
     _shift_chain_check,
     allowed_pair_check,
     characteristic_check,
@@ -28,7 +30,7 @@ from sturmlex.extremal import (
     not_balanced_witness,
     sigma_xy_member,
 )
-from sturmlex.generators import characteristic, fibonacci_slope, kbonacci, mechanical_lower, thue_morse
+from sturmlex.generators import characteristic, fibonacci_slope, iterated_pal, kbonacci, mechanical_lower, thue_morse
 from sturmlex.modone import DigitExpansion, bugeaud_dubickas_classify, self_sturmian_test
 from sturmlex.oracle import finite_extremal_by_chain, shift_chain_by_letters
 from sturmlex.surds import QuadraticSurd
@@ -88,9 +90,7 @@ def words(draw):
 
 @st.composite
 def bound(draw, s, K, L):
-    """None, or the L-letter prefix of some shift of s, with at most one letter changed."""
-    if draw(st.integers(0, 3)) == 0:
-        return None
+    """The L-letter prefix of some shift of s, with at most one letter changed."""
     j = draw(st.integers(0, K + 5))
     b = bytearray(s.prefix_bytes(j + L)[j:])
     if draw(st.booleans()):
@@ -103,8 +103,7 @@ def same_verdict(s, lower, upper, K, L, order):
     table = order.table
     names = Alphabet(tuple(s.alphabet.names[c] for c in order.by_rank))
     ranked = InfiniteWord(lambda n: s.prefix_bytes(n).translate(table), names, s.recipe)
-    lo, hi = (None if b is None else b.translate(table) for b in (lower, upper))
-    fast = _shift_chain_check(ranked, lo, hi, K, L).to_obj()
+    fast = _shift_chain_check(ranked, lower.translate(table), upper.translate(table), K, L).to_obj()
     assert fast == shift_chain_by_letters(s, lower, upper, K, L, order).to_obj()
     return fast
 
@@ -134,25 +133,25 @@ def test_both_bounds_broken_at_one_shift_names_the_lower(s):
 def test_ties_through_depth_are_counted_not_failed(K, L):
     # every third shift of (110)^w equals it, the greatest rotation, through any depth
     s = periodic([1, 1, 0], 2)
-    for lower, upper in [(None, s.prefix_bytes(L)), (s.prefix_bytes(L), s.prefix_bytes(L))]:
-        obj = same_verdict(s, lower, upper, K, L, LexOrder.natural(2))
-        if lower is None:
-            assert obj == {"status": "holds", "K": K, "L": L, "undecided": K // 3 + 1}
-        elif K == 0:
-            assert obj == {"status": "holds", "K": K, "L": L, "undecided": 2}
-        else:  # T(s) = (101)^w leaves the lower bound
-            assert obj["status"] == "fails" and obj["witness"]["shift"] == 1
+    top = s.prefix_bytes(L)
+    # 0^L lies below every shift and ties none of them
+    obj = same_verdict(s, bytes(L), top, K, L, LexOrder.natural(2))
+    assert obj == {"status": "holds", "K": K, "L": L, "undecided": K // 3 + 1}
+    obj = same_verdict(s, top, top, K, L, LexOrder.natural(2))
+    if K == 0:
+        assert obj == {"status": "holds", "K": K, "L": L, "undecided": 2}
+    else:  # T(s) = (101)^w leaves the lower bound
+        assert obj["status"] == "fails" and obj["witness"]["shift"] == 1
 
 
 def test_one_sided_and_missing_bounds():
+    # every check takes two bounds; the least and the greatest L-letter words stand for a missing side
     for order in (LexOrder((0, 1)), LexOrder((1, 0))):
-        assert same_verdict(FIB, None, None, 40, 20, order)["status"] == "holds"
         low = bytes([order.by_rank[0]]) * 20
         high = bytes([order.by_rank[-1]]) * 20
-        assert same_verdict(FIB, low, None, 40, 20, order)["status"] == "holds"
-        assert same_verdict(FIB, None, high, 40, 20, order)["status"] == "holds"
-        assert same_verdict(FIB, high, None, 40, 20, order)["witness"]["bound"] == "lower"
-        assert same_verdict(FIB, None, low, 40, 20, order)["witness"]["bound"] == "upper"
+        assert same_verdict(FIB, low, high, 40, 20, order)["status"] == "holds"
+        assert same_verdict(FIB, high, high, 40, 20, order)["witness"]["bound"] == "lower"
+        assert same_verdict(FIB, low, low, 40, 20, order)["witness"]["bound"] == "upper"
 
 
 def characteristic_shift_by_letters(data: bytes) -> int | None:
@@ -198,6 +197,49 @@ def test_a_characteristic_tail_is_found():
         w = prepend(FiniteWord(head, BINARY), FIB)
         report = bugeaud_dubickas_classify(DigitExpansion(2, w), 300)
         assert report.characteristic_shift == characteristic_shift_by_letters(w.prefix_bytes(300)) == 1
+
+
+def phi_approx_by_both_chains(x, P, K, L):
+    """`gan_phi_approx` as an enumeration: every candidate built, sorted by prefix, and checked by two letter loops.
+
+    A candidate is accepted when x <= T^i(w) <= 1u and T^i(w) <= w hold at
+    the bounds; the second chain is the one `gan_phi_approx` leaves out.
+    """
+    label, alphabet, natural = f"candidate at bounds (P={P}, K={K}, L={L})", x.alphabet, LexOrder.natural(2)
+    one = FiniteWord(b"\x01", alphabet)
+    if x.letter(0) == 1:
+        return GanCandidate(UltimatelyPeriodicWord.purely_periodic(one), label, 0)
+    lower = x.prefix_bytes(L)
+    upper = b"\x01" + lower[1:]
+    built = [prepend(one, c) for c in _characteristic_roster()]
+    for n in range(P + 1):
+        for bits in itertools.product((0, 1), repeat=n):
+            period = b"\x01" + iterated_pal(FiniteWord(bits, alphabet)).data + b"\x00"
+            built.append(UltimatelyPeriodicWord.purely_periodic(FiniteWord(period, alphabet)))
+    candidates, seen = [], set()
+    for w in built:
+        if w.prefix_bytes(L) not in seen:
+            seen.add(w.prefix_bytes(L))
+            candidates.append(w)
+    for w in sorted(candidates, key=lambda w: w.prefix_bytes(L)):
+        if (shift_chain_by_letters(w, lower, upper, K, L, natural).holds
+                and shift_chain_by_letters(w, None, w.prefix_bytes(L), K, L, natural).holds):
+            return GanCandidate(w, label, len(candidates))
+    return GanCandidate(None, label, len(candidates))
+
+
+PHI_X = [prepend(FiniteWord(b"\x00", BINARY), c) for c in _characteristic_roster()] + [
+    word_from_spec(spec)
+    for spec in ("periodic:0", "periodic:01", "up:0|01", "shift:3:fib", "prepend:1:fib", "thue-morse", "complement:fib")
+]
+
+
+@pytest.mark.parametrize("K,L", [(0, 1), (1, 1), (5, 7), (20, 30), (100, 200), (200, 400)])
+def test_phi_approx_matches_the_enumeration_with_both_chains(K, L):
+    for x in PHI_X:
+        for P in range(9):
+            expected = phi_approx_by_both_chains(x, P, K, L).to_obj()
+            assert gan_phi_approx(x, P, K, L).to_obj() == expected, (x.recipe, P)
 
 
 def witness_by_definition(w: FiniteWord) -> FiniteWord | None:

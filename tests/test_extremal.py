@@ -30,6 +30,7 @@ from sturmlex.generators import (
     thue_morse,
 )
 from sturmlex.extremal import (
+    _characteristic_roster,
     acceptable_pairs,
     allowed_pair_check,
     characteristic_check,
@@ -374,6 +375,11 @@ class TestSigmaAndPhi:
         expected = prepend(W("1"), fib01)
         assert res.word.prefix_bytes(400) == expected.prefix_bytes(400)
         assert "P=4" in res.label and "K=200" in res.label
+
+    def test_roster_words_after_one_are_shift_maximal(self):
+        # gan_phi_approx checks no T^i(s) <= s: every shift of c lies below 1c
+        for c in _characteristic_roster():
+            assert check_shift_maximal(prepend(FiniteWord(b"\x01", c.alphabet), c), 2000, 400), c.recipe
 
     def test_greatest_rotation_of_pal_v_xy_is_the_upper_christoffel_word(self):
         # gan_phi_approx builds its periodic candidates as (1 Pal(v) 0)^w

@@ -283,7 +283,7 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     def broken(x, cap=0):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(modone, "gamma_tilde_member", broken)
+    monkeypatch.setattr(modone, "_gamma_tilde_walk", broken)
     code, out, err = run(capsys, "modone", "gamma-tilde", "--x", "1/3")
     assert code == 3 and out == ""
     assert err.rstrip().endswith("internal error: RuntimeError: boom")

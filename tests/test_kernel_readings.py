@@ -1,14 +1,14 @@
 """The balance witness, the periodic certificate and the canonical u v^omega, read off kernels in `words`.
 
 `balance_violation` returns 0u0 and 1u1 for the u of the balance kernel,
-`classify_eventually_periodic` and `detect_period` read one Z-array
-(`words._z_array`), and `UltimatelyPeriodicWord` moves the common suffix of
-u and ...vvv into v with one first-difference search.  Each is checked here
-against the search loop it replaced, kept in `oracle`: exhaustively on short
-words, by hypothesis on periodic, generated and one-letter-tailed words, and
-in a child process on inputs where those loops were quadratic.  The Z-array
-itself is checked against `_first_difference` of each tail, and the shift of
-u v^omega against its letters.
+`classify_eventually_periodic` and `detect_period` read one Z-array of the
+reversed material (`words._periods`), and `UltimatelyPeriodicWord` moves
+the common suffix of u and ...vvv into v with one first-difference search.
+Each is checked here against the search loop it replaced, kept in `oracle`:
+exhaustively on short words, by hypothesis on periodic, generated and
+one-letter-tailed words, and in a child process on inputs where those loops
+were quadratic.  The Z-array itself is checked against `_first_difference`
+of each tail, and the shift of u v^omega against its letters.
 """
 
 import itertools
@@ -35,6 +35,7 @@ from sturmlex.words import (
     FiniteWord,
     UltimatelyPeriodicWord,
     _first_difference,
+    _periods,
     _z_array,
     balance_violation,
     classify_eventually_periodic,
@@ -60,8 +61,9 @@ def witness_bytes(pair):
 def assert_matches_references(data: bytes, size: int) -> None:
     """Period, certificate and (over two letters) balance witness of data equal the oracle's."""
     w = FiniteWord(data, Alphabet.of_size(size))
-    assert detect_period(w) == smallest_period_by_shifts(data), data
-    cert = classify_eventually_periodic(w)
+    period, cert = _periods(data, w.alphabet)
+    assert detect_period(w) == period == smallest_period_by_shifts(data), data
+    assert classify_eventually_periodic(w) == cert
     expected = eventually_periodic_by_tails(data)
     if expected is None:
         assert cert is None, data

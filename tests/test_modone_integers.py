@@ -1,5 +1,8 @@
 """modone's integer-numerator kernels against the Fraction references in oracle."""
 
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -7,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmlex.cli import main
+from sturmlex.generators import characteristic, fibonacci_slope
 from sturmlex.modone import (
     DigitExpansion,
     RationalInterval,
@@ -141,6 +146,21 @@ def test_orbit_cap_threshold(x):
                 run(x, cap=size - 2)
 
 
+def test_gamma_tilde_command_reports_the_orbit_size():
+    # the command walks the orbit once, for membership and for its size
+    for q in range(1, 61):
+        for p in range(q + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            x = Fraction(p, q)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["--format", "json", "modone", "gamma-tilde", "--x", f"{p}/{q}"])
+            obj = json.loads(out.getvalue())
+            assert obj["orbit_size"] == len(doubling_orbit_by_fractions(x)), x
+            assert code == (0 if obj["member"] else 1) and obj["member"] is gamma_tilde_by_fractions(x)
+
+
 def test_gamma_tilde_range_is_checked_before_the_orbit():
     for x in (Fraction(-1, 3), Fraction(3, 2)):
         for run in (gamma_tilde_member, gamma_tilde_by_fractions):
@@ -155,6 +175,22 @@ def test_digits_match_fraction_oracle(q, p, base, n):
     d = digits_from_rational(xi, base, n)
     assert d.digits.data == digits_by_fractions(xi, base, n)
     assert d.digits.alphabet == Alphabet.digits(base)
+
+
+def test_digits_of_an_infinite_word_need_a_count():
+    d = DigitExpansion(2, characteristic(fibonacci_slope()))
+    with pytest.raises(ValueError, match="^infinite word: a prefix length is required$"):
+        real_bounds_from_digits(d)
+    assert d.prefix_digits(5) == bytes([0, 1, 0, 0, 1])
+    assert real_bounds_from_digits(d, 5) == RationalInterval(Fraction(9, 32), Fraction(10, 32))
+
+
+def test_digits_of_a_finite_word_are_read_whole():
+    d = DigitExpansion(3, FiniteWord(bytes([2, 0, 1]), Alphabet.digits(3)))
+    assert real_bounds_from_digits(d) == RationalInterval(Fraction(19, 27), Fraction(20, 27))
+    assert d.prefix_digits(2) == bytes([2, 0]) and d.prefix_digits(3) == bytes([2, 0, 1])
+    with pytest.raises(ValueError, match="^only 3 digits available, 4 requested$"):
+        d.prefix_digits(4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 65, 1000])

@@ -764,13 +764,16 @@ def detect_period(w: FiniteWord) -> int:
     return _periods(w.data, w.alphabet)[0]
 
 
-def classify_eventually_periodic(w: FiniteWord | InfiniteWord, prefix_length: int | None = None) -> UltimatelyPeriodicWord | None:
+def classify_eventually_periodic(
+    w: FiniteWord | InfiniteWord, prefix_length: int | None = None
+) -> UltimatelyPeriodicWord | None:
     """Heuristic certificate that the material is consistent with u v^omega.
 
-    Returns the candidate with minimal period (then minimal preperiod), or None.  A candidate
-    requires the periodic tail to cover at least three full periods and at least half of the
-    material.  This is a consistency claim about the prefix, never a proof of ultimate periodicity:
-    aperiodic words contain high powers, so certain prefix lengths admit candidates.
+    Returns the candidate with minimal period (then minimal preperiod), or
+    None.  A candidate requires the periodic tail to cover at least three
+    full periods and at least half of the material.  This is a consistency
+    claim about the prefix, never a proof of ultimate periodicity: aperiodic
+    words contain high powers, so certain prefix lengths admit candidates.
     """
     return _periods(_material(w, prefix_length), w.alphabet)[1]
 

@@ -17,6 +17,28 @@ from typing import TYPE_CHECKING
 
 # extremal, modone, oracle and random are imported by the commands that use
 # them, so a command loads and compiles only the layers it runs.
+try:  # words reads STURMLEX_MAX_LEN as it loads; a malformed value is a usage error
+    from .words import (
+        Alphabet,
+        FiniteWord,
+        InfiniteWord,
+        LexOrder,
+        UltimatelyPeriodicWord,
+        _image,
+        _material,
+        _periods,
+        balance_violation,
+        block_condition,
+        complement,
+        complexity,
+        prepend,
+        shift,
+        special_factors,
+        word_from_text,
+    )
+except ValueError as e:
+    print(f"error: {e}", file=sys.stderr)
+    sys.exit(2)
 from .generators import (
     DirectiveWord,
     Morphism,
@@ -31,24 +53,6 @@ from .generators import (
     thue_morse,
 )
 from .surds import parse_surd
-from .words import (
-    Alphabet,
-    FiniteWord,
-    InfiniteWord,
-    LexOrder,
-    UltimatelyPeriodicWord,
-    _image,
-    _material,
-    _periods,
-    balance_violation,
-    block_condition,
-    complement,
-    complexity,
-    prepend,
-    shift,
-    special_factors,
-    word_from_text,
-)
 
 if TYPE_CHECKING:
     from . import modone
@@ -147,12 +151,6 @@ def _infinite(w) -> InfiniteWord:
     raise SpecError("this command needs an infinite word (periodic:, up:, or a generator)")
 
 
-def _order_for(w, text: str | None) -> LexOrder:
-    if text is None:
-        return LexOrder.natural(w.alphabet.size)
-    return LexOrder.from_text(text, w.alphabet)
-
-
 def _digit_file(path: str) -> modone.DigitExpansion:
     """Digit file format: one line base, one line digits."""
     from . import modone
@@ -169,16 +167,16 @@ def _digit_file(path: str) -> modone.DigitExpansion:
 def _digit_source(args, shifts_plus_precision: int) -> modone.DigitExpansion:
     from . import modone
 
-    if getattr(args, "xi_digits", None):
+    if args.xi_digits:
         d = _digit_file(args.xi_digits)
         if args.base is not None and args.base != d.base:
             raise SpecError(f"digit file base {d.base} contradicts --base {args.base}")
         return d
     base = 2 if args.base is None else args.base
-    if getattr(args, "xi", None):
+    if args.xi:
         xi = _rational(args.xi)
         return modone.digits_from_rational(xi, base, shifts_plus_precision)
-    if getattr(args, "word", None):
+    if args.word:
         w = word_from_spec(args.word)
         return modone.DigitExpansion(base, w, "from-word")
     raise SpecError("one of --xi, --xi-digits, --word is required")
@@ -237,16 +235,15 @@ def _emit(args, rep: Report) -> int:
 
 def cmd_generate(args) -> Report:
     rep = Report()
+    # a leaf with a spec form builds the word its options spell
     if args.what == "mechanical":
-        alpha = parse_surd(args.alpha)
-        rho = alpha if args.rho.lower() == "same" else parse_surd(args.rho)
-        w = (mechanical_upper if args.upper else mechanical_lower)(alpha, rho)
+        w = word_from_spec(f"mechanical{'-upper' if args.upper else ''}:{args.alpha}:{args.rho}")
     elif args.what == "epistandard":
-        w = epistandard(DirectiveWord.from_text(args.directive))
+        w = word_from_spec(f"epistandard:{args.directive}")
     elif args.what == "morphic":
         w = word_from_spec(f"morphic:{args.morphism}:{args.word}")
     elif args.what == "thue-morse":
-        w = thue_morse()
+        w = word_from_spec("thue-morse")
     elif args.what == "skew":
         alphabet = Alphabet.of_size(2)
         mu = Morphism.from_text(args.morphism, alphabet) if args.morphism else Morphism.identity(alphabet)
@@ -293,7 +290,7 @@ def cmd_analyze(args) -> Report:
         ok = block_condition(w, L)
         rep.boolean(ok, {"word": args.word, "prefix": L, "block_condition": ok})
     elif args.what == "period":
-        material = _material(w, L, 2000)
+        material = _material(w, L)
         period, cert = _periods(material, w.alphabet)
         obj = {"word": args.word, "prefix": len(material), "smallest_period": period}
         if cert is None:
@@ -313,7 +310,7 @@ def cmd_extremal(args) -> Report:
     rep = Report()
     if args.what == "min-max":
         w = word_from_spec(args.word)
-        order = _order_for(w, args.order)
+        order = None if args.order is None else LexOrder.from_text(args.order, w.alphabet)
         lo = extremal.min_factor(w, args.k, order, args.prefix)
         hi = extremal.max_factor(w, args.k, order, args.prefix)
         rep.obj = {"word": args.word, "k": args.k, "min": lo.as_str(), "max": hi.as_str()}
@@ -375,7 +372,7 @@ def cmd_modone(args) -> Report:
 
     rep = Report()
     if args.what == "digits":
-        d = modone.digits_from_rational(_rational(args.xi), 2 if args.base is None else args.base, args.n)
+        d = modone.digits_from_rational(_rational(args.xi), args.base, args.n)
         text = d.digits.as_str()
         rep.obj = {"xi": args.xi, "base": d.base, "digits": text}
         rep.lines.append(text)
@@ -545,7 +542,7 @@ def _analyze_leaves(ana) -> None:
     a.add_argument("--prefix", type=int, default=300)
     a = ana.add_parser("period")
     a.add_argument("--word", required=True)
-    a.add_argument("--prefix", type=int, default=None)
+    a.add_argument("--prefix", type=int, default=2000)
 
 
 def _extremal_leaves(ext) -> None:
@@ -592,31 +589,25 @@ def _extremal_leaves(ext) -> None:
 
 
 def _modone_leaves(mod) -> None:
+    # the digit sources of frac-parts, cover and classify
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--xi")
+    source.add_argument("--xi-digits", dest="xi_digits")
+    source.add_argument("--word")
+    source.add_argument("--base", type=int, default=None)
     m = mod.add_parser("digits")
     m.add_argument("--xi", required=True, help="rational p/q in (0,1)")
     m.add_argument("--base", type=int, default=2)
     m.add_argument("--n", type=int, default=32)
-    m = mod.add_parser("frac-parts")
-    m.add_argument("--xi")
-    m.add_argument("--xi-digits", dest="xi_digits")
-    m.add_argument("--word")
-    m.add_argument("--base", type=int, default=None)
+    m = mod.add_parser("frac-parts", parents=[source])
     m.add_argument("--N", type=int, default=50)
     m.add_argument("--L", type=int, default=64)
     m.add_argument("--csv", action="store_true")
-    m = mod.add_parser("cover")
-    m.add_argument("--xi")
-    m.add_argument("--xi-digits", dest="xi_digits")
-    m.add_argument("--word")
-    m.add_argument("--base", type=int, default=None)
+    m = mod.add_parser("cover", parents=[source])
     m.add_argument("--N", type=int, default=200)
     m.add_argument("--L", type=int, default=256)
     m.add_argument("--linear", action="store_true")
-    m = mod.add_parser("classify")
-    m.add_argument("--xi")
-    m.add_argument("--xi-digits", dest="xi_digits")
-    m.add_argument("--word")
-    m.add_argument("--base", type=int, default=None)
+    m = mod.add_parser("classify", parents=[source])
     m.add_argument("--prefix", type=int, default=200)
     m = mod.add_parser("self-sturmian")
     m.add_argument("--word", required=True)

@@ -721,8 +721,8 @@ def gan_phi_approx(
     if x.letter(0) == 1:
         ones = UltimatelyPeriodicWord.purely_periodic(FiniteWord(b"\x01", alphabet))
         return GanCandidate(ones, label, searched=0)
-    upper = b"\x01" + x.shifted(1).prefix_bytes(L - 1)
     lower = x.prefix_bytes(L)
+    upper = b"\x01" + lower[1:]
 
     # one candidate per L-letter prefix, the first one built; a periodic one is kept as its period until checked
     candidates: dict[bytes, InfiniteWord | bytes] = {}

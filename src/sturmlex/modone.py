@@ -123,6 +123,8 @@ class DigitExpansion(_FrozenRecord):
         object.__setattr__(self, "provenance", provenance)
 
     def prefix_digits(self, n: int) -> bytes:
+        if n < 0:  # a finite word would otherwise lose digits from its end
+            raise ValueError(f"prefix length must be non-negative, got {n}")
         digits = _material(self.digits, n)
         if n > len(digits):
             raise ValueError(f"only {len(digits)} digits available, {n} requested")
@@ -197,15 +199,13 @@ def _endpoints(
 ) -> Iterator[tuple[int, int, int]]:
     """(lo, hi, den) per point or interval: integer numerators over a positive denominator."""
     if isinstance(items, TorusPointSet):
-        return ((p.numerator, p.numerator, p.denominator) for p in items.points)
-    return (_integer_endpoints(it) for it in items)
-
-
-def _integer_endpoints(it: RationalInterval | Fraction) -> tuple[int, int, int]:
-    if isinstance(it, RationalInterval):
-        return it._lo, it._hi, it._den
-    x = Fraction(it)
-    return x.numerator, x.numerator, x.denominator
+        items = items.points
+    for it in items:
+        if isinstance(it, RationalInterval):
+            yield it._lo, it._hi, it._den
+        else:
+            x = Fraction(it)
+            yield x.numerator, x.numerator, x.denominator
 
 
 def min_covering_interval(
@@ -447,16 +447,10 @@ def _doubling_points(x: Fraction, cap: int = 1_000_000) -> Iterator[int]:
     raise ValueError("orbit cap exceeded")
 
 
-def _doubling_orbit(x: Fraction, cap: int = 1_000_000) -> tuple[list[int], int]:
-    """The numerators of ``_doubling_points`` as a list, and their denominator."""
-    x = Fraction(x)
-    return list(_doubling_points(x, cap)), x.denominator
-
-
 def gamma_tilde_orbit(x: Fraction, cap: int = 1_000_000) -> list[Fraction]:
     """Doubling-map orbit of a rational until the first repeat (exact)."""
-    orbit, q = _doubling_orbit(x, cap)
-    return [Fraction(y, q) for y in orbit]
+    x = Fraction(x)
+    return [Fraction(y, x.denominator) for y in _doubling_points(x, cap)]
 
 
 def gamma_tilde_member(x: Fraction, cap: int = 1_000_000) -> bool:

@@ -57,6 +57,7 @@ __all__ = [
     "episturmian_factor_corpus",
     "default_roster",
     "naive_min_max",
+    "least_suffix_by_letters",
     "shift_chain_by_letters",
     "epistandard_ineq_by_order",
     "fine_by_order",

@@ -46,7 +46,13 @@ __all__ = [
 ]
 
 # Safety cap for any single prefix evaluation; overridable via environment.
-MAX_PREFIX = int(os.environ.get("STURMLEX_MAX_LEN", "1000000"))
+_cap_text = os.environ.get("STURMLEX_MAX_LEN", "1000000")
+try:
+    MAX_PREFIX = int(_cap_text)
+except ValueError:
+    MAX_PREFIX = -1
+if MAX_PREFIX < 0:
+    raise ValueError(f"STURMLEX_MAX_LEN must be a non-negative integer, got {_cap_text!r}")
 
 # Letters a generator adds at least per growth, and most parent letters a
 # view reads at a time.
@@ -750,10 +756,11 @@ def _periods(data: bytes, alphabet: Alphabet) -> tuple[int, UltimatelyPeriodicWo
         raise ValueError("empty material")
     z, half = _z_array(data[::-1]), (n + 1) // 2
     c = next((p for p in range(1, n // 3 + 1) if z[p] + p >= half and z[p] >= 2 * p), 0)
-    period = next((p for p in range(c or n // 3 + 1, n) if z[p] + p == n), n)
     if not c:
-        return period, None
+        return next((p for p in range(n // 3 + 1, n) if z[p] + p == n), n), None
+    # a > 0: a period p <= z[c] would give the tail period gcd(p, c) (Fine-Wilf) and extend it past a
     a = n - c - z[c]
+    period = next((p for p in range(z[c] + 1, n) if z[p] + p == n), n) if a else c
     return period, UltimatelyPeriodicWord(FiniteWord(data[:a], alphabet), FiniteWord(data[a : a + c], alphabet))
 
 

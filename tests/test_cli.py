@@ -1,6 +1,10 @@
 """CLI contract: subcommands, exit codes, deterministic machine output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,24 @@ class TestGenerate:
             "--len", "8",
         )
         assert code == 0 and out.strip() == "abaabab a".replace(" ", "")
+
+    @pytest.mark.parametrize("leaf, spec", [
+        (["mechanical", "--alpha", "(3-1*sqrt(5))/2"], "mechanical:(3-1*sqrt(5))/2:same"),
+        (["mechanical", "--alpha", "(3-1*sqrt(5))/2", "--rho", "same "], "mechanical:(3-1*sqrt(5))/2:same"),
+        (["mechanical", "--alpha", "2/5", "--rho", " SAME", "--upper"], "mechanical-upper:2/5:same"),
+        (["mechanical", "--upper", "--alpha", "(3-1*sqrt(5))/2", "--rho", "1/3"],
+         "mechanical-upper:(3-1*sqrt(5))/2:1/3"),
+        (["mechanical", "--alpha", "(3-1*sqrt(5))/2", "--rho", "-1/3"], "mechanical:(3-1*sqrt(5))/2:-1/3"),
+        (["epistandard", "--directive", "abc*"], "epistandard:abc*"),
+        (["epistandard", "--directive", " ab|cd "], "epistandard:ab|cd"),
+        (["morphic", "--morphism", "a>ab,b>a", "--word", "fib"], "morphic:a>ab,b>a:fib"),
+        (["thue-morse"], "thue-morse"),
+    ])
+    def test_leaf_is_its_spec_form(self, capsys, leaf, spec):
+        code, out, err = run(capsys, "--format", "json", "generate", *leaf, "--len", "40")
+        w = word_from_spec(spec)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"recipe": w.recipe, "length": 40, "word": w.prefix(40).as_str()}
 
 
 class TestAnalyze:
@@ -239,6 +261,11 @@ class TestErrors:
         code, _, err = run(capsys, "generate", "mechanical", "--alpha", "nonsense")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("alpha, rho", [("1:3", "same"), ("1/3", "1:3")])
+    def test_colon_in_a_mechanical_option_is_a_usage_error(self, capsys, alpha, rho):
+        code, out, err = run(capsys, "generate", "mechanical", "--alpha", alpha, "--rho", rho)
+        assert (code, out, err) == (2, "", "error: mechanical: expected mechanical:ALPHA:RHO\n")
+
     def test_bad_word_spec(self, capsys):
         code, _, err = run(capsys, "analyze", "balance", "--word", "unknown:thing")
         assert code == 2
@@ -264,3 +291,35 @@ class TestErrors:
         path.write_text(word_to_text(w), encoding="utf-8")
         again = word_from_spec(f"file:{path}")
         assert again.preperiod == w.preperiod and again.period == w.period
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def child(argv, cap):
+    """Exit code, stdout and stderr of ``python argv`` with STURMLEX_MAX_LEN=cap."""
+    env = dict(os.environ, STURMLEX_MAX_LEN=cap)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+    return out.returncode, out.stdout, out.stderr
+
+
+GENERATE = ["-m", "sturmlex.cli", "generate", "thue-morse", "--len", "5"]
+
+
+@pytest.mark.parametrize("cap", ["abc", "-1", "1e6", ""])
+def test_malformed_max_len_is_a_usage_error(cap):
+    message = f"STURMLEX_MAX_LEN must be a non-negative integer, got {cap!r}"
+    assert child(GENERATE, cap) == (2, "", f"error: {message}\n")
+    code, out, err = child(["-c", "import sturmlex.words"], cap)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == f"ValueError: {message}"
+
+
+@pytest.mark.parametrize("cap, expected", [
+    (" 5 ", (0, "01101\n", "")),
+    ("+1_0", (0, "01101\n", "")),
+    ("4", (2, "", "error: prefix request 5 exceeds cap 4 (STURMLEX_MAX_LEN)\n")),
+])
+def test_every_int_text_is_a_cap(cap, expected):
+    assert child(GENERATE, cap) == expected

@@ -7,6 +7,8 @@ the full parser gives.
 """
 
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import os
@@ -248,3 +250,18 @@ def test_main_builds_the_parser_of_the_first_group_named(argv, group, monkeypatc
     monkeypatch.setattr(cli, "build_parser", spy)
     outcome(cli.main, argv)
     assert asked == [group]
+
+
+@pytest.mark.parametrize("module", NAMESPACE)
+def test_every_public_definition_is_exported_by_its_module(module):
+    mod = importlib.import_module(f"sturmlex.{module}")
+    defined = [name for name, value in vars(mod).items()
+               if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+               and value.__module__ == mod.__name__]
+    assert defined and sorted(set(defined) - set(mod.__all__)) == []
+
+
+@pytest.mark.parametrize("module", NAMESPACE)
+def test_every_package_export_is_in_its_module_all(module):
+    mod = importlib.import_module(f"sturmlex.{module}")
+    assert sorted(set(sturmlex._EXPORTS[module]) - set(mod.__all__)) == []

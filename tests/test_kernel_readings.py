@@ -87,6 +87,25 @@ def test_certificate_and_period_of_every_short_word(size, longest):
             assert_matches_references(bytes(letters), size)
 
 
+def test_period_of_words_with_a_long_certified_tail():
+    """u v^k and a^i b a^m: the period scan starts past the tail's overlap z[c] when the tail starts after 0."""
+    tails = [b"\x00", b"\x01", b"\x00\x01", b"\x00\x00\x01", b"\x00\x01\x01"]
+    inputs = preperiods = 0
+    for n in range(1, 7):
+        for u in itertools.product(b"\x00\x01", repeat=n):
+            for v in tails:
+                for k in range(max(3, n), n + 9):
+                    data = bytes(u) + v * k
+                    assert_matches_references(data, 2)
+                    inputs += 1
+                    preperiods += len(_periods(data, Alphabet.of_size(2))[1].preperiod) > 0
+    for i in range(6):
+        for m in range(60):
+            assert_matches_references(b"\x00" * i + b"\x01" + b"\x00" * m, 2)
+    # most tails start after 0, where the scan starts past z[c]
+    assert preperiods > inputs // 2
+
+
 @pytest.mark.parametrize("size, longest_u, longest_v", [(2, 7, 5), (3, 4, 4)])
 def test_canonical_form_of_every_short_pair(size, longest_u, longest_v):
     alphabet = Alphabet.of_size(size)

@@ -15,7 +15,7 @@ from sturmlex.generators import characteristic, fibonacci_slope
 from sturmlex.modone import (
     DigitExpansion,
     RationalInterval,
-    _doubling_orbit,
+    _doubling_points,
     digits_from_rational,
     fractional_parts,
     gamma_tilde_member,
@@ -109,8 +109,8 @@ def test_gamma_tilde_matches_fraction_oracle(x, k):
     # the same rational written unreduced, as the command line may give it
     unreduced = Fraction(f"{k * x.numerator}/{k * x.denominator}")
     assert gamma_tilde_member(unreduced) is member
-    assert _doubling_orbit(unreduced) == ([y.numerator * (x.denominator // y.denominator)
-                                           for y in orbit], x.denominator)
+    assert list(_doubling_points(unreduced)) == [y.numerator * (x.denominator // y.denominator)
+                                                 for y in orbit]
 
 
 @pytest.mark.parametrize("x, member, orbit", [
@@ -203,3 +203,16 @@ def test_thue_morse_constant_width():
         iv = thue_morse_constant(n)
         assert iv.width == Fraction(1, 2 ** (n - 1))
         assert math.gcd(iv.lo.numerator, iv.lo.denominator) == 1
+
+
+@pytest.mark.parametrize("digits", [
+    FiniteWord(b"\x01\x00\x01\x01", Alphabet.digits(2)),
+    characteristic(fibonacci_slope()),
+])
+def test_negative_digit_counts_are_refused(digits):
+    d = DigitExpansion(2, digits)
+    for n in (-1, -3, -5):
+        with pytest.raises(ValueError, match=rf"^prefix length must be non-negative, got {n}$"):
+            d.prefix_digits(n)
+        with pytest.raises(ValueError, match=rf"^prefix length must be non-negative, got {n}$"):
+            real_bounds_from_digits(d, n)

@@ -18,22 +18,24 @@ _EXPORTS = {
         "LexOrder",
         "Relation",
         "UltimatelyPeriodicWord",
+        "complement",
+        "is_palindrome",
+        "prepend",
+        "reversal",
+        "shift",
+        "word_from_text",
+        "word_to_text",
+    ),
+    "analysis": (
         "balance_violation",
         "block_condition",
         "classify_eventually_periodic",
-        "complement",
         "complexity",
         "detect_period",
         "factors",
         "is_balanced",
-        "is_palindrome",
         "lex_compare",
-        "prepend",
-        "reversal",
-        "shift",
         "special_factors",
-        "word_from_text",
-        "word_to_text",
     ),
     "surds": ("QuadraticSurd", "parse_surd", "surd_compare", "surd_floor"),
     "generators": (

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
+from .analysis import _factor_keys, _first_violation, _least_suffix, _unbalanced_core, _z_array
 from .generators import characteristic, fibonacci_slope, iterated_pal
 from .surds import QuadraticSurd
 from .words import (
@@ -22,17 +23,12 @@ from .words import (
     InfiniteWord,
     LexOrder,
     UltimatelyPeriodicWord,
-    _factor_keys,
     _first_difference,
-    _first_violation,
     _FrozenRecord,
-    _least_suffix,
     _material,
     _rank_table,
     _Record,
     _SWAP,
-    _unbalanced_core,
-    _z_array,
     prepend,
 )
 
@@ -253,7 +249,7 @@ def _shift_chain_check(s: InfiniteWord, lower: bytes, upper: bytes, K: int, L: i
     """Verify lower <= T^k(s) <= upper for all k <= K at comparison depth L, letters in their natural order.
 
     Each bound has L letters.  Each shift costs one slice comparison per bound
-    (``words._first_violation``), and the depth of the first difference is
+    (``analysis._first_violation``), and the depth of the first difference is
     found for a witness only.  ``oracle.shift_chain_by_letters`` is the reference.
     """
     _check_bounds(K, L)
@@ -559,7 +555,7 @@ def local_balance_check(
 
     Also records whether the weaker palindromic-factors-only variant holds.
     The distinct length-(m+2) factors are the (m+2)-prefixes of one key set
-    (``words._factor_keys``), so the material is sliced once, not once per m.
+    (``analysis._factor_keys``), so the material is sliced once, not once per m.
     """
     data = _local_balance_material(t, n_max, prefix_length)
     keys = _factor_keys(data, n_max + 2)

@@ -15,7 +15,8 @@ construction.  The letter-by-letter constructions these replace live in
 
 from __future__ import annotations
 
-from .surds import QuadraticSurd, progression_letters
+from typing import TYPE_CHECKING
+
 from .words import (
     _SWAP,
     BINARY,
@@ -28,6 +29,10 @@ from .words import (
     _FrozenRecord,
     _image,
 )
+
+# surds is imported where a slope is used, so a word with no slope loads no surd arithmetic
+if TYPE_CHECKING:
+    from .surds import QuadraticSurd
 
 __all__ = [
     "DirectiveWord",
@@ -48,6 +53,8 @@ __all__ = [
 
 def fibonacci_slope() -> QuadraticSurd:
     """(3 - sqrt(5))/2, the slope whose characteristic word starts 01001010."""
+    from .surds import QuadraticSurd
+
     return QuadraticSurd(3, -1, 5, 2)
 
 
@@ -185,6 +192,8 @@ def kbonacci(k: int) -> InfiniteWord:
 # mechanical words
 
 def _as_surd(x) -> QuadraticSurd:
+    from .surds import QuadraticSurd
+
     if isinstance(x, QuadraticSurd):
         return x
     return QuadraticSurd.from_fraction(x)
@@ -197,6 +206,8 @@ def _floor_differences(alpha: QuadraticSurd, rho: QuadraticSurd, use_ceiling: bo
     upper letters are ceil(alpha) - floor(alpha) minus the lower letters of
     (-alpha, -rho): those letters swapped, or all 0 when alpha is an integer.
     """
+    from .surds import progression_letters
+
     letters = progression_letters(-alpha, -rho) if use_ceiling else progression_letters(alpha, rho)
     swap = _SWAP if use_ceiling and alpha != alpha.floor() else None
     buf = bytearray()

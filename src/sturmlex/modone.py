@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
+from .analysis import _first_violation, classify_eventually_periodic, complexity, is_balanced
 from .generators import characteristic, thue_morse
 from .surds import QuadraticSurd
 from .words import (
@@ -19,13 +20,9 @@ from .words import (
     InfiniteWord,
     UltimatelyPeriodicWord,
     _check_cap,
-    _first_violation,
     _FrozenRecord,
     _material,
     _Record,
-    classify_eventually_periodic,
-    complexity,
-    is_balanced,
 )
 
 if TYPE_CHECKING:

@@ -366,7 +366,7 @@ def block_violation_by_length(data: bytes) -> bytes | None:
 
 
 def balance_violation_by_length(data: bytes) -> tuple[bytes, bytes] | None:
-    """words.balance_violation by one count array per length: the first least and greatest windows, or None."""
+    """analysis.balance_violation by one count array per length: the first least and greatest windows, or None."""
     # 4-byte ints: n + 1 Python ints would take about 36 bytes each
     pre = array("i", itertools.accumulate(data, initial=0))
     for length in range(1, len(data) + 1):
@@ -379,7 +379,7 @@ def balance_violation_by_length(data: bytes) -> tuple[bytes, bytes] | None:
 
 
 def eventually_periodic_by_tails(data: bytes) -> tuple[bytes, bytes] | None:
-    """words.classify_eventually_periodic by one backward scan per period: (u, v) before canonical form, or None."""
+    """analysis.classify_eventually_periodic by one backward scan per period: (u, v) before canonical form, or None."""
     n = len(data)
     for p in range(1, n // 3 + 1):
         a = 0
@@ -403,7 +403,7 @@ def canonical_uv_by_letters(u: bytes, v: bytes) -> tuple[bytes, bytes]:
 
 
 def smallest_period_by_shifts(data: bytes) -> int:
-    """words.detect_period by one slice comparison per shift p: the least p with data[p:] == data[:n - p]."""
+    """analysis.detect_period by one slice comparison per shift p: the least p with data[p:] == data[:n - p]."""
     return next(p for p in range(1, len(data) + 1) if data[p:] == data[: len(data) - p])
 
 

@@ -10,18 +10,9 @@ import random
 import time
 from fractions import Fraction
 
+from sturmlex.analysis import block_condition, complexity, is_balanced
 from sturmlex.surds import QuadraticSurd
-from sturmlex.words import (
-    BINARY,
-    Alphabet,
-    FiniteWord,
-    LexOrder,
-    UltimatelyPeriodicWord,
-    block_condition,
-    complexity,
-    is_balanced,
-    prepend,
-)
+from sturmlex.words import BINARY, Alphabet, FiniteWord, LexOrder, UltimatelyPeriodicWord, prepend
 from sturmlex.generators import (
     DirectiveWord,
     Morphism,

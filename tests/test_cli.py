@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import sturmlex.words
-from sturmlex.cli import main, word_from_spec
+from sturmlex.cli import main
+from sturmlex.commands import word_from_spec
 from sturmlex.words import UltimatelyPeriodicWord, word_to_text
 
 

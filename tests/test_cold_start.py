@@ -1,9 +1,11 @@
 """Start-up: each command loads only the layers it runs, with the same output.
 
 `import sturmlex` loads no submodule; the package names resolve on first
-access to the very objects the submodules define.  A command builds the leaf
-parsers of its own group only, and its help and usage errors are the bytes
-the full parser gives.
+access to the very objects the submodules define.  A command imports the
+command module of its own group only (`sturmlex.commands.<group>`), builds
+that group's leaf parsers only, and its help and usage errors are the bytes
+the full parser gives.  Words with no slope load no surd arithmetic and no
+factor analysis.
 """
 
 import contextlib
@@ -23,15 +25,16 @@ from sturmlex import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# every public name of the package, by the submodule that defines it, as
-# the package bound them when it imported all six submodules eagerly
+# every public name of the package, by the submodule that defines it
 NAMESPACE = {
     "words": [
         "Alphabet", "BINARY", "BINARY_AB", "ComparisonOutcome", "FiniteWord", "InfiniteWord",
-        "LexOrder", "Relation", "UltimatelyPeriodicWord", "balance_violation", "block_condition",
-        "classify_eventually_periodic", "complement", "complexity", "detect_period", "factors",
-        "is_balanced", "is_palindrome", "lex_compare", "prepend", "reversal", "shift",
-        "special_factors", "word_from_text", "word_to_text",
+        "LexOrder", "Relation", "UltimatelyPeriodicWord", "complement", "is_palindrome", "prepend",
+        "reversal", "shift", "word_from_text", "word_to_text",
+    ],
+    "analysis": [
+        "balance_violation", "block_condition", "classify_eventually_periodic", "complexity",
+        "detect_period", "factors", "is_balanced", "lex_compare", "special_factors",
     ],
     "surds": ["QuadraticSurd", "parse_surd", "surd_compare", "surd_floor"],
     "generators": [
@@ -54,7 +57,7 @@ NAMESPACE = {
     "oracle": ["enumerate_balanced", "episturmian_factor_corpus", "naive_min_max"],
 }
 EXPORTS = [name for names in NAMESPACE.values() for name in names]
-PUBLIC = sorted([*EXPORTS, *NAMESPACE])  # the exports and the six submodules
+PUBLIC = sorted([*EXPORTS, *NAMESPACE])  # the exports and the seven submodules
 
 
 def fresh(code: str) -> list:
@@ -80,24 +83,35 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(json.dumps([code, {loaded}]))
 """
 
-WORD_LAYERS = ["sturmlex", "sturmlex.cli", "sturmlex.generators", "sturmlex.surds", "sturmlex.words"]
 
 
+def own_modules(argv: list[str]) -> list[str]:
+    """The CLI modules a command loads: its group's command module, or every group's for the full parser."""
+    groups = [argv[0]] if argv[0] in cli._GROUPS else list(cli._GROUPS)
+    return ["sturmlex", "sturmlex.cli", "sturmlex.commands", *(f"sturmlex.commands.{g}" for g in groups)]
+
+
+SLOPES = ["sturmlex.analysis", "sturmlex.generators", "sturmlex.surds"]  # a word with a slope, analysed
+THUE_MORSE = ["generate", "thue-morse", "--len", "10"]
+EPISTANDARD = ["generate", "epistandard", "--directive", "abc*", "--len", "10"]
+
+# argv, and the library layers it loads besides words and its own modules
 COMMANDS = [
-    (["generate", "thue-morse", "--len", "10"], []),
-    (["analyze", "complexity", "--word", "fib", "--k-max", "4", "--prefix", "100"], []),
-    (["analyze", "balance", "--word", "fib", "--prefix", "100"], []),
+    (THUE_MORSE, ["sturmlex.generators"]),
+    (["analyze", "complexity", "--word", "fib", "--k-max", "4", "--prefix", "100"], SLOPES),
+    (["analyze", "balance", "--word", "fib", "--prefix", "100"], SLOPES),
     (["analyze", "local-balance", "--word", "fib", "--n-max", "3", "--prefix", "100"],
-     ["sturmlex.extremal"]),
-    (["extremal", "characteristic", "--word", "fib", "--K", "20", "--L", "40"], ["sturmlex.extremal"]),
-    (["modone", "cover", "--word", "fib", "--N", "20", "--L", "16"], ["sturmlex.modone"]),
-    (["modone", "veerman", "--alpha", "(3-1*sqrt(5))/2", "--L", "16"], ["sturmlex.modone"]),
+     [*SLOPES, "sturmlex.extremal"]),
+    (["extremal", "characteristic", "--word", "fib", "--K", "20", "--L", "40"], [*SLOPES, "sturmlex.extremal"]),
+    (["modone", "cover", "--word", "fib", "--N", "20", "--L", "16"], [*SLOPES, "sturmlex.modone"]),
+    (["modone", "veerman", "--alpha", "(3-1*sqrt(5))/2", "--L", "16"], [*SLOPES, "sturmlex.modone"]),
     (["modone", "self-sturmian", "--word", "prepend:1:characteristic:(-1+1*sqrt(5))/2",
-      "--K", "100", "--L", "200"], ["sturmlex.extremal", "sturmlex.modone"]),
-    (["oracle", "enumerate", "--n", "4"], ["sturmlex.extremal", "sturmlex.modone", "sturmlex.oracle"]),
+      "--K", "100", "--L", "200"], [*SLOPES, "sturmlex.extremal", "sturmlex.modone"]),
+    (["oracle", "enumerate", "--n", "4"], [*SLOPES, "sturmlex.extremal", "sturmlex.modone", "sturmlex.oracle"]),
     (["--help"], []),
-    (["modone", "classify", "--word", "fib", "--prefix", "300"], ["sturmlex.modone"]),
-    (["analyze", "block-condition", "--word", "fib", "--prefix", "100"], []),
+    (["modone", "classify", "--word", "fib", "--prefix", "300"], [*SLOPES, "sturmlex.modone"]),
+    (["analyze", "block-condition", "--word", "fib", "--prefix", "100"], SLOPES),
+    (EPISTANDARD, ["sturmlex.generators"]),
 ]
 
 
@@ -105,7 +119,9 @@ COMMANDS = [
 def test_a_command_loads_only_its_layers(argv, extra):
     code, loaded = fresh(COMMAND.format(argv=argv, loaded=LOADED))
     assert code == 0
-    assert loaded == sorted(WORD_LAYERS + extra)
+    assert loaded == sorted([*own_modules(argv), "sturmlex.words", *extra])
+    if argv[0] in cli._GROUPS:
+        assert [m for m in loaded if m.startswith("sturmlex.commands.")] == [f"sturmlex.commands.{argv[0]}"]
 
 
 # which of ``modules`` a command loads, read before json is imported to print it
@@ -139,13 +155,52 @@ def test_text_generate_loads_no_json(argv):
     assert fresh(STDLIB.format(argv=argv, modules=["json"])) == [0, []]
 
 
+@pytest.mark.parametrize("argv", [THUE_MORSE, EPISTANDARD])
+def test_words_without_a_slope_load_no_rationals(argv):
+    assert fresh(STDLIB.format(argv=argv, modules=["fractions", "decimal"])) == [0, []]
+
+
 def test_import_loads_no_submodule():
     assert fresh(f"import json, sys, sturmlex; print(json.dumps({LOADED}))") == ["sturmlex"]
 
 
 def test_one_name_loads_its_own_submodule():
     code = f"import json, sys; from sturmlex import complexity; print(json.dumps({LOADED}))"
-    assert fresh(code) == ["sturmlex", "sturmlex.words"]
+    assert fresh(code) == ["sturmlex", "sturmlex.analysis", "sturmlex.words"]
+
+
+def test_generators_load_surds_only_for_a_slope():
+    code = (f"import json, sys; from sturmlex import thue_morse; before = {LOADED}; "
+            f"from sturmlex import fibonacci_slope; fibonacci_slope(); print(json.dumps([before, {LOADED}]))")
+    assert fresh(code) == [["sturmlex", "sturmlex.generators", "sturmlex.words"],
+                           ["sturmlex", "sturmlex.generators", "sturmlex.surds", "sturmlex.words"]]
+
+
+# a command run as `python -m sturmlex.cli` does: the module runs as __main__
+AS_MAIN = """
+import contextlib, io, json, runpy, sys
+sys.argv = ["sturmlex", *{argv!r}]
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    try:
+        runpy.run_module("sturmlex.cli", run_name="__main__", alter_sys=True)
+        code = None
+    except SystemExit as e:
+        code = e.code
+print(json.dumps([code, err.getvalue(), "sturmlex.cli" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (THUE_MORSE, 0, ""),
+    (["--help"], 0, ""),
+    (["extremal", "characteristic", "--word", "bogus:1"], 2, "error: unknown word spec 'bogus:1'\n"),
+    (["modone", "gamma-tilde", "--x", "1/0"], 2, "error: '1/0' has a zero denominator\n"),
+    (["analyze", "balance", "--word", "mechanical:1/3"], 2, "error: mechanical: expected mechanical:ALPHA:RHO\n"),
+], ids=["generate", "help", "unknown-spec", "zero-denominator", "malformed-spec"])
+def test_run_as_main_imports_no_second_cli(argv, code, err):
+    """A group module that imported sturmlex.cli would compile and run it a second time."""
+    assert fresh(AS_MAIN.format(argv=argv)) == [code, err, False]
 
 
 def test_every_name_is_the_submodules_object():

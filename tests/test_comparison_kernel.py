@@ -1,6 +1,6 @@
 """The shift-chain comparison kernel against letter-by-letter references.
 
-`words._first_violation` decides where a shift first leaves its bounds and
+`analysis._first_violation` decides where a shift first leaves its bounds and
 `words._first_difference` where two words first differ.  Every shift-chain
 check in `extremal` and the characteristic-shift search of `modone` run on
 them; here they are checked against `oracle.shift_chain_by_letters`, a loop
@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sturmlex.cli import main, word_from_spec
+from sturmlex.cli import main
+from sturmlex.commands import word_from_spec
 from sturmlex.extremal import (
     MAX_PHI_DEPTH,
     GanCandidate,

@@ -5,18 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from sturmlex.analysis import balance_violation, is_balanced
 from sturmlex.surds import QuadraticSurd
-from sturmlex.words import (
-    BINARY,
-    BINARY_AB,
-    Alphabet,
-    FiniteWord,
-    LexOrder,
-    UltimatelyPeriodicWord,
-    balance_violation,
-    is_balanced,
-    prepend,
-)
+from sturmlex.words import BINARY, BINARY_AB, Alphabet, FiniteWord, LexOrder, UltimatelyPeriodicWord, prepend
 from sturmlex.generators import (
     DirectiveWord,
     Morphism,

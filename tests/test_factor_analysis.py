@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmlex.analysis import balance_violation, complexity, is_balanced
 from sturmlex import modone
 from sturmlex.cli import main
 from sturmlex.extremal import max_finite, min_finite
@@ -28,7 +29,7 @@ from sturmlex.oracle import (
     finite_extremal_by_chain,
     fractional_parts_by_shift,
 )
-from sturmlex.words import Alphabet, FiniteWord, LexOrder, balance_violation, complexity, is_balanced
+from sturmlex.words import Alphabet, FiniteWord, LexOrder
 
 B2 = Alphabet.of_size(2)
 

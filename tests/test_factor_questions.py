@@ -1,9 +1,9 @@
 """Special factors, local balance and the block condition against their per-window references.
 
-`words.special_factors` groups the distinct windows of one length,
+`analysis.special_factors` groups the distinct windows of one length,
 `extremal.local_balance_check` reads every length from one key set
-(`words._factor_keys`), and `block_condition` reads the balance kernel
-`words._unbalanced_core` off min(w) and max(w).  Each is checked
+(`analysis._factor_keys`), and `block_condition` reads the balance kernel
+`analysis._unbalanced_core` off min(w) and max(w).  Each is checked
 here against a per-window or per-length loop kept in `oracle`: exhaustively
 on short binary words, and by hypothesis on random, periodic and generated
 words over one to four letters.  The command-line cases at the end cover
@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmlex.analysis import _unbalanced_core, block_condition, special_factors
 from sturmlex.cli import _GROUPS, _SWITCHES, _join_negative_values, main
 from sturmlex.extremal import local_balance_check
 from sturmlex.generators import (
@@ -39,14 +40,7 @@ from sturmlex.oracle import (
     local_balance_by_length,
     special_factors_by_window,
 )
-from sturmlex.words import (
-    BINARY,
-    Alphabet,
-    FiniteWord,
-    _unbalanced_core,
-    block_condition,
-    special_factors,
-)
+from sturmlex.words import BINARY, Alphabet, FiniteWord
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 

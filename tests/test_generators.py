@@ -7,21 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmlex.analysis import detect_period, factors, is_balanced, lex_compare, special_factors
 from sturmlex.surds import QuadraticSurd
-from sturmlex.words import (
-    BINARY,
-    BINARY_AB,
-    Alphabet,
-    FiniteWord,
-    detect_period,
-    factors,
-    is_balanced,
-    lex_compare,
-    prepend,
-    reversal,
-    special_factors,
-    Relation,
-)
+from sturmlex.words import BINARY, BINARY_AB, Alphabet, FiniteWord, prepend, reversal, Relation
 from sturmlex.generators import (
     DirectiveWord,
     Morphism,
@@ -114,7 +102,7 @@ class TestEpistandard:
             DirectiveWord.from_text("ab*")
         ).prefix_bytes(200)
         assert kbonacci(3).prefix(16).as_str() == "abacabaabacababa"
-        from sturmlex.words import complexity
+        from sturmlex.analysis import complexity
 
         assert complexity(kbonacci(3), 10, 2000) == [2 * n + 1 for n in range(1, 11)]
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 Letter names: `Alphabet.for_text` names the letters of text, for words
 (`FiniteWord.from_str`, `up:`), directives (`DirectiveWord.from_text`) and the
-letters `prepend:` and `morphic:` add to a base word (`cli._widen`).
+letters `prepend:` and `morphic:` add to a base word (`commands._widen`).
 
 Material: `words._material` gives the letters an analysis reads.  A finite
 word is its own material; `prefix_length` (else a default) is a prefix of an
@@ -11,14 +11,7 @@ infinite word, and an infinite word with neither is an error.
 
 import pytest
 
-from sturmlex.cli import _widen, main, word_from_spec
-from sturmlex.extremal import local_balance_check, max_factor, min_factor
-from sturmlex.generators import DirectiveWord, characteristic, fibonacci_slope
-from sturmlex.oracle import naive_min_max
-from sturmlex.words import (
-    Alphabet,
-    FiniteWord,
-    Relation,
+from sturmlex.analysis import (
     balance_violation,
     block_condition,
     classify_eventually_periodic,
@@ -27,8 +20,13 @@ from sturmlex.words import (
     is_balanced,
     lex_compare,
     special_factors,
-    word_from_text,
 )
+from sturmlex.cli import main
+from sturmlex.commands import _widen, word_from_spec
+from sturmlex.extremal import local_balance_check, max_factor, min_factor
+from sturmlex.generators import DirectiveWord, characteristic, fibonacci_slope
+from sturmlex.oracle import naive_min_max
+from sturmlex.words import Alphabet, FiniteWord, Relation, word_from_text
 
 FIB = characteristic(fibonacci_slope())
 

@@ -1,8 +1,8 @@
-"""The balance witness, the periodic certificate and the canonical u v^omega, read off kernels in `words`.
+"""The balance witness, the periodic certificate and the canonical u v^omega, read off kernels in `analysis` and `words`.
 
 `balance_violation` returns 0u0 and 1u1 for the u of the balance kernel,
 `classify_eventually_periodic` and `detect_period` read one Z-array of the
-reversed material (`words._periods`), and `UltimatelyPeriodicWord` moves
+reversed material (`analysis._periods`), and `UltimatelyPeriodicWord` moves
 the common suffix of u and ...vvv into v with one first-difference search.
 Each is checked here against the search loop it replaced, kept in `oracle`:
 exhaustively on short words, by hypothesis on periodic, generated and
@@ -23,6 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmlex.analysis import (
+    _periods,
+    _z_array,
+    balance_violation,
+    classify_eventually_periodic,
+    detect_period,
+)
 from sturmlex.generators import DirectiveWord, characteristic, epistandard, fibonacci_slope, kbonacci, thue_morse
 from sturmlex.oracle import (
     balance_violation_by_length,
@@ -30,18 +37,7 @@ from sturmlex.oracle import (
     eventually_periodic_by_tails,
     smallest_period_by_shifts,
 )
-from sturmlex.words import (
-    Alphabet,
-    FiniteWord,
-    UltimatelyPeriodicWord,
-    _first_difference,
-    _periods,
-    _z_array,
-    balance_violation,
-    classify_eventually_periodic,
-    detect_period,
-    shift,
-)
+from sturmlex.words import Alphabet, FiniteWord, UltimatelyPeriodicWord, _first_difference, shift
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sturmlex import words
+from sturmlex import analysis
+from sturmlex.analysis import _least_suffix
 from sturmlex.extremal import _finite_extremal, max_factor, max_finite, min_factor, min_finite
 from sturmlex.generators import DirectiveWord, characteristic, epistandard, fibonacci_slope, kbonacci, thue_morse
 from sturmlex.oracle import finite_extremal_by_chain, least_suffix_by_letters, naive_min_max
 from sturmlex.surds import QuadraticSurd
-from sturmlex.words import Alphabet, FiniteWord, LexOrder, _least_suffix
+from sturmlex.words import Alphabet, FiniteWord, LexOrder
 
 
 def test_least_suffix_of_every_short_word_and_every_last():
@@ -62,7 +63,7 @@ def test_min_max_finite_match_the_chain_rescan(word_order):
 @pytest.mark.parametrize("run", [1, 2])
 def test_equal_runs_finished_in_c_on_every_short_word_and_every_last(run):
     # a trigger of 1 or 2 letters sends every equal run of at least 2 or 4 letters through _common_run
-    with mock.patch.object(words, "_RUN", run):
+    with mock.patch.object(analysis, "_RUN", run):
         for size, longest in ((2, 10), (3, 7)):
             for n in range(1, longest + 1):
                 for letters in itertools.product(range(size), repeat=n):
@@ -110,7 +111,7 @@ def long_runs(draw):
 @settings(max_examples=300, deadline=None)
 def test_long_equal_runs_match_the_letter_loop(s_last, run):
     s, last = s_last
-    with mock.patch.object(words, "_RUN", run):
+    with mock.patch.object(analysis, "_RUN", run):
         assert _least_suffix(s, last) == least_suffix_by_letters(s, last)
 
 

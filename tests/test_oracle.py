@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from sturmlex.words import Alphabet, FiniteWord, LexOrder, block_condition
+from sturmlex.analysis import block_condition
+from sturmlex.words import Alphabet, FiniteWord, LexOrder
 from sturmlex.generators import DirectiveWord, epistandard, kbonacci
 from sturmlex.extremal import finite_episturmian_test, max_factor, min_factor
 from sturmlex.oracle import (

@@ -4,6 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmlex.analysis import (
+    balance_violation,
+    block_condition,
+    classify_eventually_periodic,
+    complexity,
+    detect_period,
+    factors,
+    is_balanced,
+    lex_compare,
+    special_factors,
+)
 from sturmlex.words import (
     BINARY,
     BINARY_AB,
@@ -13,19 +24,10 @@ from sturmlex.words import (
     LexOrder,
     Relation,
     UltimatelyPeriodicWord,
-    balance_violation,
-    block_condition,
-    classify_eventually_periodic,
-    complexity,
-    detect_period,
-    factors,
-    is_balanced,
     is_palindrome,
-    lex_compare,
     prepend,
     reversal,
     shift,
-    special_factors,
     word_from_text,
     word_to_text,
 )

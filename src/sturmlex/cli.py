@@ -6,10 +6,8 @@ JSON output is deterministic: fixed key order, rationals in lowest terms.
 Word sources are builtin names, inline constructions, or serialized word
 files; see ``--help`` of each subcommand.
 
-This module holds the top-level parser and ``main``.  Each group's leaves
-and handler live in ``sturmlex.commands.<group>``, which ``main`` imports
-for the group a command names, so a command compiles only its group's code
-and the library layers that code runs.
+Each group's leaves and handler live in ``sturmlex.commands.<group>``, which
+``main`` imports only for the group a command names.
 """
 
 from __future__ import annotations

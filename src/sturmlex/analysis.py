@@ -39,6 +39,8 @@ __all__ = [
 
 # Length at which Duval's loop checks if an equal run goes on as far again, and then finishes it in C.
 _RUN = 16
+# Letters per chunk of `_factor_bytes`: only the windows of the distinct chunks are sliced.
+_CHUNK = 64
 
 
 def factors(w: FiniteWord | InfiniteWord, n: int, prefix_length: int | None = None) -> set[FiniteWord]:
@@ -53,7 +55,9 @@ def factors(w: FiniteWord | InfiniteWord, n: int, prefix_length: int | None = No
 
 
 def _factor_bytes(data: bytes, n: int) -> set[bytes]:
-    return {data[i : i + n] for i in range(len(data) - n + 1)}
+    """The distinct length-n windows of data: the window at i lies in the chunk at i - i % _CHUNK."""
+    chunks = {data[i : i + _CHUNK - 1 + n] for i in range(0, len(data) - n + 1, _CHUNK)}
+    return {c[j : j + n] for c in chunks for j in range(len(c) - n + 1)}
 
 
 def _factor_keys(data: bytes, k: int) -> set[bytes]:

@@ -9,9 +9,10 @@ time (epistandard words by one palindromic closure per directive letter,
 mechanical words by one surd floor per letter), floors along a progression
 by one isqrt per term, shift-chain checks by one ranked slice per shift and
 bound, compared letter by letter, the all-orders extremal checks by one such
-check and one min over every window per acceptable pair, factor complexity
-by one set of factors per length, special factors and local balance by one
-entry per window, the block condition by one factor set per length, finite
+check and one min over every window per acceptable pair, distinct windows
+by one slice per position, factor complexity by one set of factors per
+length, special factors and local balance by one entry per window, the
+block condition by one factor set per length, finite
 min/max words by one such min per prefix length, balance witnesses by one
 count array per length, periodic certificates by one backward scan per
 period, the canonical form of u v^omega by one letter per step, smallest
@@ -61,6 +62,7 @@ __all__ = [
     "shift_chain_by_letters",
     "epistandard_ineq_by_order",
     "fine_by_order",
+    "factor_windows_by_position",
     "complexity_by_length",
     "special_factors_by_window",
     "local_balance_by_length",
@@ -329,9 +331,14 @@ def fine_by_order(t: InfiniteWord, K: int, material: int | None = None) -> Bound
     return _fine_verdict(t.alphabet, K, material, mins)
 
 
+def factor_windows_by_position(data: bytes, n: int) -> set[bytes]:
+    """The distinct length-n windows of data, one slice per start position."""
+    return {data[i : i + n] for i in range(len(data) - n + 1)}
+
+
 def complexity_by_length(data: bytes, k_max: int) -> list[int]:
     """p(1..k_max) of the material, one set of distinct factors per length."""
-    return [len({data[i : i + k] for i in range(len(data) - k + 1)}) for k in range(1, k_max + 1)]
+    return [len(factor_windows_by_position(data, k)) for k in range(1, k_max + 1)]
 
 
 def special_factors_by_window(data: bytes, n: int, side: str) -> set[bytes]:

@@ -34,15 +34,7 @@ def test_every_short_binary_word():
                 assert _factor_bytes(data, n) == factor_windows_by_position(data, n), (data, n)
 
 
-def test_empty_window_and_overlong_windows():
-    data = bytes(range(4)) * 50
-    assert _factor_bytes(data, 0) == {b""}
-    assert _factor_bytes(data, len(data)) == {data}
-    assert _factor_bytes(data, len(data) + 1) == set()
-    assert _factor_bytes(b"", 0) == {b""}
-
-
-# lengths next to a multiple of the chunk stride, where the last chunk is full, one letter long or one short
+# lengths at, one past and one short of a multiple of the chunk stride
 BOUNDARY_LENGTHS = [m for m in range(301) if m % _CHUNK in (0, 1, _CHUNK - 1)]
 
 

@@ -90,12 +90,13 @@ def main(argv: list[str] | None = None) -> int:
     # the first token naming a group picks the leaves to build; with none
     # (--help, a bad group) the full parser reports it
     group = next((token for token in argv if token in _GROUPS), None)
-    args = build_parser(group).parse_args(argv)
-    from .commands import _emit
-
     try:
+        # building the parser loads words, which reads STURMLEX_MAX_LEN
+        args = build_parser(group).parse_args(argv)
+        from .commands import _emit
+
         rep = _group(args.group).run(args)
-    except (ValueError, OSError) as e:  # SpecError is a ValueError
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

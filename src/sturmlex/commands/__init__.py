@@ -12,31 +12,22 @@ parser that lists every leaf compiles no analysis; and it never imports
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import TYPE_CHECKING
 
-try:  # words reads STURMLEX_MAX_LEN as it loads; a malformed value is a usage error
-    from ..words import (
-        Alphabet,
-        FiniteWord,
-        InfiniteWord,
-        UltimatelyPeriodicWord,
-        _image,
-        complement,
-        prepend,
-        shift,
-        word_from_text,
-    )
-except ValueError as e:
-    print(f"error: {e}", file=sys.stderr)
-    sys.exit(2)
+from ..words import (
+    Alphabet,
+    FiniteWord,
+    InfiniteWord,
+    UltimatelyPeriodicWord,
+    _image,
+    complement,
+    prepend,
+    shift,
+    word_from_text,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-class SpecError(ValueError):
-    pass
 
 
 def _rational(text: str) -> Fraction:
@@ -46,7 +37,7 @@ def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise SpecError(f"{text!r} has a zero denominator") from None
+        raise ValueError(f"{text!r} has a zero denominator") from None
 
 
 def _widen(w, letters: str):
@@ -103,7 +94,7 @@ def word_from_spec(spec: str):
 
         parts = rest.split(":")
         if len(parts) != 2:
-            raise SpecError(f"{head}: expected {head}:ALPHA:RHO")
+            raise ValueError(f"{head}: expected {head}:ALPHA:RHO")
         alpha = parse_surd(parts[0])
         rho = alpha if parts[1].strip().lower() == "same" else parse_surd(parts[1])
         make = mechanical_upper if head == "mechanical-upper" else mechanical_lower
@@ -138,13 +129,13 @@ def word_from_spec(spec: str):
     if head == "file":
         with open(rest, encoding="utf-8") as fh:
             return word_from_text(fh.read())
-    raise SpecError(f"unknown word spec {spec!r}")
+    raise ValueError(f"unknown word spec {spec!r}")
 
 
 def _infinite(w) -> InfiniteWord:
     if isinstance(w, InfiniteWord):
         return w
-    raise SpecError("this command needs an infinite word (periodic:, up:, or a generator)")
+    raise ValueError("this command needs an infinite word (periodic:, up:, or a generator)")
 
 
 def _dumps(obj) -> str:

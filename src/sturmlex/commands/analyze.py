@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..words import _material
-from . import Report, SpecError, _dumps, word_from_spec
+from . import Report, _dumps, word_from_spec
 
 
 def add_leaves(ana) -> None:
@@ -72,6 +72,4 @@ def run(args) -> Report:
             obj["certificate"] = {"preperiod": cert.preperiod.as_str(), "period": cert.period.as_str()}
         rep.obj = obj
         rep.lines.append(_dumps(obj))
-    else:  # pragma: no cover
-        raise SpecError(args.what)
     return rep

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..words import Alphabet, FiniteWord, _material
-from . import Report, SpecError, _length, word_from_spec
+from . import Report, _length, word_from_spec
 
 
 def add_leaves(gen) -> None:
@@ -54,8 +54,6 @@ def run(args) -> Report:
     elif args.what == "periodic-balanced":
         v = FiniteWord.from_str(args.v) if args.v else FiniteWord(b"", Alphabet.of_size(2))
         w = periodic_balanced(v, v.alphabet.index(args.x), v.alphabet.index(args.y))
-    else:  # pragma: no cover
-        raise SpecError(args.what)
     data = _material(w, args.len)[: args.len]
     text = FiniteWord(data, w.alphabet).as_str()
     rep.obj = {"recipe": getattr(w, "recipe", "finite"), "length": len(data), "word": text}

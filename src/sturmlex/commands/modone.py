@@ -6,7 +6,7 @@ import argparse
 from typing import TYPE_CHECKING
 
 from ..words import Alphabet, FiniteWord
-from . import Report, SpecError, _dumps, _infinite, _rational, word_from_spec
+from . import Report, _dumps, _infinite, _rational, word_from_spec
 
 if TYPE_CHECKING:
     from ..modone import DigitExpansion
@@ -19,7 +19,7 @@ def _digit_file(path: str) -> DigitExpansion:
     with open(path, encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if len(lines) != 2:
-        raise SpecError("digit file must have two lines: base, digits")
+        raise ValueError("digit file must have two lines: base, digits")
     base = int(lines[0])
     digits = FiniteWord([int(c) for c in lines[1]], Alphabet.digits(base))
     return modone.DigitExpansion(base, digits, "from-word")
@@ -31,7 +31,7 @@ def _digit_source(args, shifts_plus_precision: int) -> DigitExpansion:
     if args.xi_digits:
         d = _digit_file(args.xi_digits)
         if args.base is not None and args.base != d.base:
-            raise SpecError(f"digit file base {d.base} contradicts --base {args.base}")
+            raise ValueError(f"digit file base {d.base} contradicts --base {args.base}")
         return d
     base = 2 if args.base is None else args.base
     if args.xi:
@@ -40,7 +40,7 @@ def _digit_source(args, shifts_plus_precision: int) -> DigitExpansion:
     if args.word:
         w = word_from_spec(args.word)
         return modone.DigitExpansion(base, w, "from-word")
-    raise SpecError("one of --xi, --xi-digits, --word is required")
+    raise ValueError("one of --xi, --xi-digits, --word is required")
 
 
 def add_leaves(mod) -> None:
@@ -136,6 +136,4 @@ def run(args) -> Report:
         rep.lines.append(f"r0 in [{modone._frac_str(r0.lo)}, {modone._frac_str(r0.hi)}]")
         rep.lines.append(f"r1 in [{modone._frac_str(r1.lo)}, {modone._frac_str(r1.hi)}]")
         rep.lines.append(f"r1.lo - r0.lo = {modone._frac_str(gap)}")
-    else:  # pragma: no cover
-        raise SpecError(args.what)
     return rep

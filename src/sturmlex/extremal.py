@@ -381,11 +381,10 @@ def check_epistandard_ineq(
     when some window is (a.s) truncated and no tail behind a ranks below it.
     ``oracle.epistandard_ineq_by_order`` is the per-order reference.
     """
-    material = material if material is not None else default_material(K)
-    data = s.prefix_bytes(max(material, K + L))
+    factors = _material(s, material, default_material(K))
+    data = s.prefix_bytes(max(len(factors), K + L))
     pairs = acceptable_pairs(s.alphabet)
     _check_bounds(K, L)
-    factors = data[:material]
     _check_factor_length(factors, K)
     shift_ties, shift_first = _first_differences(data, data[: L - 1], K + 1)
     head_ties, head_first = _first_differences(factors, data[: K - 1], len(factors) - K + 1)
@@ -407,7 +406,7 @@ def check_epistandard_ineq(
         pairs=results,
         shift_bound=K,
         depth_bound=L,
-        material=material,
+        material=len(factors),
     )
 
 
@@ -502,8 +501,7 @@ def fine_test(t: InfiniteWord, K: int, material: int | None = None) -> BoundedVe
     more scan; agreement holds at the recorded bounds.
     ``oracle.fine_by_order`` is the per-order reference.
     """
-    material = material if material is not None else default_material(K)
-    data = t.prefix_bytes(material)
+    data = _material(t, material, default_material(K))
     pairs = acceptable_pairs(t.alphabet)
     base = _extremal_bytes(data, K, pairs[0].order, want_max=False)
     windows = len(data) - K + 1
@@ -516,7 +514,7 @@ def fine_test(t: InfiniteWord, K: int, material: int | None = None) -> BoundedVe
         if not ties[c] or _earliest_below(first[c], rank) is not None:
             mins.append((pair, _extremal_bytes(data, K, pair.order, want_max=False)))
             break
-    return _fine_verdict(t.alphabet, K, material, mins)
+    return _fine_verdict(t.alphabet, K, len(data), mins)
 
 
 def _fine_verdict(

@@ -384,9 +384,9 @@ def self_sturmian_test(s: InfiniteWord, K: int, L: int) -> BoundedVerdict:
     """Bounded test that s = 1u with u a characteristic word beginning with 1.
 
     Requires the 11 prefix, the characteristic shift inequalities for u at
-    (K, L), and the Sturmian factor-count k+1 for k up to SELF_STURMIAN_DEPTH on
-    the material (which rules out eventually periodic impostors at the
-    observed scale).
+    (K, L), and at most k+1 factors of each length k <= complexity_depth =
+    min(SELF_STURMIAN_DEPTH, K + L) in the first K + L letters of u: only an
+    excess count proves that u is not Sturmian, so only an excess count fails.
     """
     # imported here so that the other modone commands do not load extremal
     from .extremal import BoundedVerdict, _check_bounds, check_sturmian_extremal
@@ -404,17 +404,18 @@ def self_sturmian_test(s: InfiniteWord, K: int, L: int) -> BoundedVerdict:
     if not verdict.holds:
         verdict.detail["reason"] = "tail fails the characteristic inequalities"
         return verdict
-    p = complexity(u, SELF_STURMIAN_DEPTH, K + L)
-    bad = next((k for k, v in enumerate(p, start=1) if v != k + 1), None)
+    depth = min(SELF_STURMIAN_DEPTH, K + L)
+    p = complexity(u, depth, K + L)
+    bad = next((k for k, v in enumerate(p, start=1) if v > k + 1), None)
     if bad is not None:
         return BoundedVerdict(
             False,
             K,
             L,
             witness={"reason": "factor count is not k+1", "k": bad, "p": p[bad - 1]},
-            detail={"complexity_depth": SELF_STURMIAN_DEPTH},
+            detail={"complexity_depth": depth},
         )
-    verdict.detail["complexity_depth"] = SELF_STURMIAN_DEPTH
+    verdict.detail["complexity_depth"] = depth
     return verdict
 
 

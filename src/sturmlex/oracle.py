@@ -304,13 +304,13 @@ def epistandard_ineq_by_order(
     s: InfiniteWord, K: int, L: int, material: int | None = None
 ) -> EpistandardReport:
     """check_epistandard_ineq recomputed with a full shift-chain check and factor scan per order."""
-    material = material if material is not None else default_material(K)
-    data = s.prefix_bytes(max(material, K + L))
+    factors = _material(s, material, default_material(K))
+    data = s.prefix_bytes(max(len(factors), K + L))
     results = []
     for pair in acceptable_pairs(s.alphabet):
         prefixed = bytes([pair.letter]) + data[: max(L, K) - 1]
         verdict = shift_chain_by_letters(s, prefixed[:L], None, K, L, pair.order)
-        m = extremal_factor_by_windows(data[:material], K, pair.order, want_max=False)
+        m = extremal_factor_by_windows(factors, K, pair.order, want_max=False)
         results.append(PairInequality(pair, verdict, equality=(m == prefixed[:K])))
     return EpistandardReport(
         holds=all(r.verdict.holds for r in results),
@@ -318,17 +318,16 @@ def epistandard_ineq_by_order(
         pairs=results,
         shift_bound=K,
         depth_bound=L,
-        material=material,
+        material=len(factors),
     )
 
 
 def fine_by_order(t: InfiniteWord, K: int, material: int | None = None) -> BoundedVerdict:
     """fine_test recomputed with a full factor scan per order."""
-    material = material if material is not None else default_material(K)
-    data = t.prefix_bytes(material)
+    data = _material(t, material, default_material(K))
     pairs = acceptable_pairs(t.alphabet)
     mins = [(pair, extremal_factor_by_windows(data, K, pair.order, want_max=False)) for pair in pairs]
-    return _fine_verdict(t.alphabet, K, material, mins)
+    return _fine_verdict(t.alphabet, K, len(data), mins)
 
 
 def factor_windows_by_position(data: bytes, n: int) -> set[bytes]:

@@ -312,9 +312,13 @@ GENERATE = ["-m", "sturmlex.cli", "generate", "thue-morse", "--len", "5"]
 def test_malformed_max_len_is_a_usage_error(cap):
     message = f"STURMLEX_MAX_LEN must be a non-negative integer, got {cap!r}"
     assert child(GENERATE, cap) == (2, "", f"error: {message}\n")
-    code, out, err = child(["-c", "import sturmlex.words"], cap)
-    assert (code, out) == (1, "")
-    assert err.splitlines()[-1] == f"ValueError: {message}"
+    # the full parser loads every group's leaves, and with them words
+    assert child(["-m", "sturmlex.cli", "--help"], cap) == (2, "", f"error: {message}\n")
+    # importing is not running a command: the error stays an exception
+    for module in ("sturmlex.words", "sturmlex.commands"):
+        code, out, err = child(["-c", f"import {module}"], cap)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"ValueError: {message}"
 
 
 @pytest.mark.parametrize("cap, expected", [

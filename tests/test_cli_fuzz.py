@@ -217,9 +217,13 @@ def test_one_command_per_leaf_reaches_its_verdict():
 
 
 def test_usage_errors_name_the_bad_argument():
-    """Two out-of-domain values that once surfaced as other errors."""
+    """Out-of-domain values that once surfaced as other errors, or as a verdict."""
     code, err = run(["analyze", "special", "--word", "fib", "--n", "-1"])
     assert (code, err) == (2, "error: factor length must be non-negative, got -1\n")
+    for argv in (["extremal", "epistandard-ineq", "--word", "fib", "--K", "5", "--L", "5", "--material", "-1"],
+                 ["extremal", "fine", "--word", "fib", "--K", "5", "--material", "-1"]):
+        code, err = run(argv)
+        assert (code, err) == (2, "error: prefix length must be non-negative, got -1\n"), argv
     for L in ("0", "-2"):
         code, err = run(["modone", "veerman", "--alpha", "(3-1*sqrt(5))/2", "--L", L])
         assert (code, err) == (2, f"error: precision must be at least 1 digit, got {L}\n")

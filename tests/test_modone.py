@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sturmlex.surds import QuadraticSurd
 from sturmlex.words import Alphabet, FiniteWord, UltimatelyPeriodicWord, prepend
-from sturmlex.generators import characteristic, fibonacci_slope
+from sturmlex.generators import characteristic, fibonacci_slope, thue_morse
 from sturmlex.extremal import gamma_membership
 from sturmlex.modone import (
     DigitExpansion,
@@ -189,11 +189,29 @@ class TestSelfSturmian:
         s = UltimatelyPeriodicWord(FiniteWord.from_str("11"), FiniteWord.from_str("0"))
         assert not self_sturmian_test(s, 200, 400).holds
 
-    def test_fails_for_periodic_tail(self):
+    def test_periodic_tail_is_undecided(self):
+        # the 601-letter prefix of 1(10)^w is also a prefix of 1c_alpha for an
+        # irrational alpha just above 1/2, so a low factor count refutes nothing
         s = prepend(FiniteWord.from_str("1"), periodic("10"))
         v = self_sturmian_test(s, 200, 400)
+        assert v.holds and v.undecided > 0
+
+    @pytest.mark.parametrize("alpha, K, L", [
+        (QuadraticSurd(998998, 1, 2, 999998), 200, 400),
+        (QuadraticSurd(-1, 1, 5, 2), 10, 20),
+        (QuadraticSurd(-1, 1, 5, 2), 3, 3),
+    ])
+    def test_holds_for_characteristic_tails_at_any_bounds(self, alpha, K, L):
+        s = prepend(FiniteWord.from_str("1"), characteristic(alpha))
+        v = self_sturmian_test(s, K, L)
+        assert v.holds and v.detail["complexity_depth"] == min(30, K + L)
+
+    def test_fails_on_an_excess_factor_count(self):
+        # at depth 1 every tail passes the inequalities; Thue-Morse has 4 factors of length 2
+        s = prepend(FiniteWord.from_str("11"), thue_morse())
+        v = self_sturmian_test(s, 20, 1)
         assert not v.holds
-        assert v.witness["reason"] == "factor count is not k+1"
+        assert v.witness == {"reason": "factor count is not k+1", "k": 2, "p": 4}
 
 
 class TestGammaTilde:

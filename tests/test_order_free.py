@@ -164,6 +164,8 @@ def error_of(fn, *args):
         ((0, 5), "factor length must be positive"),
         ((200, 5, 100), "factor length 200 exceeds available material 100"),
         ((5, 5, 0), "factor length 5 exceeds available material 0"),
+        ((5, 5, -1), "prefix length must be non-negative, got -1"),
+        ((5, 5, -3), "prefix length must be non-negative, got -3"),
     ],
 )
 def test_epistandard_ineq_errors(args, message):
@@ -173,7 +175,7 @@ def test_epistandard_ineq_errors(args, message):
     assert fast.startswith(message)
 
 
-@pytest.mark.parametrize("args", [(-1,), (0,), (200, 100), (5, 0), (5, -3)])
+@pytest.mark.parametrize("args", [(-1,), (0,), (200, 100), (5, 0), (5, -3), (5, -1)])
 def test_fine_errors(args):
     w = kbonacci(3)
     assert error_of(fine_test, w, *args) == error_of(fine_by_order, w, *args)

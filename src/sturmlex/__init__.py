@@ -19,9 +19,7 @@ _EXPORTS = {
         "Relation",
         "UltimatelyPeriodicWord",
         "complement",
-        "is_palindrome",
         "prepend",
-        "reversal",
         "shift",
         "word_from_text",
         "word_to_text",
@@ -37,7 +35,7 @@ _EXPORTS = {
         "lex_compare",
         "special_factors",
     ),
-    "surds": ("QuadraticSurd", "parse_surd", "surd_compare", "surd_floor"),
+    "surds": ("QuadraticSurd", "parse_surd"),
     "generators": (
         "DirectiveWord",
         "Morphism",
@@ -68,10 +66,8 @@ _EXPORTS = {
         "local_balance_check",
         "max_factor",
         "max_finite",
-        "max_word",
         "min_factor",
         "min_finite",
-        "min_word",
         "not_balanced_witness",
         "sigma_xy_member",
     ),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..words import _material
+from ..words import FiniteWord, _material
 from . import Report, _dumps, word_from_spec
 
 
@@ -22,7 +22,7 @@ def add_leaves(ana) -> None:
     a = ana.add_parser("local-balance")
     a.add_argument("--word", required=True)
     a.add_argument("--n-max", type=int, default=6, dest="n_max")
-    a.add_argument("--prefix", type=int, default=2000)
+    a.add_argument("--prefix", type=int)
     a = ana.add_parser("block-condition")
     a.add_argument("--word", required=True)
     a.add_argument("--prefix", type=int, default=300)
@@ -37,18 +37,19 @@ def run(args) -> Report:
     rep = Report()
     w = word_from_spec(args.word)
     L = args.prefix
+    read = len(w) if isinstance(w, FiniteWord) else L  # the material: a finite word whole
     if args.what == "complexity":
         values = complexity(w, args.k_max, L)
         rep.obj = {
             "word": args.word,
-            "prefix": L,
+            "prefix": read,
             "table": [{"k": k + 1, "p": p} for k, p in enumerate(values)],
         }
         rep.lines.extend(f"p({k + 1}) = {p}" for k, p in enumerate(values))
     elif args.what == "balance":
         pair = balance_violation(w, L)
         ok = pair is None
-        rep.boolean(ok, {"word": args.word, "prefix": L, "balanced": ok,
+        rep.boolean(ok, {"word": args.word, "prefix": read, "balanced": ok,
                          "violation": None if ok else [pair[0].as_str(), pair[1].as_str()]})
     elif args.what == "special":
         out = special_factors(w, args.n, args.side, L)
@@ -61,7 +62,7 @@ def run(args) -> Report:
         rep.verdict(extremal.local_balance_check(w, args.n_max, L))
     elif args.what == "block-condition":
         ok = block_condition(w, L)
-        rep.boolean(ok, {"word": args.word, "prefix": L, "block_condition": ok})
+        rep.boolean(ok, {"word": args.word, "prefix": read, "block_condition": ok})
     elif args.what == "period":
         material = _material(w, L)
         period, cert = _periods(material, w.alphabet)

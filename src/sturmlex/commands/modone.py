@@ -28,27 +28,24 @@ def _digit_file(path: str) -> DigitExpansion:
 def _digit_source(args, shifts_plus_precision: int) -> DigitExpansion:
     from .. import modone
 
-    if args.xi_digits:
+    if args.xi_digits is not None:
         d = _digit_file(args.xi_digits)
         if args.base is not None and args.base != d.base:
             raise ValueError(f"digit file base {d.base} contradicts --base {args.base}")
         return d
     base = 2 if args.base is None else args.base
-    if args.xi:
-        xi = _rational(args.xi)
-        return modone.digits_from_rational(xi, base, shifts_plus_precision)
-    if args.word:
-        w = word_from_spec(args.word)
-        return modone.DigitExpansion(base, w, "from-word")
-    raise ValueError("one of --xi, --xi-digits, --word is required")
+    if args.xi is not None:
+        return modone.digits_from_rational(_rational(args.xi), base, shifts_plus_precision)
+    return modone.DigitExpansion(base, word_from_spec(args.word), "from-word")
 
 
 def add_leaves(mod) -> None:
-    # the digit sources of frac-parts, cover and classify
+    # the digit sources of frac-parts, cover and classify: exactly one of three
     source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--xi")
-    source.add_argument("--xi-digits", dest="xi_digits")
-    source.add_argument("--word")
+    one = source.add_mutually_exclusive_group(required=True)
+    one.add_argument("--xi")
+    one.add_argument("--xi-digits", dest="xi_digits")
+    one.add_argument("--word")
     source.add_argument("--base", type=int, default=None)
     m = mod.add_parser("digits")
     m.add_argument("--xi", required=True, help="rational p/q in (0,1)")

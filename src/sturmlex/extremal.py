@@ -38,8 +38,6 @@ __all__ = [
     "acceptable_pairs",
     "min_factor",
     "max_factor",
-    "min_word",
-    "max_word",
     "min_finite",
     "max_finite",
     "check_sturmian_extremal",
@@ -172,7 +170,12 @@ def min_factor(
     order: LexOrder | None = None,
     prefix_length: int | None = None,
 ) -> FiniteWord:
-    """Lexicographically smallest length-k factor of the material."""
+    """Lexicographically smallest length-k factor of the material.
+
+    For an infinite word w it is the length-k prefix of min(w), the least
+    infinite word whose prefixes are all factors of w, when the material
+    holds the least length-k factor of w.
+    """
     return _extremal_factor(w, k, order, prefix_length, want_max=False)
 
 
@@ -182,21 +185,8 @@ def max_factor(
     order: LexOrder | None = None,
     prefix_length: int | None = None,
 ) -> FiniteWord:
-    """Lexicographically greatest length-k factor of the material."""
+    """Lexicographically greatest length-k factor of the material: the length-k prefix of max(w)."""
     return _extremal_factor(w, k, order, prefix_length, want_max=True)
-
-
-def min_word(
-    w: InfiniteWord, depth: int, order: LexOrder | None = None, prefix_length: int | None = None
-) -> FiniteWord:
-    """Length-``depth`` prefix of the limit min-word, computed from the material."""
-    return min_factor(w, depth, order, prefix_length)
-
-
-def max_word(
-    w: InfiniteWord, depth: int, order: LexOrder | None = None, prefix_length: int | None = None
-) -> FiniteWord:
-    return max_factor(w, depth, order, prefix_length)
 
 
 def min_finite(w: FiniteWord, order: LexOrder | None = None) -> FiniteWord:

@@ -75,10 +75,6 @@ class DirectiveWord(_FrozenRecord):
         object.__setattr__(self, "cycle", cycle)
 
     @staticmethod
-    def finite(w: FiniteWord) -> "DirectiveWord":
-        return DirectiveWord(w, None)
-
-    @staticmethod
     def from_text(text: str, alphabet: Alphabet | None = None) -> "DirectiveWord":
         """Parse "abc" (finite), "abc*" for (abc)^w, or "ab|cd" for ab(cd)^w."""
         text = text.strip()
@@ -359,9 +355,6 @@ class Morphism(_FrozenRecord):
             raise ValueError("cannot apply an erasing morphism to an infinite word")
         images = [im.data for im in self.images]
         return _image(w, lambda block: b"".join(map(images.__getitem__, block)), self.alphabet, "image({})".format)
-
-    def __call__(self, w):
-        return self.apply(w)
 
     def compose(self, inner: "Morphism") -> "Morphism":
         """self after inner: apply(compose(m1, m2), w) == apply(m1, apply(m2, w))."""

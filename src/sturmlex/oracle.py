@@ -117,7 +117,7 @@ def floor_letters(alpha: QuadraticSurd, rho: QuadraticSurd, use_ceiling: bool = 
 
 
 def progression_floors_by_term(alpha: QuadraticSurd, rho: QuadraticSurd, start: int, stop: int) -> list[int]:
-    """surds.progression_floors recomputed with one exact surd floor (one isqrt) per term."""
+    """The floors behind surds.progression_letters, by one exact surd floor (isqrt) each."""
     alpha, rho = alpha._common(rho)
     d, r = alpha.d or rho.d, alpha.r * rho.r
     # k*alpha + rho = (k*ap + bp + (k*aq + bq)*sqrt(d)) / r

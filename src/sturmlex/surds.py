@@ -1,12 +1,12 @@
 """Exact arithmetic on quadratic surds (p + q*sqrt(d))/r with integer parts.
 
 All floors, ceilings, and comparisons are computed with integer arithmetic
-only (isqrt bracketing plus sign analysis by squaring), so mechanical-word
+only (one isqrt per floor, and a sign is read off a floor), so mechanical-word
 letters derived from these values are exact.  Rationals are the q == 0 case;
 mixing two irrational surds requires a common radicand d.  Floors along an
 arithmetic progression are bracketed in fixed point and certified by two
-floor sums, so a block of them costs one isqrt, not one per term, and its
-letters are read from a table of carry words, 64 per bisect.
+floor sums, so a block of letters costs one isqrt, not one per term, and is
+read from a table of carry words, 64 per bisect.
 """
 
 from __future__ import annotations
@@ -16,14 +16,11 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
-from operator import add, and_, floordiv, rshift, sub
+from operator import and_, floordiv, rshift, sub
 from typing import Iterator
 
 __all__ = [
     "QuadraticSurd",
-    "surd_floor",
-    "surd_compare",
-    "progression_floors",
     "progression_letters",
     "parse_surd",
 ]
@@ -32,8 +29,8 @@ __all__ = [
 # division up to its cube root, 10**6 steps at this bound
 MAX_RADICAND = 10**18
 
-# progression_floors works in fixed point with _BITS fractional bits, over
-# blocks of at most _BLOCK terms (one chunk of letters needs CHUNK + 1
+# progression_letters works in fixed point with _BITS fractional bits, over
+# blocks of at most _BLOCK floors (one chunk of letters needs CHUNK + 1
 # floors).  Every bracket numerator stays below 2**61, a C long, and the
 # bracket of the j-th term of a block is (j + 1) / 2**48 wide, so it rarely
 # straddles an integer.  A certified block's letters are read _CARRY per bisect
@@ -108,10 +105,6 @@ class QuadraticSurd:
         x = Fraction(x)
         return cls(x.numerator, 0, 0, x.denominator)
 
-    @classmethod
-    def sqrt(cls, d: int) -> "QuadraticSurd":
-        return cls(0, 1, d, 1)
-
     @property
     def is_rational(self) -> bool:
         return self.q == 0
@@ -157,20 +150,10 @@ class QuadraticSurd:
     __rmul__ = __mul__
 
     def _sign(self) -> int:
-        """Sign of the value, by exact squaring (r > 0 so only the numerator matters)."""
-        p, q, d = self.p, self.q, self.d
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return (q > 0) - (q < 0)
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        lhs, rhs = p * p, q * q * d  # compare |p| vs |q|*sqrt(d)
-        if p > 0:  # q < 0: sign of p - |q|sqrt(d)
-            return 1 if lhs > rhs else -1 if lhs < rhs else 0
-        return 1 if rhs > lhs else -1 if rhs < lhs else 0
+        """Sign of the value (r > 0): p + q*sqrt(d) with q != 0 is irrational, so positive iff its floor is >= 0."""
+        if self.q == 0:
+            return (self.p > 0) - (self.p < 0)
+        return 1 if _floor(self.p, self.q, self.d, 1) >= 0 else -1
 
     def floor(self) -> int:
         """Exact floor; uses floor(x/r) == floor(floor(x)/r) for integer r >= 1."""
@@ -231,10 +214,6 @@ class QuadraticSurd:
         return f"QuadraticSurd(({self.p}+{self.q}*sqrt({self.d}))/{self.r})"
 
 
-def surd_floor(x: QuadraticSurd) -> int:
-    return x.floor()
-
-
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     """sum(floor((a*j + b)/m) for j in range(n)) for n >= 0, m >= 1 and a >= 0, in O(log m) steps.
 
@@ -261,62 +240,6 @@ def _terms(first: int, step: int, n: int):
     return range(first, first + n * step, step) if step else repeat(first, n)
 
 
-def _bracket(alpha, rho, bits):
-    """(floor(alpha), A, block): block(k0, n) brackets floor(k*alpha + rho), k0 <= k < k0 + n.
-
-    With frac = alpha - floor(alpha) and theta_j = (k0 + j)*frac + rho, one
-    exact floor T of theta_0 * 2**B (B = bits) and A = floor(frac * 2**B)
-    bracket theta_j * 2**B in [T + j*A, T + j*(A + 1) + 1), so floor(theta_j)
-    lies between (T + j*A) >> B and (T + j*(A + 1)) >> B.  No upper value is
-    below its lower one, so the block is exact iff the two brackets' sums
-    agree; where they do not, the terms whose brackets differ take an exact
-    surd floor.  block returns (whole, T mod 2**B, exact), exact None if the
-    block is exact and else the list of floor(theta_j) - whole.  Rational
-    slope and intercept take one exact division per term.
-    """
-    alpha, rho = alpha._common(rho)
-    d, r = alpha.d or rho.d, alpha.r * rho.r
-    # k*alpha + rho = (k*ap + bp + (k*aq + bq)*sqrt(d)) / r
-    ap, aq = alpha.p * rho.r, alpha.q * rho.r
-    bp, bq = rho.p * alpha.r, rho.q * alpha.r
-    base = _floor(ap, aq, d, r)
-    ap -= base * r  # now the numerator of frac
-    if not d:
-        return base, 0, lambda k0, n: (0, 0, list(map(floordiv, _terms(k0 * ap + bp, ap, n), repeat(r, n))))
-    one = 1 << bits
-    step = _floor(ap << bits, aq << bits, d, r)
-
-    def block(k0, n):
-        p, q = k0 * ap + bp, k0 * aq + bq
-        t = _floor(p << bits, q << bits, d, r)
-        whole, t = t >> bits, t & (one - 1)  # theta_0 = whole + t / 2**B + (less than 2**-B)
-        if _floor_sum(n, one, step, t) == _floor_sum(n, one, step + 1, t):
-            return whole, t, None
-        p -= whole * r
-        lows = map(rshift, _terms(t, step, n), repeat(bits, n))
-        highs = map(rshift, _terms(t, step + 1, n), repeat(bits, n))
-        return whole, t, [
-            lo if lo == hi else _floor(p + j * ap, q + j * aq, d, r)
-            for j, (lo, hi) in enumerate(zip(lows, highs))
-        ]
-
-    return base, step, block
-
-
-def progression_floors(alpha: QuadraticSurd, rho: QuadraticSurd, start: int, stop: int) -> list[int]:
-    """floor(k*alpha + rho) for start <= k < stop, exactly, with one isqrt per block of terms."""
-    bits = _BITS
-    base, step, block = _bracket(alpha, rho, bits)
-    out: list[int] = []
-    for k0 in range(start, stop, _BLOCK):
-        n = min(_BLOCK, stop - k0)
-        whole, t, lows = block(k0, n)
-        if lows is None:
-            lows = map(rshift, _terms(t, step, n), repeat(bits, n))
-        out += map(add, lows, _terms(whole + k0 * base, base, n))
-    return out
-
-
 def _carry_table(step, bits):
     """(cuts, words): words[bisect_right(cuts, x)] is the _CARRY carries of x -> x + step mod 2**bits.
 
@@ -332,22 +255,53 @@ def _carry_table(step, bits):
 def progression_letters(alpha: QuadraticSurd, rho: QuadraticSurd):
     """letters(start, stop): the bytes floor((k+1)*alpha + rho) - floor(k*alpha + rho) - floor(alpha).
 
-    Letter j of a certified block is the carry of (T + j*A) mod 2**B plus A.
-    As the m + 1 arcs cut by the points -i*A, i <= m, give the factors of
-    length m (Lothaire, Algebraic Combinatorics on Words, ch. 2), a table reads
-    m = _CARRY letters per bisect.  Other blocks take exact floors.
+    With frac = alpha - floor(alpha) and theta_j = (k0 + j)*frac + rho, one
+    exact floor T of theta_0 * 2**B (B = _BITS) and A = floor(frac * 2**B)
+    bracket theta_j * 2**B in [T + j*A, T + j*(A + 1) + 1), so floor(theta_j)
+    lies between (T + j*A) >> B and (T + j*(A + 1)) >> B.  No upper value is
+    below its lower one, so a block is certified iff the two brackets' sums
+    agree.  Letter j of a certified block is then the carry of x -> x + A at
+    x = (T + j*A) mod 2**B.  As the m + 1 arcs cut by the points -i*A, i <= m,
+    give the factors of length m (Lothaire, Algebraic Combinatorics on Words,
+    ch. 2), a table reads m = _CARRY letters per bisect.  In other blocks the
+    terms whose brackets differ take an exact surd floor; rational slope and
+    intercept take one exact division per term.
     """
     bits = _BITS
-    mask = (1 << bits) - 1
-    _, step, block = _bracket(alpha, rho, bits)
+    one = 1 << bits
+    mask = one - 1
+    alpha, rho = alpha._common(rho)
+    d, r = alpha.d or rho.d, alpha.r * rho.r
+    # k*alpha + rho = (k*ap + bp + (k*aq + bq)*sqrt(d)) / r
+    ap, aq = alpha.p * rho.r, alpha.q * rho.r
+    bp, bq = rho.p * alpha.r, rho.q * alpha.r
+    ap -= _floor(ap, aq, d, r) * r  # now the numerator of frac
+    step = _floor(ap << bits, aq << bits, d, r) if d else 0
     cuts, words = _carry_table(step, bits)
     jump = _CARRY * step
+
+    def block(k0, n):
+        """(T mod 2**B, exact): exact is None if the block is certified, else floor(theta_j) minus a constant."""
+        p, q = k0 * ap + bp, k0 * aq + bq
+        if not d:
+            return 0, list(map(floordiv, _terms(p, ap, n), repeat(r, n)))
+        t = _floor(p << bits, q << bits, d, r)
+        whole, t = t >> bits, t & mask  # theta_0 = whole + t / 2**B + (less than 2**-B)
+        if _floor_sum(n, one, step, t) == _floor_sum(n, one, step + 1, t):
+            return t, None
+        p -= whole * r
+        lows = map(rshift, _terms(t, step, n), repeat(bits, n))
+        highs = map(rshift, _terms(t, step + 1, n), repeat(bits, n))
+        return t, [
+            lo if lo == hi else _floor(p + j * ap, q + j * aq, d, r)
+            for j, (lo, hi) in enumerate(zip(lows, highs))
+        ]
 
     def letters(start, stop):
         out = bytearray()
         for k0 in range(start, stop, _BLOCK - 1):
             n = min(_BLOCK - 1, stop - k0)  # letters, from n + 1 floors
-            _, x, exact = block(k0, n + 1)
+            x, exact = block(k0, n + 1)
             if exact is None:
                 g = -(-n // _CARRY)
                 arcs = map(bisect_right, repeat(cuts, g), map(and_, _terms(x, jump, g), repeat(mask, g)))
@@ -357,11 +311,6 @@ def progression_letters(alpha: QuadraticSurd, rho: QuadraticSurd):
         return bytes(out)
 
     return letters
-
-
-def surd_compare(x: QuadraticSurd, y: QuadraticSurd | int | Fraction) -> int:
-    """-1, 0, or 1 as x is less than, equal to, or greater than y."""
-    return x.compare(y)
 
 
 _SURD_RE = re.compile(

@@ -27,8 +27,6 @@ __all__ = [
     "Relation",
     "ComparisonOutcome",
     "shift",
-    "reversal",
-    "is_palindrome",
     "complement",
     "prepend",
     "word_to_text",
@@ -417,14 +415,6 @@ def shift(w: FiniteWord | InfiniteWord, k: int = 1):
         raise ValueError("circular shift of the empty word is undefined")
     j = k % len(w)
     return FiniteWord(w.data[j:] + w.data[:j], w.alphabet)
-
-
-def reversal(w: FiniteWord) -> FiniteWord:
-    return w.reversal()
-
-
-def is_palindrome(w: FiniteWord) -> bool:
-    return w.is_palindrome()
 
 
 _SWAP = bytes([1, 0]) + bytes(range(2, 256))

@@ -31,9 +31,7 @@ from sturmlex.extremal import (
     finite_episturmian_test,
     gamma_membership,
     max_factor,
-    max_word,
     min_factor,
-    min_word,
     not_balanced_witness,
 )
 from sturmlex.modone import (
@@ -154,8 +152,8 @@ def test_criterion_6_exact_min_max_values():
     s2 = periodic_balanced(FiniteWord.from_str("ab"), 1, 0)  # (ababa)^w
     expected_min = UltimatelyPeriodicWord.purely_periodic(FiniteWord.from_str("aabab"))
     expected_max = UltimatelyPeriodicWord.purely_periodic(FiniteWord.from_str("babaa"))
-    assert min_word(s, 50).data == expected_min.prefix_bytes(50)
-    assert max_word(s2, 50).data == expected_max.prefix_bytes(50)
+    assert min_factor(s, 50).data == expected_min.prefix_bytes(50)
+    assert max_factor(s2, 50).data == expected_max.prefix_bytes(50)
     report(6, "min((abaab)^w)=(aabab)^w and max((ababa)^w)=(babaa)^w to depth 50", t0, 5.0)
 
 

@@ -156,6 +156,76 @@ class TestExtremal:
         assert code == 0 and obj["prefix"].startswith("101010")
 
 
+def digit_file(tmp_path):
+    path = tmp_path / "digits.txt"
+    path.write_text("2\n0101010101010101010101\n", encoding="utf-8")
+    return str(path)
+
+
+class TestAnalyzeFiniteWord:
+    """A finite word is read whole: its JSON prefix is its length, whatever --prefix says."""
+
+    @pytest.mark.parametrize("leaf, extra", [
+        ("complexity", ("--k-max", "3")), ("balance", ()), ("block-condition", ()),
+    ])
+    @pytest.mark.parametrize("view", ["file:{}", "shift:2:file:{}", "prepend:0:file:{}"])
+    def test_prefix_is_the_length_read(self, capsys, tmp_path, leaf, extra, view):
+        path = tmp_path / "w.txt"
+        path.write_text("a,b\nabaababaabaab\n", encoding="utf-8")
+        spec = view.format(path)
+        length = len(word_from_spec(spec))
+        for prefix in ((), ("--prefix", "300"), ("--prefix", "5")):
+            code, out, err = run(capsys, "--format", "json", "analyze", leaf, "--word", spec, *extra, *prefix)
+            assert (code, err) == (0, "") and json.loads(out)["prefix"] == length
+
+    def test_an_infinite_word_reports_its_prefix(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "analyze", "block-condition", "--word", "fib")
+        assert (code, json.loads(out)["prefix"]) == (0, 300)
+        code, out, _ = run(capsys, "--format", "json", "analyze", "balance", "--word", "fib", "--prefix", "77")
+        assert (code, json.loads(out)["prefix"]) == (0, 77)
+
+    def test_local_balance_default_material(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "analyze", "local-balance", "--word", "fib")
+        assert (code, json.loads(out)["detail"]["material"]) == (0, 2000)
+
+
+class TestDigitSource:
+    """frac-parts, cover and classify read exactly one of --xi, --xi-digits and --word."""
+
+    LEAVES = [("frac-parts", "--N", "3", "--L", "8"), ("cover", "--N", "5", "--L", "8"), ("classify", "--prefix", "16")]
+
+    @pytest.mark.parametrize("leaf", LEAVES)
+    @pytest.mark.parametrize("sources", [("--xi", "--word"), ("--xi-digits", "--xi"), ("--word", "--xi-digits"),
+                                         ("--xi", "--xi-digits", "--word")])
+    def test_two_sources_are_a_usage_error(self, capsys, tmp_path, leaf, sources):
+        value = {"--xi": "1/3", "--xi-digits": digit_file(tmp_path), "--word": "fib"}
+        argv = [arg for flag in sources for arg in (flag, value[flag])]
+        with pytest.raises(SystemExit) as exc:
+            main(["modone", *leaf, *argv])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"argument {sources[1]}: not allowed with argument {sources[0]}" in err
+
+    @pytest.mark.parametrize("leaf", LEAVES)
+    def test_a_missing_source_is_a_usage_error(self, capsys, leaf):
+        with pytest.raises(SystemExit) as exc:
+            main(["modone", *leaf])
+        assert exc.value.code == 2
+        assert "error: one of the arguments --xi --xi-digits --word is required" in capsys.readouterr().err
+
+    def test_each_source_alone(self, capsys, tmp_path):
+        cover = ("modone", "cover", "--N", "5", "--L", "8")
+        assert run(capsys, *cover, "--xi", "1/3") == (
+            0, "covering length = 43/128 ~= 0.335937500000\ninterval [85/256, 171/256]\n", "")
+        assert run(capsys, *cover, "--word", "fib") == (
+            0, "covering length = 31/64 ~= 0.484375000000\ninterval [41/256, 165/256]\n", "")
+        # the digits of 1/3 in base 2, from a file
+        assert run(capsys, *cover, "--xi-digits", digit_file(tmp_path)) == run(capsys, *cover, "--xi", "1/3")
+
+    def test_an_empty_xi_is_the_chosen_source(self, capsys):
+        assert run(capsys, "modone", "cover", "--xi", "") == (2, "", "error: Invalid literal for Fraction: ''\n")
+
+
 class TestModone:
     def test_digits(self, capsys):
         code, out, _ = run(capsys, "modone", "digits", "--xi", "1/3", "--base", "2", "--n", "4")

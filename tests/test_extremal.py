@@ -34,10 +34,8 @@ from sturmlex.extremal import (
     local_balance_check,
     max_factor,
     max_finite,
-    max_word,
     min_factor,
     min_finite,
-    min_word,
     not_balanced_witness,
     sigma_xy_member,
 )
@@ -96,15 +94,15 @@ class TestExtremalFactors:
         assert min_factor(W("aaa"), 2).as_str() == "aa"
 
     def test_min_word_examples(self, fib_ab):
-        assert min_word(fib_ab, 8).as_str() == "aabaabab"
-        assert max_word(fib_ab, 8).as_str() == "babaabab"
-        assert min_word(periodic("abaab"), 10).as_str() == "aababaabab"
+        assert min_factor(fib_ab, 8).as_str() == "aabaabab"
+        assert max_factor(fib_ab, 8).as_str() == "babaabab"
+        assert min_factor(periodic("abaab"), 10).as_str() == "aababaabab"
 
     def test_prefix_monotonicity(self, fib_ab, trib):
         for w in (fib_ab, trib, periodic("abaab")):
-            prev = min_word(w, 1).data
+            prev = min_factor(w, 1).data
             for k in range(2, 40):
-                cur = min_word(w, k).data
+                cur = min_factor(w, k).data
                 assert cur[: k - 1] == prev
                 prev = cur
 

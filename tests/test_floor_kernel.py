@@ -1,9 +1,9 @@
 """The fixed-point floor kernel against one exact surd floor per term.
 
-`surds.progression_floors` brackets each block of floors in fixed point and
-certifies the block by two floor sums, walking it with exact floors only
-where the sums differ.  `surds.progression_letters` reads the letters of a
-certified block from a table of carry words.  Both are checked against
+`surds.progression_letters` brackets each block of floors in fixed point and
+certifies the block by two floor sums, reading its letters from a table of
+carry words; where the sums differ it walks the block with exact floors.
+Its letters are checked against the differences of
 `oracle.progression_floors_by_term`, one isqrt per term, at the production bit
 width and at widths of 2 to 16 bits, where the brackets are loose enough that
 the exact walk runs in most blocks and the table's cut points collide.
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from sturmlex import surds
 from sturmlex.oracle import progression_floors_by_term
 from sturmlex.generators import fibonacci_slope, mechanical_lower
-from sturmlex.surds import QuadraticSurd, _carry_table, _floor_sum, progression_floors, progression_letters
+from sturmlex.surds import QuadraticSurd, _carry_table, _floor_sum, progression_letters
 
 RADICANDS = [2, 3, 5, 7, 13, 10**6 + 3]
 
@@ -49,38 +49,6 @@ def progressions(draw):
     return alpha, rho, start, start + length
 
 
-@given(progressions())
-@settings(max_examples=150, deadline=None)
-def test_progression_floors_match_one_floor_per_term(case):
-    assert progression_floors(*case) == progression_floors_by_term(*case)
-
-
-@given(progressions(), st.integers(2, 16))
-@settings(max_examples=150, deadline=None)
-def test_narrow_brackets_fall_back_to_exact_floors(case, bits):
-    with mock.patch.object(surds, "_BITS", bits):
-        assert progression_floors(*case) == progression_floors_by_term(*case)
-
-
-def test_a_straddled_integer_takes_the_exact_floor():
-    # 3*sqrt(2) + 3 - 3*sqrt(2) = 3 is an integer: with the fractional slope
-    # sqrt(2) - 1 that term is 0, its lower bracket reads -1 and its upper 0,
-    # so the block's sums differ and one exact floor decides that term
-    alpha = QuadraticSurd(0, 1, 2)
-    rho = QuadraticSurd(3, -3, 2)
-    with mock.patch.object(surds, "_floor", wraps=surds._floor) as exact:
-        got = progression_floors(alpha, rho, 0, 7)
-    assert got == progression_floors_by_term(alpha, rho, 0, 7)
-    assert got[3] == 3
-    # the integer part and the fixed-point step of the slope, the block's start, the term
-    assert exact.call_count == 4
-
-
-def test_empty_and_reversed_ranges():
-    alpha = QuadraticSurd(3, -1, 5, 2)
-    assert progression_floors(alpha, alpha, 5, 5) == []
-    assert progression_floors(alpha, alpha, 9, 5) == []
-    assert progression_floors(QuadraticSurd(2, 0, 0, 3), QuadraticSurd(1), 9, 5) == []
 
 
 @given(
@@ -104,6 +72,27 @@ def letters_by_term(alpha, rho, start, stop):
     return bytes(b - a - alpha.floor() for a, b in zip(f, f[1:]))
 
 
+def test_empty_and_reversed_ranges():
+    alpha = QuadraticSurd(3, -1, 5, 2)
+    assert progression_letters(alpha, alpha)(5, 5) == b""
+    assert progression_letters(alpha, alpha)(9, 5) == b""
+    assert progression_letters(QuadraticSurd(2, 0, 0, 3), QuadraticSurd(1))(9, 5) == b""
+
+
+def test_a_straddled_integer_takes_the_exact_floor():
+    # 3*sqrt(2) + 3 - 3*sqrt(2) = 3 is an integer: with the fractional slope
+    # sqrt(2) - 1 that term is 0, its lower bracket reads -1 and its upper 0,
+    # so the block's sums differ and one exact floor decides that term
+    alpha = QuadraticSurd(0, 1, 2)
+    rho = QuadraticSurd(3, -3, 2)
+    with mock.patch.object(surds, "_floor", wraps=surds._floor) as exact:
+        got = progression_letters(alpha, rho)(0, 6)
+    assert got == letters_by_term(alpha, rho, 0, 6)
+    assert got[2:4] == b"\x01\x00"  # the floors 1, 3, 4 around floor(3*alpha + rho) = 3, less floor(alpha) = 1
+    # the integer part and the fixed-point step of the slope, the block's start, the term
+    assert exact.call_count == 4
+
+
 @st.composite
 def letter_ranges(draw):
     """(alpha, rho, start, stop) of progressions(), starting on or off a block of 4096 letters."""
@@ -114,16 +103,26 @@ def letter_ranges(draw):
     return alpha, rho, start, stop
 
 
-@given(letter_ranges(), st.one_of(st.none(), st.integers(2, 16)))
-@settings(max_examples=200, deadline=None)
-def test_letters_match_floor_differences(case, bits):
+def check_letters(case):
     alpha, rho, start, stop = case
-    with mock.patch.object(surds, "_BITS", bits or surds._BITS):
-        letters = progression_letters(alpha, rho)
-        assert letters(start, stop) == letters_by_term(*case)
-        # a grower asks for consecutive ranges of one table
-        mid = (start + stop) // 2
-        assert letters(start, mid) + letters(mid, stop) == letters(start, stop)
+    letters = progression_letters(alpha, rho)
+    assert letters(start, stop) == letters_by_term(*case)
+    # a grower asks for consecutive ranges of one table
+    mid = (start + stop) // 2
+    assert letters(start, mid) + letters(mid, stop) == letters(start, stop)
+
+
+@given(letter_ranges())
+@settings(max_examples=200, deadline=None)
+def test_letters_match_floor_differences(case):
+    check_letters(case)
+
+
+@given(letter_ranges(), st.integers(2, 16))
+@settings(max_examples=150, deadline=None)
+def test_narrow_brackets_fall_back_to_exact_floors(case, bits):
+    with mock.patch.object(surds, "_BITS", bits):
+        check_letters(case)
 
 
 def carries(x, step, bits):
@@ -153,8 +152,14 @@ def test_a_rotation_point_on_a_cut_reads_the_arc_it_starts():
         x, y = 3 * x + 4 * y, 2 * x + 3 * y
     alpha = QuadraticSurd(1, 0, 0, 4)
     rho = alpha + QuadraticSurd(x, -y, 2)
-    assert surds._bracket(alpha, rho, surds._BITS)[2](0, surds._BLOCK) == (0, 2**46, None)
-    assert progression_letters(alpha, rho)(0, 4096) == b"\x00\x00\x01\x00" * 1024 == letters_by_term(alpha, rho, 0, 4096)
+    assert 2**46 in _carry_table(2**46, surds._BITS)[0]
+    floor, exact = surds._floor, []
+    with mock.patch.object(surds, "_floor", lambda *args: exact.append(floor(*args)) or exact[-1]):
+        got = progression_letters(alpha, rho)(0, 4096)
+    # floor(alpha), A = 2**46 and the block's T = floor(rho * 2**48), and no
+    # exact floor of a term: the block is certified
+    assert exact == [0, 2**46, 2**46]
+    assert got == b"\x00\x00\x01\x00" * 1024 == letters_by_term(alpha, rho, 0, 4096)
 
 
 def test_fibonacci_word_takes_one_exact_floor_per_block():
@@ -163,7 +168,7 @@ def test_fibonacci_word_takes_one_exact_floor_per_block():
     with mock.patch.object(surds, "_floor", wraps=surds._floor) as exact:
         got = mechanical_lower(alpha, Fraction(1, 3)).prefix_bytes(n)
     assert got == letters_by_term(alpha, QuadraticSurd(1, 0, 0, 3), 0, n)
-    # the integer part and the fixed-point step of the slope, then one
+    # the slope's sign test, its integer part and fixed-point step, then one
     # isqrt per block of 4096 letters: every block is certified
     blocks = -(-n // (surds._BLOCK - 1))
-    assert exact.call_count == 2 + blocks
+    assert exact.call_count == 3 + blocks

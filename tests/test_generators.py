@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sturmlex.analysis import detect_period, factors, is_balanced, lex_compare, special_factors
 from sturmlex.surds import QuadraticSurd
-from sturmlex.words import BINARY, BINARY_AB, Alphabet, FiniteWord, prepend, reversal, Relation
+from sturmlex.words import BINARY, BINARY_AB, Alphabet, FiniteWord, prepend, Relation
 from sturmlex.generators import (
     DirectiveWord,
     Morphism,
@@ -231,7 +231,7 @@ class TestMorphism:
             for n in range(1, 9):
                 assert len(special_factors(material, n, "left")) == 1
                 fs = factors(material, n)
-                assert {reversal(x) for x in fs} == fs
+                assert {x.reversal() for x in fs} == fs
 
 
 class TestThueMorse:

@@ -11,19 +11,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sturmlex.cli import main
-from sturmlex.surds import MAX_RADICAND, QuadraticSurd, _squarefree, parse_surd, surd_compare, surd_floor
+from sturmlex.surds import MAX_RADICAND, QuadraticSurd, _squarefree, parse_surd
 
 
 def test_floor_examples():
-    assert surd_floor(QuadraticSurd(3, -1, 5, 2)) == 0
-    assert surd_floor(parse_surd("7/2")) == 3
-    assert surd_floor(QuadraticSurd.from_fraction(Fraction(-7, 2))) == -4
+    assert QuadraticSurd(3, -1, 5, 2).floor() == 0
+    assert parse_surd("7/2").floor() == 3
+    assert QuadraticSurd.from_fraction(Fraction(-7, 2)).floor() == -4
 
 
 def test_compare_golden_ratio():
     golden = QuadraticSurd(1, 1, 5, 2)
-    assert surd_compare(golden, parse_surd("8/5")) == 1
-    assert surd_compare(golden, Fraction(13, 8)) == -1
+    assert golden.compare(parse_surd("8/5")) == 1
+    assert golden.compare(Fraction(13, 8)) == -1
 
 
 def test_canonical_form():
@@ -79,7 +79,7 @@ def test_incompatible_radicands():
 def test_parse_forms():
     assert parse_surd("(3-1*sqrt(5))/2") == QuadraticSurd(3, -1, 5, 2)
     assert parse_surd("(3-sqrt(5))/2") == QuadraticSurd(3, -1, 5, 2)
-    assert parse_surd("(0+1*sqrt(2))") == QuadraticSurd.sqrt(2)
+    assert parse_surd("(0+1*sqrt(2))") == QuadraticSurd(0, 1, 2)
     assert parse_surd("5") == QuadraticSurd(5)
     with pytest.raises(ValueError):
         parse_surd("sqrt five")
@@ -134,3 +134,36 @@ def test_compare_is_exact_near_equality(p, q, r):
     y = QuadraticSurd(3 * p, 3 * q, 7, 3 * r)
     assert x.compare(y) == 0
     assert x == y
+
+
+# square-free radicands up to MAX_RADICAND: products of distinct primes, the
+# largest 999999937 * 1000003 * 997, and the largest prime below the bound
+PRIMES = [2, 3, 5, 7, 11, 13, 97, 997, 999983, 1000003, 999999937]
+radicands = st.one_of(
+    st.sets(st.sampled_from(PRIMES), min_size=1, max_size=4).map(math.prod).filter(lambda d: d <= MAX_RADICAND),
+    st.just(MAX_RADICAND - 11),
+)
+
+
+def sign_by_squaring(p, q, d):
+    """The sign of p + q*sqrt(d): t -> t*|t| is increasing, so it is the sign of p*|p| + q*|q|*d."""
+    s = p * abs(p) + q * abs(q) * d
+    return (s > 0) - (s < 0)
+
+
+@given(
+    radicands,
+    st.integers(-(10**9), 10**9),
+    st.integers(-2, 2),
+    st.integers(1, 10**6),
+    st.tuples(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+)
+def test_compare_matches_squaring_near_cancellation(d, q, delta, r, other):
+    # x - y = (p + q*sqrt(d))/r with p = -q*sqrt(d) rounded, plus delta: nearly 0
+    s = math.isqrt(q * q * d)
+    p = (s if q < 0 else -s) + delta
+    y = QuadraticSurd._of(other[0], other[1], d, other[2])
+    x = y + QuadraticSurd._of(p, q, d, r)
+    expected = sign_by_squaring(p, q, d)
+    assert x.compare(y) == expected == -y.compare(x)
+    assert (x == y) == (expected == 0) == (p == q == 0)

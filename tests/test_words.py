@@ -24,9 +24,7 @@ from sturmlex.words import (
     LexOrder,
     Relation,
     UltimatelyPeriodicWord,
-    is_palindrome,
     prepend,
-    reversal,
     shift,
     word_from_text,
     word_to_text,
@@ -82,12 +80,12 @@ class TestShift:
 
 class TestReversal:
     def test_reversal(self):
-        assert reversal(W("abac")).as_str() == "caba"
+        assert W("abac").reversal().as_str() == "caba"
 
     def test_palindromes(self):
-        assert is_palindrome(W("abacaba"))
-        assert is_palindrome(FiniteWord(b"", BINARY))
-        assert not is_palindrome(W("ab"))
+        assert W("abacaba").is_palindrome()
+        assert FiniteWord(b"", BINARY).is_palindrome()
+        assert not W("ab").is_palindrome()
 
 
 class TestFactors:
@@ -251,7 +249,7 @@ class TestInfiniteWord:
         assert shift(w, 2).prefix(6).as_str() == "bababa"
 
     def test_finite_stream_exhaustion(self):
-        w = epistandard(DirectiveWord.finite(W("ab")))
+        w = epistandard(DirectiveWord(W("ab")))
         assert w.prefix(3).as_str() == "aba"
         with pytest.raises(ValueError):
             w.prefix(4)

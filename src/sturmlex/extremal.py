@@ -185,7 +185,7 @@ def max_factor(
     order: LexOrder | None = None,
     prefix_length: int | None = None,
 ) -> FiniteWord:
-    """Lexicographically greatest length-k factor of the material: the length-k prefix of max(w)."""
+    """Lexicographically greatest length-k factor of the material; dually, the length-k prefix of max(w)."""
     return _extremal_factor(w, k, order, prefix_length, want_max=True)
 
 

@@ -72,6 +72,22 @@ def letters_by_term(alpha, rho, start, stop):
     return bytes(b - a - alpha.floor() for a, b in zip(f, f[1:]))
 
 
+def floors_from_letters(alpha, rho, start, stop):
+    """floor(k*alpha + rho) for start <= k < stop: one exact floor, then the letters' running sum."""
+    if stop <= start:
+        return []
+    floors = [(alpha * start + rho).floor()]
+    for letter in progression_letters(alpha, rho)(start, stop - 1):
+        floors.append(floors[-1] + letter + alpha.floor())
+    return floors
+
+
+@given(progressions())
+@settings(max_examples=150, deadline=None)
+def test_progression_floors_match_one_floor_per_term(case):
+    assert floors_from_letters(*case) == progression_floors_by_term(*case)
+
+
 def test_empty_and_reversed_ranges():
     alpha = QuadraticSurd(3, -1, 5, 2)
     assert progression_letters(alpha, alpha)(5, 5) == b""

@@ -52,7 +52,6 @@ _EXPORTS = {
         "thue_morse",
     ),
     "extremal": (
-        "AcceptablePair",
         "BoundedVerdict",
         "acceptable_pairs",
         "allowed_pair_check",
@@ -74,7 +73,6 @@ _EXPORTS = {
     "modone": (
         "DigitExpansion",
         "RationalInterval",
-        "TorusPointSet",
         "bugeaud_dubickas_classify",
         "digits_from_rational",
         "fractional_parts",

@@ -254,7 +254,7 @@ def lex_compare(
     order: LexOrder | None = None,
     depth: int | None = None,
 ) -> ComparisonOutcome:
-    """Depth-bounded lexicographic comparison of two words.
+    """Depth-bounded lexicographic comparison of two words: the u <= v of every inequality of the paper.
 
     Both words must supply ``depth`` letters, and are read that far: depth
     cuts finite words too (shorter ones are rejected; omit depth to use their

@@ -71,10 +71,8 @@ def run(args) -> Report:
         rep.obj = report.to_obj(w.alphabet)
         rep.lines.append(f"{'holds' if report.holds else 'fails'} (strict={report.strict}, "
                          f"K={report.shift_bound}, L={report.depth_bound}, material={report.material})")
-        for p in report.pairs:
-            rep.lines.append(
-                f"  {p.pair.text(w.alphabet)}: {p.verdict.status} equality={p.equality}"
-            )
+        for p in rep.obj["pairs"]:
+            rep.lines.append(f"  {p['pair']}: {p['status']} equality={p['equality']}")
     elif args.what == "fine":
         w = _infinite(word_from_spec(args.word))
         rep.verdict(extremal.fine_test(w, args.K, args.material))

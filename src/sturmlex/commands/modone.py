@@ -22,7 +22,7 @@ def _digit_file(path: str) -> DigitExpansion:
         raise ValueError("digit file must have two lines: base, digits")
     base = int(lines[0])
     digits = FiniteWord([int(c) for c in lines[1]], Alphabet.digits(base))
-    return modone.DigitExpansion(base, digits, "from-word")
+    return modone.DigitExpansion(base, digits)
 
 
 def _digit_source(args, shifts_plus_precision: int) -> DigitExpansion:
@@ -36,7 +36,7 @@ def _digit_source(args, shifts_plus_precision: int) -> DigitExpansion:
     base = 2 if args.base is None else args.base
     if args.xi is not None:
         return modone.digits_from_rational(_rational(args.xi), base, shifts_plus_precision)
-    return modone.DigitExpansion(base, word_from_spec(args.word), "from-word")
+    return modone.DigitExpansion(base, word_from_spec(args.word))
 
 
 def add_leaves(mod) -> None:

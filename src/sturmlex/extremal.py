@@ -24,7 +24,6 @@ from .words import (
     LexOrder,
     UltimatelyPeriodicWord,
     _first_difference,
-    _FrozenRecord,
     _material,
     _rank_table,
     _Record,
@@ -33,7 +32,6 @@ from .words import (
 )
 
 __all__ = [
-    "AcceptablePair",
     "BoundedVerdict",
     "acceptable_pairs",
     "min_factor",
@@ -67,27 +65,19 @@ def default_material(k: int) -> int:
     return 8 * k + 256
 
 
-class AcceptablePair(_FrozenRecord):
-    """A total order together with its minimum letter."""
+def acceptable_pairs(alphabet: Alphabet) -> list[LexOrder]:
+    """All |A|! acceptable pairs (a, <) of an alphabet (capped at size 8), each as its order <.
 
-    _fields = ("letter", "order")
-
-    def __init__(self, letter: int, order: LexOrder):
-        object.__setattr__(self, "letter", letter)
-        object.__setattr__(self, "order", order)
-
-    def text(self, alphabet: Alphabet) -> str:
-        return f"({alphabet.names[self.letter]}, {self.order.text(alphabet)})"
-
-
-def acceptable_pairs(alphabet: Alphabet) -> list[AcceptablePair]:
-    """All |A|! acceptable pairs of an alphabet (capped at size 8)."""
+    The letter a of a pair is the least letter of its order, ``order.by_rank[0]``.
+    """
     if alphabet.size > MAX_ORDER_ALPHABET:
         raise ValueError(f"order enumeration capped at alphabet size {MAX_ORDER_ALPHABET}")
-    return [
-        AcceptablePair(perm[0], LexOrder(perm))
-        for perm in itertools.permutations(range(alphabet.size))
-    ]
+    return [LexOrder(perm) for perm in itertools.permutations(range(alphabet.size))]
+
+
+def _pair_text(order: LexOrder, alphabet: Alphabet) -> str:
+    """The pair (a, <) of an order as text, e.g. "(a, a<b<c)"."""
+    return f"({alphabet.names[order.by_rank[0]]}, {order.text(alphabet)})"
 
 
 class BoundedVerdict(_Record):
@@ -195,7 +185,7 @@ def min_finite(w: FiniteWord, order: LexOrder | None = None) -> FiniteWord:
 
 
 def max_finite(w: FiniteWord, order: LexOrder | None = None) -> FiniteWord:
-    """max(w) for finite binary w, dual to min_finite."""
+    """max(w) for finite binary w, dual to min_finite: the max(w) of the paper's balance criterion."""
     if w.alphabet.size != 2:
         raise ValueError("finite max is defined for binary alphabets only")
     return _finite_extremal(w, order, want_max=True)
@@ -274,13 +264,13 @@ def characteristic_check(s: InfiniteWord, K: int, L: int) -> BoundedVerdict:
 class PairInequality(_Record):
     _fields = ("pair", "verdict", "equality")
 
-    def __init__(self, pair: AcceptablePair, verdict: BoundedVerdict, equality: bool):
+    def __init__(self, pair: LexOrder, verdict: BoundedVerdict, equality: bool):
         self.pair = pair
         self.verdict = verdict
         self.equality = equality
 
     def to_obj(self, alphabet: Alphabet) -> dict:
-        obj = {"pair": self.pair.text(alphabet), "equality": self.equality}
+        obj = {"pair": _pair_text(self.pair, alphabet), "equality": self.equality}
         obj.update(self.verdict.to_obj())
         return obj
 
@@ -380,7 +370,7 @@ def check_epistandard_ineq(
     head_ties, head_first = _first_differences(factors, data[: K - 1], len(factors) - K + 1)
     results = []
     for pair in pairs:
-        a, rank = pair.letter, pair.order.by_rank.index
+        a, rank = pair.by_rank[0], pair.by_rank.index
         fail = _earliest_below(shift_first[a], rank)
         if fail is None:
             verdict = BoundedVerdict(True, K, L, undecided=shift_ties[a])
@@ -420,13 +410,13 @@ def finite_episturmian_test(w: FiniteWord) -> tuple[bool, FiniteWord | None]:
     pairs = acceptable_pairs(w.alphabet)
     constraints = []  # (ranked target m[1:], that is, the part u must stay <= to)
     for pair in pairs:
-        m = min_finite(w, pair.order)
-        constraints.append(m.data[1:].translate(pair.order.table))
+        m = min_finite(w, pair)
+        constraints.append(m.data[1:].translate(pair.table))
     size = w.alphabet.size
     length = max((len(c) for c in constraints), default=0)
     # state per constraint: position while tight; SAT once strictly below or fully matched
     SAT = -1
-    ranks = [pair.order.table for pair in pairs]
+    ranks = [pair.table for pair in pairs]
 
     def step(states: list[int], letter: int, i: int) -> list[int] | None:
         """The constraint states after appending ``letter`` at index i, or None if one is broken."""
@@ -467,7 +457,10 @@ def finite_episturmian_test(w: FiniteWord) -> tuple[bool, FiniteWord | None]:
 
 
 def not_balanced_witness(w: FiniteWord) -> FiniteWord | None:
-    """The word u with aua a prefix of min(w) and bub a prefix of max(w), if any."""
+    """The word u with aua a prefix of min(w) and bub a prefix of max(w), if any.
+
+    The paper's criterion: a finite binary word w is unbalanced iff such a u exists.
+    """
     if w.alphabet.size != 2:
         raise ValueError("binary alphabet required")
     u = _unbalanced_core(w.data)
@@ -493,22 +486,22 @@ def fine_test(t: InfiniteWord, K: int, material: int | None = None) -> BoundedVe
     """
     data = _material(t, material, default_material(K))
     pairs = acceptable_pairs(t.alphabet)
-    base = _extremal_bytes(data, K, pairs[0].order, want_max=False)
+    base = _extremal_bytes(data, K, pairs[0], want_max=False)
     windows = len(data) - K + 1
     ties, first = _first_differences(data, base[1:], windows)
     leads = set(data[:windows])
     mins = [(pairs[0], base)]
     for pair in pairs[1:]:
-        rank = pair.order.by_rank.index
+        rank = pair.by_rank.index
         c = min(leads, key=rank)
         if not ties[c] or _earliest_below(first[c], rank) is not None:
-            mins.append((pair, _extremal_bytes(data, K, pair.order, want_max=False)))
+            mins.append((pair, _extremal_bytes(data, K, pair, want_max=False)))
             break
     return _fine_verdict(t.alphabet, K, len(data), mins)
 
 
 def _fine_verdict(
-    alphabet: Alphabet, K: int, material: int, mins: list[tuple[AcceptablePair, bytes]]
+    alphabet: Alphabet, K: int, material: int, mins: list[tuple[LexOrder, bytes]]
 ) -> BoundedVerdict:
     """The fine verdict on the min-words of every pair: the first disagreement after their first letter."""
     base_pair, base = mins[0]
@@ -520,8 +513,8 @@ def _fine_verdict(
                 None,
                 K,
                 witness={
-                    "pair_a": base_pair.text(alphabet),
-                    "pair_b": pair.text(alphabet),
+                    "pair_a": _pair_text(base_pair, alphabet),
+                    "pair_b": _pair_text(pair, alphabet),
                     "depth": i,
                     "expected": _names(alphabet, base[: i + 1]),
                     "found": _names(alphabet, m[: i + 1]),

@@ -122,7 +122,7 @@ def _pal_closure_bytes(data: bytes) -> bytes:
 
 
 def pal_closure(w: FiniteWord) -> FiniteWord:
-    """The shortest palindrome having w as a prefix."""
+    """The shortest palindrome having w as a prefix: w^(+), iterated by the paper's epistandard words."""
     return FiniteWord(_pal_closure_bytes(w.data), w.alphabet)
 
 

@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
+from . import words
 from .analysis import _first_violation, classify_eventually_periodic, complexity, is_balanced
 from .generators import characteristic, thue_morse
 from .surds import QuadraticSurd
@@ -23,6 +24,7 @@ from .words import (
     _FrozenRecord,
     _material,
     _Record,
+    shift,
 )
 
 if TYPE_CHECKING:
@@ -31,7 +33,6 @@ if TYPE_CHECKING:
 __all__ = [
     "RationalInterval",
     "DigitExpansion",
-    "TorusPointSet",
     "digits_from_rational",
     "real_bounds_from_digits",
     "fractional_parts",
@@ -106,22 +107,19 @@ class RationalInterval(_FrozenRecord):
 
 
 class DigitExpansion(_FrozenRecord):
-    """A base-b digit word (finite prefix or infinite stream) with provenance."""
+    """A base-b digit word (finite prefix or infinite stream)."""
 
-    _fields = ("base", "digits", "provenance")
+    _fields = ("base", "digits")
 
-    def __init__(self, base: int, digits: FiniteWord | InfiniteWord, provenance: str = "from-word"):
+    def __init__(self, base: int, digits: FiniteWord | InfiniteWord):
         if base < 2:
             raise ValueError(f"base must be at least 2, got {base}")
         if digits.alphabet.size > base:
             raise ValueError("digit word uses letters outside the base range")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "provenance", provenance)
 
     def prefix_digits(self, n: int) -> bytes:
-        if n < 0:  # a finite word would otherwise lose digits from its end
-            raise ValueError(f"prefix length must be non-negative, got {n}")
         digits = _material(self.digits, n)
         if n > len(digits):
             raise ValueError(f"only {len(digits)} digits available, {n} requested")
@@ -142,11 +140,14 @@ def digits_from_rational(xi: Fraction, base: int, n: int) -> DigitExpansion:
     for _ in range(n):
         d, r = divmod(r * base, q)
         out.append(d)
-    return DigitExpansion(base, FiniteWord(out, alphabet), "from-rational")
+    return DigitExpansion(base, FiniteWord(out, alphabet))
 
 
 def real_bounds_from_digits(d: DigitExpansion, n: int | None = None) -> RationalInterval:
-    """Interval of width base^-N containing every real with the given digit prefix."""
+    """Interval of width base^-N holding every real with the given digit prefix.
+
+    Those reals are the xi = sum d_n b^-n of the paper's covering question.
+    """
     digits = _material(d.digits, None) if n is None else d.prefix_digits(n)
     value = 0
     for digit in digits:
@@ -179,24 +180,8 @@ def fractional_parts(d: DigitExpansion, shifts: int, precision: int) -> list[Rat
     return out
 
 
-class TorusPointSet(_FrozenRecord):
-    """A finite set of exact rational points on the unit circle, sorted and deduplicated."""
-
-    _fields = ("points",)
-
-    def __init__(self, points: tuple[Fraction, ...]):
-        pts = tuple(sorted(set(points)))
-        if any(not 0 <= p < 1 for p in pts):
-            raise ValueError("points must lie in [0, 1)")
-        object.__setattr__(self, "points", pts)
-
-
-def _endpoints(
-    items: TorusPointSet | list[RationalInterval] | list[Fraction],
-) -> Iterator[tuple[int, int, int]]:
+def _endpoints(items: list[RationalInterval] | list[Fraction]) -> Iterator[tuple[int, int, int]]:
     """(lo, hi, den) per point or interval: integer numerators over a positive denominator."""
-    if isinstance(items, TorusPointSet):
-        items = items.points
     for it in items:
         if isinstance(it, RationalInterval):
             yield it._lo, it._hi, it._den
@@ -206,12 +191,12 @@ def _endpoints(
 
 
 def min_covering_interval(
-    items: TorusPointSet | list[RationalInterval] | list[Fraction],
-    circular: bool = True,
+    items: list[RationalInterval] | list[Fraction], circular: bool = True
 ) -> tuple[Fraction, RationalInterval]:
     """Shortest closed arc (or interval) covering all the points/intervals.
 
-    On the circle this is the complement of the largest empty gap; the result
+    On the circle R/Z this is the complement of the largest empty gap; each
+    point, and each interval's start, must lie in [0, 1), and the result
     interval may have hi > 1 to represent an arc wrapping through 0.
     """
     # integer numerators over the common denominator (base^precision for
@@ -233,6 +218,8 @@ def min_covering_interval(
         lo = intervals[0][0]
         hi = max(a + b for a, b in intervals)
         return Fraction(hi - lo, den), RationalInterval._over(lo, hi, den)
+    if not 0 <= intervals[0][0] <= intervals[-1][0] < den:
+        raise ValueError("points must lie in [0, 1)")
     # the largest gap between an interval's start and the furthest end before
     # it, the gap through 0 last; the first of equal gaps wins
     best_gap, best_start = None, 0
@@ -399,7 +386,7 @@ def self_sturmian_test(s: InfiniteWord, K: int, L: int) -> BoundedVerdict:
         return BoundedVerdict(
             False, K, L, witness={"reason": "must begin with 11", "found": f"{head[0]}{head[1]}"}
         )
-    u = s.shifted(1)
+    u = shift(s, 1)
     verdict = check_sturmian_extremal(u, u, K, L)
     if not verdict.holds:
         verdict.detail["reason"] = "tail fails the characteristic inequalities"
@@ -423,45 +410,45 @@ def self_sturmian_test(s: InfiniteWord, K: int, L: int) -> BoundedVerdict:
 # Gamma-tilde and named constants
 
 
-def _doubling_points(x: Fraction, cap: int = 1_000_000) -> Iterator[int]:
+def _doubling_points(x: Fraction) -> Iterator[int]:
     """Numerators over q = x.denominator of the doubling-map orbit of {x}, to the first repeat.
 
     With q = 2^a m and m odd, the first a points (and a negative start) are
     never met again and the rest is a cycle, so the walk stops when it comes
     back to the point after them, and keeps no set.  An orbit of more than
-    cap + 1 points raises.
+    STURMLEX_MAX_LEN + 1 points raises.
     """
     q = x.denominator
     y = x.numerator - int(x) * q  # {x}; x = 1 maps to 0
     start = max((q & -q).bit_length() - 1, int(y < 0))  # index of the first point on the cycle
     cycle = None
-    for i in range(cap + 1):
+    for i in range(words.MAX_PREFIX + 1):
         if i == start:
             cycle = y
         yield y
         y = 2 * y % q
         if y == cycle:
             return
-    raise ValueError("orbit cap exceeded")
+    _check_cap(i + 1, "orbit point {}")  # one point more than the cap allows: raises
 
 
-def gamma_tilde_orbit(x: Fraction, cap: int = 1_000_000) -> list[Fraction]:
+def gamma_tilde_orbit(x: Fraction) -> list[Fraction]:
     """Doubling-map orbit of a rational until the first repeat (exact)."""
     x = Fraction(x)
-    return [Fraction(y, x.denominator) for y in _doubling_points(x, cap)]
+    return [Fraction(y, x.denominator) for y in _doubling_points(x)]
 
 
-def gamma_tilde_member(x: Fraction, cap: int = 1_000_000) -> bool:
+def gamma_tilde_member(x: Fraction) -> bool:
     """Exact membership of a rational in {x : 1-x <= {2^k x} <= x for all k}.
 
     Rational orbits under doubling are eventually periodic, so cycle
-    detection makes the check exact; ``cap`` only guards degenerate inputs.
+    detection makes the check exact; the prefix cap only guards degenerate inputs.
     """
-    return _gamma_tilde_walk(x, cap)[0]
+    return _gamma_tilde_walk(x)[0]
 
 
-def _gamma_tilde_walk(x: Fraction, cap: int = 1_000_000) -> tuple[bool, int]:
-    """``gamma_tilde_member(x, cap)`` and the size of the doubling orbit of x, from one walk of the orbit."""
+def _gamma_tilde_walk(x: Fraction) -> tuple[bool, int]:
+    """``gamma_tilde_member(x)`` and the size of the doubling orbit of x, from one walk of the orbit."""
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError("x must lie in [0, 1]")
@@ -469,7 +456,7 @@ def _gamma_tilde_walk(x: Fraction, cap: int = 1_000_000) -> tuple[bool, int]:
     # so an orbit over the cap raises whatever its points
     lo, hi = x.denominator - x.numerator, x.numerator
     inside, size = True, 0
-    for size, y in enumerate(_doubling_points(x, cap), 1):
+    for size, y in enumerate(_doubling_points(x), 1):
         if not lo <= y <= hi:
             inside = False
     return inside, size
@@ -501,6 +488,6 @@ def veerman_interval(alpha: QuadraticSurd, precision: int) -> tuple[RationalInte
     c = characteristic(alpha)
     tail = c.prefix_bytes(precision - 1)
     base = Alphabet.digits(2)
-    d0 = DigitExpansion(2, FiniteWord(bytes([0]) + tail, base), "from-word")
-    d1 = DigitExpansion(2, FiniteWord(bytes([1]) + tail, base), "from-word")
+    d0 = DigitExpansion(2, FiniteWord(bytes([0]) + tail, base))
+    d1 = DigitExpansion(2, FiniteWord(bytes([1]) + tail, base))
     return real_bounds_from_digits(d0), real_bounds_from_digits(d1)

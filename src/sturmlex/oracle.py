@@ -44,9 +44,9 @@ from .extremal import (
     default_material,
 )
 from .generators import DirectiveWord, _pal_closure_bytes, epistandard, kbonacci, thue_morse
-from .modone import DigitExpansion, RationalInterval, TorusPointSet
+from .modone import DigitExpansion, RationalInterval
 from .surds import QuadraticSurd, _floor
-from .words import Alphabet, FiniteWord, InfiniteWord, LexOrder, _material, _Record
+from .words import Alphabet, FiniteWord, InfiniteWord, LexOrder, _check_cap, _material, _Record
 
 __all__ = [
     "closure_letters",
@@ -158,30 +158,22 @@ def default_roster() -> list[InfiniteWord]:
 
 
 class OracleCorpus(_Record):
-    """A deterministic, labelled subset of the finite episturmian words."""
+    """A deterministic subset of the finite episturmian words."""
 
-    _fields = ("n_max", "prefix_budget", "generators", "words", "label")
+    _fields = ("n_max", "prefix_budget", "generators", "words")
 
-    def __init__(
-        self,
-        n_max: int,
-        prefix_budget: int,
-        generators: tuple[str, ...],
-        words: set[FiniteWord],
-        label: str = "subset of finite episturmian words",
-    ):
+    def __init__(self, n_max: int, prefix_budget: int, generators: tuple[str, ...], words: set[FiniteWord]):
         self.n_max = n_max
         self.prefix_budget = prefix_budget
         self.generators = generators
         self.words = words
-        self.label = label
 
     def count(self) -> int:
         return len(self.words)
 
     def dump(self) -> str:
         lines = [
-            f"# corpus: {self.label}",
+            "# corpus: subset of finite episturmian words",
             f"# n_max={self.n_max} prefix_budget={self.prefix_budget} count={self.count()}",
             f"# generators: {'; '.join(self.generators)}",
         ]
@@ -308,9 +300,9 @@ def epistandard_ineq_by_order(
     data = s.prefix_bytes(max(len(factors), K + L))
     results = []
     for pair in acceptable_pairs(s.alphabet):
-        prefixed = bytes([pair.letter]) + data[: max(L, K) - 1]
-        verdict = shift_chain_by_letters(s, prefixed[:L], None, K, L, pair.order)
-        m = extremal_factor_by_windows(factors, K, pair.order, want_max=False)
+        prefixed = bytes([pair.by_rank[0]]) + data[: max(L, K) - 1]
+        verdict = shift_chain_by_letters(s, prefixed[:L], None, K, L, pair)
+        m = extremal_factor_by_windows(factors, K, pair, want_max=False)
         results.append(PairInequality(pair, verdict, equality=(m == prefixed[:K])))
     return EpistandardReport(
         holds=all(r.verdict.holds for r in results),
@@ -326,7 +318,7 @@ def fine_by_order(t: InfiniteWord, K: int, material: int | None = None) -> Bound
     """fine_test recomputed with a full factor scan per order."""
     data = _material(t, material, default_material(K))
     pairs = acceptable_pairs(t.alphabet)
-    mins = [(pair, extremal_factor_by_windows(data, K, pair.order, want_max=False)) for pair in pairs]
+    mins = [(pair, extremal_factor_by_windows(data, K, pair, want_max=False)) for pair in pairs]
     return _fine_verdict(t.alphabet, K, len(data), mins)
 
 
@@ -443,16 +435,13 @@ def fractional_parts_by_shift(d: DigitExpansion, shifts: int, precision: int) ->
 
 
 def covering_by_fractions(
-    items: TorusPointSet | list[RationalInterval] | list[Fraction], circular: bool = True
+    items: list[RationalInterval] | list[Fraction], circular: bool = True
 ) -> tuple[Fraction, RationalInterval]:
     """min_covering_interval recomputed on sorted Fraction pairs."""
-    if isinstance(items, TorusPointSet):
-        intervals = [(p, p) for p in items.points]
-    else:
-        intervals = [
-            (it.lo, it.hi) if isinstance(it, RationalInterval) else (Fraction(it), Fraction(it))
-            for it in items
-        ]
+    intervals = [
+        (it.lo, it.hi) if isinstance(it, RationalInterval) else (Fraction(it), Fraction(it))
+        for it in items
+    ]
     if not intervals:
         raise ValueError("empty input")
     intervals.sort()
@@ -460,6 +449,9 @@ def covering_by_fractions(
         lo = min(a for a, _ in intervals)
         hi = max(b for _, b in intervals)
         return hi - lo, RationalInterval(lo, hi)
+    # on the circle every point, and every interval's start, is a number in [0, 1)
+    if any(not 0 <= a < 1 for a, _ in intervals):
+        raise ValueError("points must lie in [0, 1)")
     n = len(intervals)
     best_gap = None
     best_start = 0
@@ -495,26 +487,25 @@ def digits_by_fractions(xi: Fraction, base: int, n: int) -> bytes:
     return bytes(out)
 
 
-def doubling_orbit_by_fractions(x: Fraction, cap: int = 1_000_000) -> list[Fraction]:
+def doubling_orbit_by_fractions(x: Fraction) -> list[Fraction]:
     """modone.gamma_tilde_orbit recomputed with one Fraction doubling mod 1 per point."""
     orbit = []
     seen = set()
     y = x - int(x)  # {x}; x = 1 maps to 0
     while y not in seen:
-        if len(orbit) > cap:
-            raise ValueError("orbit cap exceeded")
+        _check_cap(len(orbit), "orbit point {}")
         seen.add(y)
         orbit.append(y)
         y = (2 * y) % 1
     return orbit
 
 
-def gamma_tilde_by_fractions(x: Fraction, cap: int = 1_000_000) -> bool:
+def gamma_tilde_by_fractions(x: Fraction) -> bool:
     """modone.gamma_tilde_member recomputed by comparing every Fraction orbit point with x and 1 - x."""
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError("x must lie in [0, 1]")
-    return all(1 - x <= y <= x for y in doubling_orbit_by_fractions(x, cap))
+    return all(1 - x <= y <= x for y in doubling_orbit_by_fractions(x))
 
 
 def thue_morse_constant_by_sum(n_terms: int) -> RationalInterval:

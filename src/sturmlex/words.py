@@ -33,7 +33,7 @@ __all__ = [
     "word_from_text",
 ]
 
-# Safety cap for any single prefix evaluation; overridable via environment.
+# The most letters one prefix may hold (STURMLEX_MAX_LEN).
 _cap_text = os.environ.get("STURMLEX_MAX_LEN", "1000000")
 try:
     MAX_PREFIX = int(_cap_text)
@@ -140,7 +140,7 @@ class Alphabet(_FrozenRecord):
 
 
 BINARY = Alphabet(("0", "1"))
-BINARY_AB = Alphabet(("a", "b"))
+BINARY_AB = Alphabet(("a", "b"))  # a < b, the letters of as <= T^k(s) <= bs
 
 
 class FiniteWord:
@@ -258,11 +258,6 @@ class InfiniteWord:
         if n < 0:
             raise ValueError(f"letter index must be non-negative, got {n}")
         return self._fill(n + 1)[n]
-
-    def shifted(self, k: int) -> "InfiniteWord":
-        if k < 0:
-            raise ValueError("shift must be non-negative")
-        return _image(self, bytes, self.alphabet, f"T^{k}({{}})".format, start=k) if k else self
 
     def __repr__(self):
         return f"InfiniteWord({self.recipe})"
@@ -393,6 +388,8 @@ def _first_difference(x: bytes, y: bytes) -> int:
 
 def _material(w: FiniteWord | InfiniteWord, prefix_length: int | None, default: int | None = None) -> bytes:
     """The material of w: a finite word whole, else its first prefix_length (or default) letters."""
+    if (prefix_length or 0) < 0:
+        raise ValueError(f"prefix length must be non-negative, got {prefix_length}")
     if isinstance(w, FiniteWord):
         return w.data
     n = default if prefix_length is None else prefix_length
@@ -410,7 +407,7 @@ def shift(w: FiniteWord | InfiniteWord, k: int = 1):
     if k < 0:
         raise ValueError("shift count must be non-negative")
     if isinstance(w, InfiniteWord):
-        return w.shifted(k)
+        return _image(w, bytes, w.alphabet, f"T^{k}({{}})".format, start=k) if k else w
     if len(w) == 0:
         raise ValueError("circular shift of the empty word is undefined")
     j = k % len(w)
@@ -465,7 +462,7 @@ def _image(w, f: Callable, alphabet: Alphabet, recipe: Callable[[str], str], hea
 # serialization
 
 def word_to_text(w: FiniteWord | UltimatelyPeriodicWord) -> str:
-    """Two-line text form: letter names, then the word body (u|v when periodic)."""
+    """The two-line text of a ``file:`` word: letter names, then the body (u|v when periodic)."""
     names = ",".join(w.alphabet.names)
     if isinstance(w, UltimatelyPeriodicWord):
         return f"{names}\n{w.preperiod.as_str()}|{w.period.as_str()}\n"

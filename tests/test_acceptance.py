@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from sturmlex.analysis import block_condition, complexity, is_balanced
 from sturmlex.surds import QuadraticSurd
-from sturmlex.words import BINARY, Alphabet, FiniteWord, LexOrder, UltimatelyPeriodicWord, prepend
+from sturmlex.words import BINARY, Alphabet, FiniteWord, LexOrder, UltimatelyPeriodicWord, prepend, shift
 from sturmlex.generators import (
     DirectiveWord,
     Morphism,
@@ -105,15 +105,15 @@ def test_criterion_4_extremal_bounded_suite():
     for slope, s in zip(SLOPES, sturmians):
         u = characteristic(slope)
         for j in range(10):
-            verdict = check_sturmian_extremal(s.shifted(j), u, 200, 400)
+            verdict = check_sturmian_extremal(shift(s, j), u, 200, 400)
             assert verdict.holds, (slope, j)
 
-    controls = [thue_morse().shifted(j) for j in range(4)]
+    controls = [shift(thue_morse(), j) for j in range(4)]
     for i in range(6):
         base = characteristic(SLOPES[i % 3])
         head = bytearray(base.prefix_bytes(60 + i))
         head[30 + i] ^= 1  # plant an unbalanced patch
-        controls.append(prepend(FiniteWord(bytes(head), BINARY), base.shifted(60 + i)))
+        controls.append(prepend(FiniteWord(bytes(head), BINARY), shift(base, 60 + i)))
     assert len(controls) == 10
     u = characteristic(SLOPES[0])
     for control in controls:

@@ -188,6 +188,18 @@ class TestAnalyzeFiniteWord:
         code, out, _ = run(capsys, "--format", "json", "analyze", "local-balance", "--word", "fib")
         assert (code, json.loads(out)["detail"]["material"]) == (0, 2000)
 
+    @pytest.mark.parametrize("leaf, extra", [
+        ("complexity", ("--k-max", "3")), ("balance", ()), ("block-condition", ()),
+        ("special", ("--n", "1")), ("local-balance", ("--n-max", "1")), ("period", ()),
+    ])
+    @pytest.mark.parametrize("view", ["file:{}", "shift:2:file:{}"])
+    def test_a_negative_prefix_is_a_usage_error(self, capsys, tmp_path, leaf, extra, view):
+        # as over an infinite word: a finite word is read whole, but only for a prefix length >= 0
+        path = tmp_path / "w.txt"
+        path.write_text("0,1\n0100101001001\n", encoding="utf-8")
+        code, out, err = run(capsys, "analyze", leaf, "--word", view.format(path), *extra, "--prefix", "-1")
+        assert (code, out, err) == (2, "", "error: prefix length must be non-negative, got -1\n")
+
 
 class TestDigitSource:
     """frac-parts, cover and classify read exactly one of --xi, --xi-digits and --word."""
@@ -398,3 +410,10 @@ def test_malformed_max_len_is_a_usage_error(cap):
 ])
 def test_every_int_text_is_a_cap(cap, expected):
     assert child(GENERATE, cap) == expected
+
+
+def test_the_prefix_cap_bounds_the_doubling_orbit():
+    # the orbit of 1/7 is 1/7, 2/7, 4/7: cap + 1 points pass, cap + 2 points do not
+    gamma_tilde = ["-m", "sturmlex.cli", "--format", "json", "modone", "gamma-tilde", "--x", "1/7"]
+    assert child(gamma_tilde, "2")[:2] == (1, '{"x": "1/7", "member": false, "orbit_size": 3}\n')
+    assert child(gamma_tilde, "1") == (2, "", "error: orbit point 2 exceeds cap 1 (STURMLEX_MAX_LEN)\n")

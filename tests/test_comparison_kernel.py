@@ -44,6 +44,7 @@ from sturmlex.words import (
     UltimatelyPeriodicWord,
     _first_difference,
     prepend,
+    shift,
 )
 
 FIB = characteristic(fibonacci_slope())
@@ -180,7 +181,7 @@ def rho(p, q):
     (mechanical_lower(fibonacci_slope(), rho(1, 3)), 300),
     (mechanical_lower(fibonacci_slope(), rho(1, 3)), 600),
     (mechanical_lower(QuadraticSurd(-1, 1, 2, 1), rho(1, 5)), 300),
-    (characteristic(QuadraticSurd(-1, 1, 3, 2)).shifted(11), 400),
+    (shift(characteristic(QuadraticSurd(-1, 1, 3, 2)), 11), 400),
     (thue_morse(), 300),
 ], ids=lambda v: v.recipe[:30] if hasattr(v, "recipe") else str(v))
 def test_characteristic_shift_matches_the_letter_loop(w, n):

@@ -1,13 +1,14 @@
 """Extremal machinery: examples, invariants, and oracle equivalences."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from sturmlex.analysis import balance_violation, is_balanced
 from sturmlex.surds import QuadraticSurd
-from sturmlex.words import BINARY, BINARY_AB, Alphabet, FiniteWord, LexOrder, UltimatelyPeriodicWord, prepend
+from sturmlex.words import BINARY, BINARY_AB, Alphabet, FiniteWord, LexOrder, UltimatelyPeriodicWord, prepend, shift
 from sturmlex.generators import (
     DirectiveWord,
     Morphism,
@@ -22,6 +23,7 @@ from sturmlex.generators import (
 )
 from sturmlex.extremal import (
     _characteristic_roster,
+    _pair_text,
     acceptable_pairs,
     allowed_pair_check,
     characteristic_check,
@@ -78,8 +80,17 @@ class TestAcceptablePairs:
         assert len(acceptable_pairs(A3)) == 6
 
     def test_letter_is_minimum(self):
-        for pair in acceptable_pairs(A3):
-            assert pair.order.by_rank.index(pair.letter) == 0
+        # a pair (a, <) is its order: a is the least letter, written first in the pair's text
+        for order in acceptable_pairs(A3):
+            letter, ranked = _pair_text(order, A3)[1:-1].split(", ")
+            assert ranked.split("<")[0] == letter == A3.names[order.by_rank[0]]
+        assert _pair_text(LexOrder((2, 0, 1)), A3) == "(c, c<a<b)"
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_one_distinct_order_per_permutation(self, size):
+        orders = acceptable_pairs(Alphabet.of_size(size))
+        assert all(isinstance(order, LexOrder) for order in orders)
+        assert len(set(orders)) == len(orders) == math.factorial(size)
 
     def test_cap(self):
         assert len(acceptable_pairs(Alphabet.of_size(4))) == 24
@@ -137,7 +148,7 @@ class TestSturmianExtremal:
         assert v.holds and v.shift_bound == 200 and v.depth_bound == 400
 
     def test_shifted_sturmian_holds(self, fib01):
-        v = check_sturmian_extremal(fib01.shifted(3), fib01, 200, 400)
+        v = check_sturmian_extremal(shift(fib01, 3), fib01, 200, 400)
         assert v.holds
 
     def test_thue_morse_fails_with_witness(self, fib01):
@@ -186,7 +197,7 @@ class TestEpistandardInequality:
         rep = check_epistandard_ineq(s, 100, 300)
         assert rep.holds and not rep.strict
         for p in rep.pairs:
-            expected = p.pair.letter != 2  # only the pairs with minimum c miss equality
+            expected = p.pair.by_rank[0] != 2  # only the pairs with minimum c miss equality
             assert p.equality == expected
 
     def test_periodic_balanced_case(self):
@@ -199,7 +210,7 @@ class TestEpistandardInequality:
         rep = check_epistandard_ineq(s, 100, 300)
         assert rep.holds and not rep.strict
         for p in rep.pairs:
-            assert p.equality == (p.pair.letter != 1)
+            assert p.equality == (p.pair.by_rank[0] != 1)
 
     def test_non_episturmian_fails(self):
         rep = check_epistandard_ineq(thue_morse(), 100, 300)

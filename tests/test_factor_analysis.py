@@ -16,7 +16,6 @@ from sturmlex.generators import characteristic, fibonacci_slope, kbonacci, thue_
 from sturmlex.modone import (
     DigitExpansion,
     RationalInterval,
-    TorusPointSet,
     digits_from_rational,
     fractional_parts,
     min_covering_interval,
@@ -201,12 +200,11 @@ def test_cover_on_unrelated_rationals():
     rng = random.Random(11)
     for _ in range(100):
         points = [Fraction(rng.randrange(q), q) for q in rng.sample(range(2, 400), rng.randrange(1, 12))]
-        for items in (TorusPointSet(tuple(points)), points):
-            for circular in (True, False):
-                assert min_covering_interval(items, circular) == covering_by_fractions(items, circular)
-        # intervals of unequal widths, some nested in others and some past 1
-        ends = [sorted(Fraction(rng.randrange(2 * q), q) for _ in range(2)) for q in rng.sample(range(2, 60), 6)]
-        intervals = [RationalInterval(lo, hi) for lo, hi in ends]
+        for circular in (True, False):
+            assert min_covering_interval(points, circular) == covering_by_fractions(points, circular)
+        # intervals of unequal widths starting in [0, 1), some nested in others and some past 1
+        ends = [(Fraction(rng.randrange(q), q), Fraction(rng.randrange(q), q)) for q in rng.sample(range(2, 60), 6)]
+        intervals = [RationalInterval(lo, lo + width) for lo, width in ends]
         for circular in (True, False):
             assert min_covering_interval(intervals, circular) == covering_by_fractions(intervals, circular)
     mixed = [RationalInterval(Fraction(1, 3), Fraction(2, 5)), Fraction(9, 10), 0]
@@ -215,6 +213,21 @@ def test_cover_on_unrelated_rationals():
     assert min_covering_interval(full) == covering_by_fractions(full) == (Fraction(1), RationalInterval(0, 1))
     with pytest.raises(ValueError, match="empty"):
         min_covering_interval([])
+
+
+@pytest.mark.parametrize("items", [
+    [Fraction(3, 2), Fraction(1, 10)],  # was the arc (3/2, 11/10), of length -2/5
+    [Fraction(-1, 10), Fraction(1, 2)],
+    [Fraction(0), Fraction(1)],
+    [RationalInterval(Fraction(1), Fraction(11, 10))],
+    [RationalInterval(Fraction(1, 2), Fraction(3, 5)), RationalInterval(Fraction(-1, 10), Fraction(1, 10))],
+], ids=["point past 1", "negative point", "point at 1", "interval start at 1", "negative interval start"])
+def test_circle_points_and_interval_starts_lie_in_the_unit_interval(items):
+    # a point of R/Z is a number in [0, 1); on the line any start is allowed
+    for cover in (min_covering_interval, covering_by_fractions):
+        with pytest.raises(ValueError, match=r"^points must lie in \[0, 1\)$"):
+            cover(items)
+    assert min_covering_interval(items, circular=False) == covering_by_fractions(items, circular=False)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +294,7 @@ def test_out_of_domain_arguments_are_usage_errors(capsys, argv):
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
-    def broken(x, cap=0):
+    def broken(x):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(modone, "_gamma_tilde_walk", broken)

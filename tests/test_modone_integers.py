@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmlex import words
 from sturmlex.cli import main
 from sturmlex.generators import characteristic, fibonacci_slope
 from sturmlex.modone import (
@@ -136,14 +137,18 @@ def test_gamma_tilde_orbit_of_any_rational(x):
 @settings(max_examples=200, deadline=None)
 def test_orbit_cap_threshold(x):
     size = len(doubling_orbit_by_fractions(x))
-    # an orbit of cap + 1 points passes; cap + 2 points raise
-    assert len(gamma_tilde_orbit(x, cap=size - 1)) == size
-    assert gamma_tilde_member(x, cap=size - 1) is gamma_tilde_by_fractions(x, cap=size - 1)
-    if size >= 2:
-        for run in (gamma_tilde_orbit, gamma_tilde_member, doubling_orbit_by_fractions,
-                    gamma_tilde_by_fractions):
-            with pytest.raises(ValueError, match="^orbit cap exceeded$"):
-                run(x, cap=size - 2)
+    # the walks read the prefix cap, STURMLEX_MAX_LEN: an orbit of cap + 1 points passes; cap + 2 points raise
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "MAX_PREFIX", size - 1)
+        assert len(gamma_tilde_orbit(x)) == size
+        assert gamma_tilde_member(x) is gamma_tilde_by_fractions(x)
+        if size >= 2:
+            mp.setattr(words, "MAX_PREFIX", size - 2)
+            message = rf"^orbit point {size - 1} exceeds cap {size - 2} \(STURMLEX_MAX_LEN\)$"
+            for run in (gamma_tilde_orbit, gamma_tilde_member, doubling_orbit_by_fractions,
+                        gamma_tilde_by_fractions):
+                with pytest.raises(ValueError, match=message):
+                    run(x)
 
 
 def test_gamma_tilde_command_reports_the_orbit_size():
@@ -161,11 +166,12 @@ def test_gamma_tilde_command_reports_the_orbit_size():
             assert code == (0 if obj["member"] else 1) and obj["member"] is gamma_tilde_by_fractions(x)
 
 
-def test_gamma_tilde_range_is_checked_before_the_orbit():
+def test_gamma_tilde_range_is_checked_before_the_orbit(monkeypatch):
+    monkeypatch.setattr(words, "MAX_PREFIX", 0)
     for x in (Fraction(-1, 3), Fraction(3, 2)):
         for run in (gamma_tilde_member, gamma_tilde_by_fractions):
             with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\]$"):
-                run(x, cap=0)
+                run(x)
 
 
 @given(st.integers(2, 10**6), st.integers(1, 10**6), st.integers(2, 10), st.integers(1, 200))

@@ -10,15 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from sturmlex.extremal import (
-    AcceptablePair,
-    BoundedVerdict,
-    EpistandardReport,
-    GanCandidate,
-    PairInequality,
-)
+from sturmlex.extremal import BoundedVerdict, EpistandardReport, GanCandidate, PairInequality
 from sturmlex.generators import DirectiveWord, Morphism, kbonacci
-from sturmlex.modone import ClassifyReport, DigitExpansion, RationalInterval, TorusPointSet
+from sturmlex.modone import ClassifyReport, DigitExpansion, RationalInterval, min_covering_interval
 from sturmlex.oracle import OracleCorpus
 from sturmlex.words import (
     BINARY,
@@ -34,10 +28,6 @@ from sturmlex.words import (
 AB = FiniteWord.from_str("ab")
 BA = FiniteWord.from_str("ba")
 FIB = kbonacci(2)  # one InfiniteWord object: InfiniteWords compare by identity
-
-
-def pair(letter=0):
-    return AcceptablePair(letter, LexOrder((letter, 1 - letter)))
 
 
 def report(**changes):
@@ -73,10 +63,6 @@ RECORDS = {
         lambda: Morphism(BINARY, (AB, BA)),
         "Morphism(alphabet=Alphabet('ab'), images=(FiniteWord('ab'), FiniteWord('ba')))",
     ),
-    AcceptablePair: (
-        lambda: pair(0), lambda: AcceptablePair(letter=0, order=LexOrder((0, 1))), lambda: pair(1),
-        "AcceptablePair(letter=0, order=LexOrder(0<1))",
-    ),
     BoundedVerdict: (
         lambda: BoundedVerdict(False, 3, 4, {"k": 1}, 2, {"a": 1}),
         lambda: BoundedVerdict(holds=False, shift_bound=3, depth_bound=4, witness={"k": 1},
@@ -86,10 +72,10 @@ RECORDS = {
         "undecided=2, detail={'a': 1})",
     ),
     PairInequality: (
-        lambda: PairInequality(pair(), BoundedVerdict(True), True),
-        lambda: PairInequality(pair=pair(), verdict=BoundedVerdict(True), equality=True),
-        lambda: PairInequality(pair(), BoundedVerdict(True), False),
-        "PairInequality(pair=AcceptablePair(letter=0, order=LexOrder(0<1)), "
+        lambda: PairInequality(LexOrder((0, 1)), BoundedVerdict(True), True),
+        lambda: PairInequality(pair=LexOrder((0, 1)), verdict=BoundedVerdict(True), equality=True),
+        lambda: PairInequality(LexOrder((0, 1)), BoundedVerdict(True), False),
+        "PairInequality(pair=LexOrder(0<1), "
         "verdict=BoundedVerdict(holds=True, shift_bound=None, depth_bound=None, witness=None, "
         "undecided=0, detail={}), equality=True)",
     ),
@@ -112,15 +98,8 @@ RECORDS = {
         lambda: RationalInterval(Fraction(1, 3), Fraction(2, 3)), "RationalInterval(1/3, 1/2)",
     ),
     DigitExpansion: (
-        lambda: DigitExpansion(3, AB), lambda: DigitExpansion(base=3, digits=AB, provenance="from-word"),
-        lambda: DigitExpansion(3, AB, "from-rational"),
-        "DigitExpansion(base=3, digits=FiniteWord('ab'), provenance='from-word')",
-    ),
-    TorusPointSet: (
-        lambda: TorusPointSet((Fraction(1, 2), Fraction(1, 3), Fraction(1, 2))),
-        lambda: TorusPointSet(points=(Fraction(1, 3), Fraction(1, 2))),
-        lambda: TorusPointSet((Fraction(1, 3),)),
-        "TorusPointSet(points=(Fraction(1, 3), Fraction(1, 2)))",
+        lambda: DigitExpansion(3, AB), lambda: DigitExpansion(base=3, digits=AB),
+        lambda: DigitExpansion(3, BA), "DigitExpansion(base=3, digits=FiniteWord('ab'))",
     ),
     ClassifyReport: (
         report, lambda: report(interval_refinement="not-applicable", characteristic_shift=None),
@@ -131,20 +110,17 @@ RECORDS = {
     ),
     OracleCorpus: (
         lambda: OracleCorpus(1, 20, ("fib",), {AB}),
-        lambda: OracleCorpus(n_max=1, prefix_budget=20, generators=("fib",), words={AB},
-                             label="subset of finite episturmian words"),
+        lambda: OracleCorpus(n_max=1, prefix_budget=20, generators=("fib",), words={AB}),
         lambda: OracleCorpus(1, 20, ("fib",), {BA}),
-        "OracleCorpus(n_max=1, prefix_budget=20, generators=('fib',), words={FiniteWord('ab')}, "
-        "label='subset of finite episturmian words')",
+        "OracleCorpus(n_max=1, prefix_budget=20, generators=('fib',), words={FiniteWord('ab')})",
     ),
 }
-FROZEN = {Alphabet, LexOrder, ComparisonOutcome, DirectiveWord, Morphism, AcceptablePair,
-          RationalInterval, DigitExpansion, TorusPointSet}
+FROZEN = {Alphabet, LexOrder, ComparisonOutcome, DirectiveWord, Morphism, RationalInterval, DigitExpansion}
 CLASSES = list(RECORDS)
 
 
-def test_fifteen_records():
-    assert len(RECORDS) == 15
+def test_thirteen_records():
+    assert len(RECORDS) == 13
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -195,7 +171,7 @@ def test_hash_and_freezing(cls):
     (lambda: DigitExpansion(1, AB), "base must be at least 2, got 1"),
     (lambda: DigitExpansion(2, FiniteWord.from_str("abc")),
      "digit word uses letters outside the base range"),
-    (lambda: TorusPointSet((Fraction(1, 2), Fraction(1))), r"points must lie in \[0, 1\)"),
+    (lambda: min_covering_interval([Fraction(1, 2), Fraction(1)]), r"points must lie in \[0, 1\)"),
 ])
 def test_validation_messages(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -204,12 +180,11 @@ def test_validation_messages(make, message):
 
 def test_defaults():
     assert DirectiveWord(AB).cycle is None
-    assert DigitExpansion(2, AB).provenance == "from-word"
     v = BoundedVerdict(True)
     assert (v.shift_bound, v.depth_bound, v.witness, v.undecided, v.detail) == (None, None, None, 0, {})
     r = report()
     assert (r.interval_refinement, r.characteristic_shift) == ("not-applicable", None)
-    assert OracleCorpus(1, 2, (), set()).label == "subset of finite episturmian words"
+    assert OracleCorpus(1, 2, (), set()).dump().startswith("# corpus: subset of finite episturmian words\n")
 
 
 def test_each_verdict_has_its_own_detail():
@@ -219,12 +194,14 @@ def test_each_verdict_has_its_own_detail():
     assert b.detail == {}
 
 
-def test_torus_points_are_sorted_and_deduplicated():
-    pts = TorusPointSet([Fraction(1, 2), Fraction(0), Fraction(1, 2)])
-    assert pts.points == (Fraction(0), Fraction(1, 2))
-
-
 def test_rational_interval_has_slots_and_no_dict():
     iv = RationalInterval(Fraction(0), Fraction(1))
     assert set(RationalInterval.__slots__) == {"_lo", "_hi", "_den"}
     assert not hasattr(iv, "__dict__")
+
+
+def test_torus_points_are_sorted_and_deduplicated():
+    # the points of R/Z that min_covering_interval takes come in any order, repeats included
+    once = min_covering_interval([Fraction(0), Fraction(1, 2)])
+    assert min_covering_interval([Fraction(1, 2), Fraction(0), Fraction(1, 2)]) == once == (
+        Fraction(1, 2), RationalInterval(Fraction(1, 2), Fraction(1)))

@@ -2,10 +2,10 @@
 
 The material is a finite word whole or a prefix of an infinite word of the
 caller's length (``words._material``), so every answer about an infinite word
-is a claim about that prefix.  Three kernels on byte strings serve the rest:
+is a claim about that prefix.  Two kernels on byte strings serve the rest:
 Duval's Lyndon factorization for least suffixes (balance, the block
-condition, and the extremal factors of ``sturmlex.extremal``), one Z-array
-for periods, and an early-exit loop over the shifts of a shift-chain check.
+condition, and the extremal factors of ``sturmlex.extremal``) and one Z-array
+for periods.
 """
 
 from __future__ import annotations
@@ -228,24 +228,6 @@ def _common_run(s: bytes, k: int, j: int) -> int:
         if x != y:
             return j - start + _first_difference(x, y)
         k, j, w = k + w, j + w, min(2 * w, 1 << 16)
-
-
-def _first_violation(data: bytes, lo: bytes, hi: bytes, K: int, L: int) -> tuple[tuple[int, str] | None, int]:
-    """Where a shift first leaves its bounds: ((k, "lower" or "upper") or None, ties met before k).
-
-    k is the least shift <= K with data[k:k+L] < lo or > hi, the lower bound checked first.  data holds
-    K + L letters or more and each bound L, compared raw: bytes order is then the depth-L comparison,
-    and equality a tie through depth L, undecided and never a violation.
-    """
-    undecided = 0
-    for k in range(K + 1):
-        seg = data[k : k + L]
-        if seg < lo:
-            return (k, "lower"), undecided
-        if seg > hi:
-            return (k, "upper"), undecided
-        undecided += (seg == lo) + (seg == hi)
-    return None, undecided
 
 
 def lex_compare(

@@ -7,7 +7,8 @@ Word sources are builtin names, inline constructions, or serialized word
 files; see ``--help`` of each subcommand.
 
 Each group's leaves and handler live in ``sturmlex.commands.<group>``, which
-``main`` imports only for the group a command names.
+``main`` imports only for the group a command names, and of whose leaves it
+builds only the one the command names.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ def _group(name: str):
     return __import__(f"sturmlex.commands.{name}", fromlist=["run"])
 
 
-def build_parser(group: str | None = None) -> argparse.ArgumentParser:
-    """The command parser; with ``group``, only that group gets its leaf subcommands.
+def build_parser(group: str | None = None, leaf: str | None = None) -> argparse.ArgumentParser:
+    """The command parser; with ``group``, only that group gets its leaf subcommands,
+    and with a ``leaf`` of that group's, only that leaf.
 
     Every group parser exists either way, so the top-level help and errors do
-    not depend on ``group``.
+    not depend on ``group``; and a leaf's parser is the same alone, so its
+    help and errors do not depend on ``leaf``.
     """
     parser = argparse.ArgumentParser(
         prog="sturmlex",
@@ -50,7 +53,10 @@ def build_parser(group: str | None = None) -> argparse.ArgumentParser:
     for name, help_text in _GROUPS.items():
         sub = top.add_parser(name, help=help_text)
         if group is None or group == name:
-            _group(name).add_leaves(sub.add_subparsers(dest="what", required=True))
+            leaves = sub.add_subparsers(dest="what", required=True)
+            _group(name).add_leaves(leaves, leaf)
+            if not leaves.choices:  # leaf names none of the group's leaves
+                _group(name).add_leaves(leaves)
     return parser
 
 
@@ -87,12 +93,13 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _join_negative_values(argv)
-    # the first token naming a group picks the leaves to build; with none
-    # (--help, a bad group) the full parser reports it
-    group = next((token for token in argv if token in _GROUPS), None)
+    # the first token naming a group, and the token after it, pick the leaves
+    # to build; with no group (--help, a bad group) the full parser reports it
+    at = next((i for i, token in enumerate(argv) if token in _GROUPS), len(argv))
+    group, leaf = [*argv[at : at + 2], None, None][:2]
     try:
         # building the parser loads words, which reads STURMLEX_MAX_LEN
-        args = build_parser(group).parse_args(argv)
+        args = build_parser(group, leaf).parse_args(argv)
         from .commands import _emit
 
         rep = _group(args.group).run(args)

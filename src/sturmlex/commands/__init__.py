@@ -2,11 +2,12 @@
 
 Each group of the ``sturmlex`` command lives in its own module here
 (``generate``, ``analyze``, ``extremal``, ``modone``, ``oracle``) with two
-functions: ``add_leaves(sub)`` adds its leaf subcommands to a subparsers
-action, and ``run(args)`` runs a parsed command and returns its ``Report``.
-A group module imports the library layers it runs inside ``run``, so a
-parser that lists every leaf compiles no analysis; and it never imports
-``sturmlex.cli``, which runs as ``__main__`` under ``python -m``.
+functions: ``add_leaves(sub, leaf=None)`` adds its leaf subcommands to a
+subparsers action, or only the one named ``leaf``, and ``run(args)`` runs a
+parsed command and returns its ``Report``.  A group module imports the
+library layers it runs inside ``run``, so a parser that lists every leaf
+compiles no analysis, and ``run`` imports only what its leaf runs; and it
+never imports ``sturmlex.cli``, which runs as ``__main__`` under ``python -m``.
 """
 
 from __future__ import annotations
@@ -183,6 +184,11 @@ def _emit(args, rep: Report) -> int:
         for line in rep.lines:
             print(line)
     return rep.code
+
+
+def _leaf(sub, name: str, leaf: str | None, **kwargs):
+    """The parser of leaf ``name`` added to ``sub``, or None when the command names another ``leaf``."""
+    return sub.add_parser(name, **kwargs) if leaf in (None, name) else None
 
 
 def _length(text: str) -> int:

@@ -3,32 +3,32 @@
 from __future__ import annotations
 
 from ..words import FiniteWord, _material
-from . import Report, _dumps, word_from_spec
+from . import Report, _dumps, _leaf, word_from_spec
 
 
-def add_leaves(ana) -> None:
-    a = ana.add_parser("complexity")
-    a.add_argument("--word", required=True)
-    a.add_argument("--k-max", type=int, required=True, dest="k_max")
-    a.add_argument("--prefix", type=int, default=1000)
-    a = ana.add_parser("balance")
-    a.add_argument("--word", required=True)
-    a.add_argument("--prefix", type=int, default=500)
-    a = ana.add_parser("special")
-    a.add_argument("--word", required=True)
-    a.add_argument("--n", type=int, required=True)
-    a.add_argument("--side", choices=("left", "right"), default="left")
-    a.add_argument("--prefix", type=int, default=1000)
-    a = ana.add_parser("local-balance")
-    a.add_argument("--word", required=True)
-    a.add_argument("--n-max", type=int, default=6, dest="n_max")
-    a.add_argument("--prefix", type=int)
-    a = ana.add_parser("block-condition")
-    a.add_argument("--word", required=True)
-    a.add_argument("--prefix", type=int, default=300)
-    a = ana.add_parser("period")
-    a.add_argument("--word", required=True)
-    a.add_argument("--prefix", type=int, default=2000)
+def add_leaves(ana, leaf: str | None = None) -> None:
+    if a := _leaf(ana, "complexity", leaf):
+        a.add_argument("--word", required=True)
+        a.add_argument("--k-max", type=int, required=True, dest="k_max")
+        a.add_argument("--prefix", type=int, default=1000)
+    if a := _leaf(ana, "balance", leaf):
+        a.add_argument("--word", required=True)
+        a.add_argument("--prefix", type=int, default=500)
+    if a := _leaf(ana, "special", leaf):
+        a.add_argument("--word", required=True)
+        a.add_argument("--n", type=int, required=True)
+        a.add_argument("--side", choices=("left", "right"), default="left")
+        a.add_argument("--prefix", type=int, default=1000)
+    if a := _leaf(ana, "local-balance", leaf):
+        a.add_argument("--word", required=True)
+        a.add_argument("--n-max", type=int, default=6, dest="n_max")
+        a.add_argument("--prefix", type=int)
+    if a := _leaf(ana, "block-condition", leaf):
+        a.add_argument("--word", required=True)
+        a.add_argument("--prefix", type=int, default=300)
+    if a := _leaf(ana, "period", leaf):
+        a.add_argument("--word", required=True)
+        a.add_argument("--prefix", type=int, default=2000)
 
 
 def run(args) -> Report:

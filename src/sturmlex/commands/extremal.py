@@ -3,50 +3,50 @@
 from __future__ import annotations
 
 from ..words import FiniteWord, LexOrder
-from . import Report, _infinite, word_from_spec
+from . import Report, _infinite, _leaf, word_from_spec
 
 
-def add_leaves(ext) -> None:
-    e = ext.add_parser("min-max")
-    e.add_argument("--word", required=True)
-    e.add_argument("--k", type=int, required=True)
-    e.add_argument("--order", default=None, help='e.g. "b<a"')
-    e.add_argument("--prefix", type=int, default=None)
-    e = ext.add_parser("characteristic")
-    e.add_argument("--word", required=True)
-    e.add_argument("--K", type=int, default=200)
-    e.add_argument("--L", type=int, default=400)
-    e = ext.add_parser("epistandard-ineq")
-    e.add_argument("--word", required=True)
-    e.add_argument("--K", type=int, default=100)
-    e.add_argument("--L", type=int, default=300)
-    e.add_argument("--material", type=int, default=None)
-    e = ext.add_parser("fine")
-    e.add_argument("--word", required=True)
-    e.add_argument("--K", type=int, default=100)
-    e.add_argument("--material", type=int, default=None)
-    e = ext.add_parser("finite-epi")
-    e.add_argument("--body", required=True, help="finite word, e.g. aabab or 01101")
-    e = ext.add_parser("gamma")
-    e.add_argument("--word", required=True)
-    e.add_argument("--K", type=int, default=200)
-    e.add_argument("--L", type=int, default=400)
-    e = ext.add_parser("allowed-pair")
-    e.add_argument("--r", required=True)
-    e.add_argument("--s", required=True)
-    e.add_argument("--K", type=int, default=100)
-    e.add_argument("--L", type=int, default=200)
-    e = ext.add_parser("sigma")
-    e.add_argument("--word", required=True)
-    e.add_argument("--x", required=True)
-    e.add_argument("--y", required=True)
-    e.add_argument("--K", type=int, default=100)
-    e.add_argument("--L", type=int, default=200)
-    e = ext.add_parser("phi-approx")
-    e.add_argument("--word", required=True)
-    e.add_argument("--P", type=int, default=4)
-    e.add_argument("--K", type=int, default=100)
-    e.add_argument("--L", type=int, default=200)
+def add_leaves(ext, leaf: str | None = None) -> None:
+    if e := _leaf(ext, "min-max", leaf):
+        e.add_argument("--word", required=True)
+        e.add_argument("--k", type=int, required=True)
+        e.add_argument("--order", default=None, help='e.g. "b<a"')
+        e.add_argument("--prefix", type=int, default=None)
+    if e := _leaf(ext, "characteristic", leaf):
+        e.add_argument("--word", required=True)
+        e.add_argument("--K", type=int, default=200)
+        e.add_argument("--L", type=int, default=400)
+    if e := _leaf(ext, "epistandard-ineq", leaf):
+        e.add_argument("--word", required=True)
+        e.add_argument("--K", type=int, default=100)
+        e.add_argument("--L", type=int, default=300)
+        e.add_argument("--material", type=int, default=None)
+    if e := _leaf(ext, "fine", leaf):
+        e.add_argument("--word", required=True)
+        e.add_argument("--K", type=int, default=100)
+        e.add_argument("--material", type=int, default=None)
+    if e := _leaf(ext, "finite-epi", leaf):
+        e.add_argument("--body", required=True, help="finite word, e.g. aabab or 01101")
+    if e := _leaf(ext, "gamma", leaf):
+        e.add_argument("--word", required=True)
+        e.add_argument("--K", type=int, default=200)
+        e.add_argument("--L", type=int, default=400)
+    if e := _leaf(ext, "allowed-pair", leaf):
+        e.add_argument("--r", required=True)
+        e.add_argument("--s", required=True)
+        e.add_argument("--K", type=int, default=100)
+        e.add_argument("--L", type=int, default=200)
+    if e := _leaf(ext, "sigma", leaf):
+        e.add_argument("--word", required=True)
+        e.add_argument("--x", required=True)
+        e.add_argument("--y", required=True)
+        e.add_argument("--K", type=int, default=100)
+        e.add_argument("--L", type=int, default=200)
+    if e := _leaf(ext, "phi-approx", leaf):
+        e.add_argument("--word", required=True)
+        e.add_argument("--P", type=int, default=4)
+        e.add_argument("--K", type=int, default=100)
+        e.add_argument("--L", type=int, default=200)
 
 
 def run(args) -> Report:

@@ -3,35 +3,35 @@
 from __future__ import annotations
 
 from ..words import Alphabet, FiniteWord, _material
-from . import Report, _length, word_from_spec
+from . import Report, _leaf, _length, word_from_spec
 
 
-def add_leaves(gen) -> None:
-    g = gen.add_parser("mechanical")
-    g.add_argument("--alpha", required=True)
-    g.add_argument("--rho", default="same")
-    g.add_argument("--upper", action="store_true", help="use the ceiling variant")
-    g.add_argument("--len", type=_length, default=32)
-    g = gen.add_parser("epistandard")
-    g.add_argument("--directive", required=True, help='e.g. "abc*" or "ab|cd"')
-    g.add_argument("--len", type=_length, default=32)
-    g = gen.add_parser("morphic")
-    g.add_argument("--morphism", required=True, help='e.g. "a>ab,b>a"')
-    g.add_argument("--word", required=True)
-    g.add_argument("--len", type=_length, default=32)
-    g = gen.add_parser("thue-morse")
-    g.add_argument("--len", type=_length, default=32)
-    g = gen.add_parser("skew")
-    g.add_argument("--morphism", default=None)
-    g.add_argument("--x", default="a")
-    g.add_argument("--y", default="b")
-    g.add_argument("--ell", type=int, default=1)
-    g.add_argument("--len", type=_length, default=32)
-    g = gen.add_parser("periodic-balanced")
-    g.add_argument("--v", default="")
-    g.add_argument("--x", default="a")
-    g.add_argument("--y", default="b")
-    g.add_argument("--len", type=_length, default=32)
+def add_leaves(gen, leaf: str | None = None) -> None:
+    if g := _leaf(gen, "mechanical", leaf):
+        g.add_argument("--alpha", required=True)
+        g.add_argument("--rho", default="same")
+        g.add_argument("--upper", action="store_true", help="use the ceiling variant")
+        g.add_argument("--len", type=_length, default=32)
+    if g := _leaf(gen, "epistandard", leaf):
+        g.add_argument("--directive", required=True, help='e.g. "abc*" or "ab|cd"')
+        g.add_argument("--len", type=_length, default=32)
+    if g := _leaf(gen, "morphic", leaf):
+        g.add_argument("--morphism", required=True, help='e.g. "a>ab,b>a"')
+        g.add_argument("--word", required=True)
+        g.add_argument("--len", type=_length, default=32)
+    if g := _leaf(gen, "thue-morse", leaf):
+        g.add_argument("--len", type=_length, default=32)
+    if g := _leaf(gen, "skew", leaf):
+        g.add_argument("--morphism", default=None)
+        g.add_argument("--x", default="a")
+        g.add_argument("--y", default="b")
+        g.add_argument("--ell", type=int, default=1)
+        g.add_argument("--len", type=_length, default=32)
+    if g := _leaf(gen, "periodic-balanced", leaf):
+        g.add_argument("--v", default="")
+        g.add_argument("--x", default="a")
+        g.add_argument("--y", default="b")
+        g.add_argument("--len", type=_length, default=32)
 
 
 def run(args) -> Report:

@@ -6,7 +6,7 @@ import argparse
 from typing import TYPE_CHECKING
 
 from ..words import Alphabet, FiniteWord
-from . import Report, _dumps, _infinite, _rational, word_from_spec
+from . import Report, _dumps, _infinite, _leaf, _rational, word_from_spec
 
 if TYPE_CHECKING:
     from ..modone import DigitExpansion
@@ -39,7 +39,7 @@ def _digit_source(args, shifts_plus_precision: int) -> DigitExpansion:
     return modone.DigitExpansion(base, word_from_spec(args.word))
 
 
-def add_leaves(mod) -> None:
+def add_leaves(mod, leaf: str | None = None) -> None:
     # the digit sources of frac-parts, cover and classify: exactly one of three
     source = argparse.ArgumentParser(add_help=False)
     one = source.add_mutually_exclusive_group(required=True)
@@ -47,29 +47,29 @@ def add_leaves(mod) -> None:
     one.add_argument("--xi-digits", dest="xi_digits")
     one.add_argument("--word")
     source.add_argument("--base", type=int, default=None)
-    m = mod.add_parser("digits")
-    m.add_argument("--xi", required=True, help="rational p/q in (0,1)")
-    m.add_argument("--base", type=int, default=2)
-    m.add_argument("--n", type=int, default=32)
-    m = mod.add_parser("frac-parts", parents=[source])
-    m.add_argument("--N", type=int, default=50)
-    m.add_argument("--L", type=int, default=64)
-    m.add_argument("--csv", action="store_true")
-    m = mod.add_parser("cover", parents=[source])
-    m.add_argument("--N", type=int, default=200)
-    m.add_argument("--L", type=int, default=256)
-    m.add_argument("--linear", action="store_true")
-    m = mod.add_parser("classify", parents=[source])
-    m.add_argument("--prefix", type=int, default=200)
-    m = mod.add_parser("self-sturmian")
-    m.add_argument("--word", required=True)
-    m.add_argument("--K", type=int, default=200)
-    m.add_argument("--L", type=int, default=400)
-    m = mod.add_parser("gamma-tilde")
-    m.add_argument("--x", required=True, help="rational p/q in [0,1]")
-    m = mod.add_parser("veerman")
-    m.add_argument("--alpha", required=True)
-    m.add_argument("--L", type=int, default=64)
+    if m := _leaf(mod, "digits", leaf):
+        m.add_argument("--xi", required=True, help="rational p/q in (0,1)")
+        m.add_argument("--base", type=int, default=2)
+        m.add_argument("--n", type=int, default=32)
+    if m := _leaf(mod, "frac-parts", leaf, parents=[source]):
+        m.add_argument("--N", type=int, default=50)
+        m.add_argument("--L", type=int, default=64)
+        m.add_argument("--csv", action="store_true")
+    if m := _leaf(mod, "cover", leaf, parents=[source]):
+        m.add_argument("--N", type=int, default=200)
+        m.add_argument("--L", type=int, default=256)
+        m.add_argument("--linear", action="store_true")
+    if m := _leaf(mod, "classify", leaf, parents=[source]):
+        m.add_argument("--prefix", type=int, default=200)
+    if m := _leaf(mod, "self-sturmian", leaf):
+        m.add_argument("--word", required=True)
+        m.add_argument("--K", type=int, default=200)
+        m.add_argument("--L", type=int, default=400)
+    if m := _leaf(mod, "gamma-tilde", leaf):
+        m.add_argument("--x", required=True, help="rational p/q in [0,1]")
+    if m := _leaf(mod, "veerman", leaf):
+        m.add_argument("--alpha", required=True)
+        m.add_argument("--L", type=int, default=64)
 
 
 def run(args) -> Report:

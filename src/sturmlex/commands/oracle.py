@@ -3,19 +3,19 @@
 from __future__ import annotations
 
 from ..words import Alphabet, FiniteWord, LexOrder
-from . import Report, _length
+from . import Report, _leaf, _length
 
 
-def add_leaves(orc) -> None:
-    o = orc.add_parser("enumerate")
-    o.add_argument("--n", type=int, required=True)
-    o = orc.add_parser("corpus")
-    o.add_argument("--n-max", type=int, default=8, dest="n_max")
-    o.add_argument("--budget", type=int, default=600)
-    o.add_argument("--out", default=None)
-    o = orc.add_parser("diff")
-    o.add_argument("--trials", type=_length, default=500)
-    o.add_argument("--seed", type=int, default=0)
+def add_leaves(orc, leaf: str | None = None) -> None:
+    if o := _leaf(orc, "enumerate", leaf):
+        o.add_argument("--n", type=int, required=True)
+    if o := _leaf(orc, "corpus", leaf):
+        o.add_argument("--n-max", type=int, default=8, dest="n_max")
+        o.add_argument("--budget", type=int, default=600)
+        o.add_argument("--out", default=None)
+    if o := _leaf(orc, "diff", leaf):
+        o.add_argument("--trials", type=_length, default=500)
+        o.add_argument("--seed", type=int, default=0)
 
 
 def run(args) -> Report:

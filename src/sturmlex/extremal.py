@@ -12,11 +12,11 @@ extremal factor is attained inside the material.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .analysis import _factor_keys, _first_violation, _least_suffix, _unbalanced_core, _z_array
-from .generators import characteristic, fibonacci_slope, iterated_pal
-from .surds import QuadraticSurd
+# analysis, generators and surds are imported where they are used, so a
+# shift-chain check loads no factor analysis, and a check of a word with no
+# slope no surds
 from .words import (
     Alphabet,
     FiniteWord,
@@ -24,6 +24,7 @@ from .words import (
     LexOrder,
     UltimatelyPeriodicWord,
     _first_difference,
+    _first_violation,
     _material,
     _rank_table,
     _Record,
@@ -70,9 +71,14 @@ def acceptable_pairs(alphabet: Alphabet) -> list[LexOrder]:
 
     The letter a of a pair is the least letter of its order, ``order.by_rank[0]``.
     """
+    return list(_orders(alphabet))
+
+
+def _orders(alphabet: Alphabet) -> Iterator[LexOrder]:
+    """The orders of ``acceptable_pairs``, each built when it is reached."""
     if alphabet.size > MAX_ORDER_ALPHABET:
         raise ValueError(f"order enumeration capped at alphabet size {MAX_ORDER_ALPHABET}")
-    return [LexOrder(perm) for perm in itertools.permutations(range(alphabet.size))]
+    return map(LexOrder, itertools.permutations(range(alphabet.size)))
 
 
 def _pair_text(order: LexOrder, alphabet: Alphabet) -> str:
@@ -138,6 +144,8 @@ def _ranked(data: bytes, order: LexOrder, want_max: bool) -> bytes:
 
 def _extremal_bytes(data: bytes, k: int, order: LexOrder, want_max: bool) -> bytes:
     """The least (greatest) length-k factor of data under the order: the k-prefix of the least long enough suffix."""
+    from .analysis import _least_suffix
+
     _check_factor_length(data, k)
     p = _least_suffix(_ranked(data, order, want_max), len(data) - k)
     return data[p : p + k]
@@ -199,6 +207,8 @@ def _finite_extremal(w: FiniteWord, order: LexOrder | None, want_max: bool) -> F
     extensions, as it does with a sentinel above every rank; max(w) is the
     same under the reversed ranks.
     """
+    from .analysis import _least_suffix
+
     if len(w) == 0:
         raise ValueError(f"{'max' if want_max else 'min'} of the empty word is undefined")
     order = order or LexOrder.natural(w.alphabet.size)
@@ -229,7 +239,7 @@ def _shift_chain_check(s: InfiniteWord, lower: bytes, upper: bytes, K: int, L: i
     """Verify lower <= T^k(s) <= upper for all k <= K at comparison depth L, letters in their natural order.
 
     Each bound has L letters.  Each shift costs one slice comparison per bound
-    (``analysis._first_violation``), and the depth of the first difference is
+    (``words._first_violation``), and the depth of the first difference is
     found for a witness only.  ``oracle.shift_chain_by_letters`` is the reference.
     """
     _check_bounds(K, L)
@@ -324,6 +334,8 @@ def _first_differences(data: bytes, bound: bytes, windows: int) -> tuple[list[in
     Each d is read off the Z-array of bound . sentinel . data at the tail's
     start; the sentinel is never a letter, so d stops at len(bound).
     """
+    from .analysis import _z_array
+
     depth = len(bound)
     z = _z_array(bound + b"\xff" + data[: windows + depth])
     ties = [0] * 256
@@ -461,6 +473,8 @@ def not_balanced_witness(w: FiniteWord) -> FiniteWord | None:
 
     The paper's criterion: a finite binary word w is unbalanced iff such a u exists.
     """
+    from .analysis import _unbalanced_core
+
     if w.alphabet.size != 2:
         raise ValueError("binary alphabet required")
     u = _unbalanced_core(w.data)
@@ -485,13 +499,14 @@ def fine_test(t: InfiniteWord, K: int, material: int | None = None) -> BoundedVe
     ``oracle.fine_by_order`` is the per-order reference.
     """
     data = _material(t, material, default_material(K))
-    pairs = acceptable_pairs(t.alphabet)
-    base = _extremal_bytes(data, K, pairs[0], want_max=False)
+    orders = _orders(t.alphabet)
+    base_pair = next(orders)
+    base = _extremal_bytes(data, K, base_pair, want_max=False)
     windows = len(data) - K + 1
     ties, first = _first_differences(data, base[1:], windows)
     leads = set(data[:windows])
-    mins = [(pairs[0], base)]
-    for pair in pairs[1:]:
+    mins = [(base_pair, base)]
+    for pair in orders:
         rank = pair.by_rank.index
         c = min(leads, key=rank)
         if not ties[c] or _earliest_below(first[c], rank) is not None:
@@ -538,6 +553,8 @@ def local_balance_check(
     The distinct length-(m+2) factors are the (m+2)-prefixes of one key set
     (``analysis._factor_keys``), so the material is sliced once, not once per m.
     """
+    from .analysis import _factor_keys
+
     data = _local_balance_material(t, n_max, prefix_length)
     keys = _factor_keys(data, n_max + 2)
     windows = ({key[: m + 2] for key in keys if len(key) >= m + 2} for m in range(n_max + 1))
@@ -659,6 +676,9 @@ class GanCandidate(_Record):
 
 
 def _characteristic_roster() -> list[InfiniteWord]:
+    from .generators import characteristic, fibonacci_slope
+    from .surds import QuadraticSurd
+
     slopes = [
         fibonacci_slope(),                 # (3-sqrt(5))/2
         QuadraticSurd(-1, 1, 5, 2),        # (sqrt(5)-1)/2
@@ -688,6 +708,8 @@ def gan_phi_approx(
     is the greatest of its conjugates), so T^i(s) <= s needs no check.
     This is a candidate at bounds (P, K, L), never an exact infimum.
     """
+    from .generators import iterated_pal
+
     if x.alphabet.size != 2:
         raise ValueError("binary word required")
     _check_bounds(K, L)

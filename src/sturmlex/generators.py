@@ -262,7 +262,7 @@ def _mechanical(alpha, rho, use_ceiling: bool, alphabet: Alphabet, kind: str) ->
         period = bytes(_floor_differences(alpha, rho, use_ceiling)(q)[:q])
         return UltimatelyPeriodicWord.purely_periodic(FiniteWord(period, alphabet))
     offset = rho - alpha
-    if offset.is_rational and offset.as_fraction().denominator == 1:
+    if offset.is_rational and offset.r == 1:
         # rho = alpha + m: the floors (and ceilings) of (k+2)*alpha + m differ
         # as those of (k+2)*alpha, which is irrational, so this is c_alpha
         grow = _standard_word(alpha)

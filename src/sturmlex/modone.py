@@ -12,15 +12,15 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
 from . import words
-from .analysis import _first_violation, classify_eventually_periodic, complexity, is_balanced
-from .generators import characteristic, thue_morse
-from .surds import QuadraticSurd
+# analysis, generators, surds and extremal are imported where they are used,
+# so the doubling orbit and the covering arc load no factor analysis
 from .words import (
     Alphabet,
     FiniteWord,
     InfiniteWord,
     UltimatelyPeriodicWord,
     _check_cap,
+    _first_violation,
     _FrozenRecord,
     _material,
     _Record,
@@ -29,6 +29,7 @@ from .words import (
 
 if TYPE_CHECKING:
     from .extremal import BoundedVerdict
+    from .surds import QuadraticSurd
 
 __all__ = [
     "RationalInterval",
@@ -327,6 +328,8 @@ def bugeaud_dubickas_classify(d: DigitExpansion, prefix_length: int) -> Classify
     prefix only: "consistent-with-sturmian", "periodic-balanced", or
     "excluded".
     """
+    from .analysis import classify_eventually_periodic, is_balanced
+
     if prefix_length < 2:
         raise ValueError("need at least two digits")
     data = d.prefix_digits(prefix_length)
@@ -375,7 +378,7 @@ def self_sturmian_test(s: InfiniteWord, K: int, L: int) -> BoundedVerdict:
     min(SELF_STURMIAN_DEPTH, K + L) in the first K + L letters of u: only an
     excess count proves that u is not Sturmian, so only an excess count fails.
     """
-    # imported here so that the other modone commands do not load extremal
+    from .analysis import complexity
     from .extremal import BoundedVerdict, _check_bounds, check_sturmian_extremal
 
     if s.alphabet.size != 2:
@@ -464,6 +467,8 @@ def _gamma_tilde_walk(x: Fraction) -> tuple[bool, int]:
 
 def thue_morse_constant(n_terms: int) -> RationalInterval:
     """Bounds for sum(t_n / 2^n) from the first n_terms terms; width 2^-(n_terms-1)."""
+    from .generators import thue_morse
+
     if n_terms < 1:
         raise ValueError("need at least one term")
     digits = thue_morse().prefix_bytes(n_terms)
@@ -479,6 +484,9 @@ def veerman_interval(alpha: QuadraticSurd, precision: int) -> tuple[RationalInte
     by exactly 1/2, the length of the arc spanned by the slope-alpha orbit
     closure.
     """
+    from .generators import characteristic
+    from .surds import QuadraticSurd
+
     if alpha.is_rational:
         raise ValueError("slope must be irrational")
     if not (QuadraticSurd(0) < alpha < QuadraticSurd(1)):

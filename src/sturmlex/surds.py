@@ -14,10 +14,14 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import repeat
+from numbers import Rational
 from operator import and_, floordiv, rshift, sub
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
+
+# fractions (and with it decimal) is imported only where a Fraction is built
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "QuadraticSurd",
@@ -102,7 +106,10 @@ class QuadraticSurd:
 
     @classmethod
     def from_fraction(cls, x: Fraction | int) -> "QuadraticSurd":
-        x = Fraction(x)
+        if not isinstance(x, Rational):
+            from fractions import Fraction
+
+            x = Fraction(x)
         return cls(x.numerator, 0, 0, x.denominator)
 
     @property
@@ -110,15 +117,17 @@ class QuadraticSurd:
         return self.q == 0
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         if not self.is_rational:
             raise ValueError("not a rational value")
         return Fraction(self.p, self.r)
 
     def _common(self, other) -> tuple["QuadraticSurd", "QuadraticSurd"]:
-        if isinstance(other, (int, Fraction)):
-            other = QuadraticSurd.from_fraction(other)
         if not isinstance(other, QuadraticSurd):
-            raise TypeError(f"cannot combine QuadraticSurd with {type(other).__name__}")
+            if not isinstance(other, Rational):
+                raise TypeError(f"cannot combine QuadraticSurd with {type(other).__name__}")
+            other = QuadraticSurd.from_fraction(other)
         if self.d and other.d and self.d != other.d:
             raise ValueError(f"incompatible radicands {self.d} and {other.d}")
         return self, other
@@ -205,6 +214,8 @@ class QuadraticSurd:
 
     def __hash__(self):
         if self.is_rational:
+            from fractions import Fraction
+
             return hash(Fraction(self.p, self.r))
         return hash((self.p, self.q, self.d, self.r))
 

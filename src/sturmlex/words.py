@@ -386,6 +386,24 @@ def _first_difference(x: bytes, y: bytes) -> int:
     return n - (diff.bit_length() + 7) // 8
 
 
+def _first_violation(data: bytes, lo: bytes, hi: bytes, K: int, L: int) -> tuple[tuple[int, str] | None, int]:
+    """Where a shift first leaves its bounds: ((k, "lower" or "upper") or None, ties met before k).
+
+    k is the least shift <= K with data[k:k+L] < lo or > hi, the lower bound checked first.  data holds
+    K + L letters or more and each bound L, compared raw: bytes order is then the depth-L comparison,
+    and equality a tie through depth L, undecided and never a violation.
+    """
+    undecided = 0
+    for k in range(K + 1):
+        seg = data[k : k + L]
+        if seg < lo:
+            return (k, "lower"), undecided
+        if seg > hi:
+            return (k, "upper"), undecided
+        undecided += (seg == lo) + (seg == hi)
+    return None, undecided
+
+
 def _material(w: FiniteWord | InfiniteWord, prefix_length: int | None, default: int | None = None) -> bytes:
     """The material of w: a finite word whole, else its first prefix_length (or default) letters."""
     if (prefix_length or 0) < 0:

@@ -3,9 +3,10 @@
 `import sturmlex` loads no submodule; the package names resolve on first
 access to the very objects the submodules define.  A command imports the
 command module of its own group only (`sturmlex.commands.<group>`), builds
-that group's leaf parsers only, and its help and usage errors are the bytes
-the full parser gives.  Words with no slope load no surd arithmetic and no
-factor analysis.
+the parser of its own leaf only, and its help and usage errors are the bytes
+the full parser gives.  A leaf loads the library layers it runs: a
+shift-chain check no factor analysis, a word with no slope no surd
+arithmetic, and a surd no `fractions`.
 """
 
 import contextlib
@@ -92,6 +93,8 @@ def own_modules(argv: list[str]) -> list[str]:
 
 
 SLOPES = ["sturmlex.analysis", "sturmlex.generators", "sturmlex.surds"]  # a word with a slope, analysed
+SLOPE = ["sturmlex.generators", "sturmlex.surds"]  # a word with a slope
+NO_SLOPE = ["sturmlex.analysis", "sturmlex.generators"]  # a word with no slope, analysed
 THUE_MORSE = ["generate", "thue-morse", "--len", "10"]
 EPISTANDARD = ["generate", "epistandard", "--directive", "abc*", "--len", "10"]
 
@@ -102,16 +105,25 @@ COMMANDS = [
     (["analyze", "balance", "--word", "fib", "--prefix", "100"], SLOPES),
     (["analyze", "local-balance", "--word", "fib", "--n-max", "3", "--prefix", "100"],
      [*SLOPES, "sturmlex.extremal"]),
-    (["extremal", "characteristic", "--word", "fib", "--K", "20", "--L", "40"], [*SLOPES, "sturmlex.extremal"]),
-    (["modone", "cover", "--word", "fib", "--N", "20", "--L", "16"], [*SLOPES, "sturmlex.modone"]),
-    (["modone", "veerman", "--alpha", "(3-1*sqrt(5))/2", "--L", "16"], [*SLOPES, "sturmlex.modone"]),
+    (["extremal", "characteristic", "--word", "fib", "--K", "20", "--L", "40"], [*SLOPE, "sturmlex.extremal"]),
+    (["modone", "cover", "--word", "fib", "--N", "20", "--L", "16"], [*SLOPE, "sturmlex.modone"]),
+    (["modone", "veerman", "--alpha", "(3-1*sqrt(5))/2", "--L", "16"], [*SLOPE, "sturmlex.modone"]),
     (["modone", "self-sturmian", "--word", "prepend:1:characteristic:(-1+1*sqrt(5))/2",
       "--K", "100", "--L", "200"], [*SLOPES, "sturmlex.extremal", "sturmlex.modone"]),
-    (["oracle", "enumerate", "--n", "4"], [*SLOPES, "sturmlex.extremal", "sturmlex.modone", "sturmlex.oracle"]),
+    (["oracle", "enumerate", "--n", "4"], [*SLOPE, "sturmlex.extremal", "sturmlex.modone", "sturmlex.oracle"]),
     (["--help"], []),
     (["modone", "classify", "--word", "fib", "--prefix", "300"], [*SLOPES, "sturmlex.modone"]),
     (["analyze", "block-condition", "--word", "fib", "--prefix", "100"], SLOPES),
     (EPISTANDARD, ["sturmlex.generators"]),
+    (["extremal", "phi-approx", "--word", "fib", "--P", "2", "--K", "20", "--L", "40"],
+     [*SLOPE, "sturmlex.extremal"]),
+    (["extremal", "fine", "--word", "kbonacci:4", "--K", "20"], [*NO_SLOPE, "sturmlex.extremal"]),
+    (["extremal", "epistandard-ineq", "--word", "kbonacci:4", "--K", "20", "--L", "40"],
+     [*NO_SLOPE, "sturmlex.extremal"]),
+    (["extremal", "finite-epi", "--body", "0100101"], ["sturmlex.analysis", "sturmlex.extremal"]),
+    (["analyze", "local-balance", "--word", "tribonacci", "--n-max", "3", "--prefix", "100"],
+     [*NO_SLOPE, "sturmlex.extremal"]),
+    (["modone", "gamma-tilde", "--x", "2/3"], ["sturmlex.modone"]),
 ]
 
 
@@ -157,6 +169,15 @@ def test_text_generate_loads_no_json(argv):
 
 @pytest.mark.parametrize("argv", [THUE_MORSE, EPISTANDARD])
 def test_words_without_a_slope_load_no_rationals(argv):
+    assert fresh(STDLIB.format(argv=argv, modules=["fractions", "decimal"])) == [0, []]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "mechanical", "--alpha", "(3-1*sqrt(5))/2", "--rho", "1/3", "--len", "100"],
+    ["extremal", "characteristic", "--word", "fib", "--K", "20", "--L", "40"],
+    ["analyze", "complexity", "--word", "fib", "--k-max", "4", "--prefix", "100"],
+])
+def test_surds_load_no_rationals(argv):
     assert fresh(STDLIB.format(argv=argv, modules=["fractions", "decimal"])) == [0, []]
 
 
@@ -268,6 +289,13 @@ HELP_AND_ERRORS = [
     ["oracle", "enumerate"],
     ["generate", "thue-morse", "--len", "-1"],
     ["extremal", "fine", "--word", "fib", "--K", "x"],
+    # a leaf name that is not the token after the group
+    ["extremal", "--help", "fine"],
+    ["extremal", "-h", "fine"],
+    ["extremal", "fine", "--word", "fine", "--K", "x"],
+    ["extremal", "finee"],
+    ["--format", "fine", "extremal", "fine"],
+    ["modone", "gamma-tilde", "--x"],
 ]
 
 
@@ -287,24 +315,39 @@ def test_group_parser_has_only_its_leaves():
             assert code == 2 and "unrecognized arguments" in err
 
 
+def test_leaf_parser_has_only_its_leaf():
+    parser = cli.build_parser("modone", "gamma-tilde")
+    assert parser.parse_args(["modone", "gamma-tilde", "--x", "1/2"]).what == "gamma-tilde"
+    for leaf in GROUPS["modone"]:
+        if leaf != "gamma-tilde":
+            code, _, err = outcome(parser.parse_args, ["modone", leaf])
+            assert code == 2 and "invalid choice" in err
+    # a token that names no leaf of the group gets all of them
+    assert cli.build_parser("modone", "bogus").parse_args(["modone", "veerman", "--alpha", "1/2"]).what == "veerman"
+
+
 @pytest.mark.parametrize("argv, group", [
     (["generate", "thue-morse", "--len", "3"], "generate"),
     (["--format", "json", "modone", "gamma-tilde", "--x", "2/3"], "modone"),
     (["analyze", "period", "--word", "periodic:generate"], "analyze"),
     (["--help"], None),
     (["bogus"], None),
+    (["extremal", "finee"], "extremal"),
+    (["extremal"], "extremal"),
 ])
 def test_main_builds_the_parser_of_the_first_group_named(argv, group, monkeypatch):
+    """main asks for the first group named and for the token after it, which names a leaf or not."""
     asked = []
     build = cli.build_parser
 
-    def spy(name=None):
-        asked.append(name)
-        return build(name)
+    def spy(name=None, leaf=None):
+        asked.append((name, leaf))
+        return build(name, leaf)
 
     monkeypatch.setattr(cli, "build_parser", spy)
     outcome(cli.main, argv)
-    assert asked == [group]
+    after = argv[argv.index(group) + 1 :] if group else []
+    assert asked == [(group, after[0] if after else None)]
 
 
 @pytest.mark.parametrize("module", NAMESPACE)

@@ -1,6 +1,6 @@
 """The shift-chain comparison kernel against letter-by-letter references.
 
-`analysis._first_violation` decides where a shift first leaves its bounds and
+`words._first_violation` decides where a shift first leaves its bounds and
 `words._first_difference` where two words first differ.  Every shift-chain
 check in `extremal` and the characteristic-shift search of `modone` run on
 them; here they are checked against `oracle.shift_chain_by_letters`, a loop

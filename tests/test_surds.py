@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sturmlex import generators
 from sturmlex.cli import main
+from sturmlex.commands import word_from_spec
+from sturmlex.oracle import floor_letters
 from sturmlex.surds import MAX_RADICAND, QuadraticSurd, _squarefree, parse_surd
 
 
@@ -69,6 +72,57 @@ def test_a_large_radicand_is_checked_quickly():
 def test_d_one_folds_into_rational():
     x = QuadraticSurd(1, 3, 1, 2)
     assert x.is_rational and x.as_fraction() == Fraction(2)
+
+
+@pytest.mark.parametrize("x, p, r", [(-3, -3, 1), (Fraction(6, -4), -3, 2), ("1/3", 1, 3), (True, 1, 1)])
+def test_from_fraction_of_an_int_a_fraction_and_text(x, p, r):
+    y = QuadraticSurd.from_fraction(x)
+    assert (y.p, y.q, y.d, y.r) == (p, 0, 0, r)
+    assert y.as_fraction() == Fraction(p, r)
+
+
+def test_fraction_and_bool_operands():
+    x = QuadraticSurd(1, 1, 5, 2)  # the golden ratio, 1.618...
+    half = Fraction(1, 2)
+    assert x + half == half + x == QuadraticSurd(2, 1, 5, 2)
+    assert x - half == QuadraticSurd(0, 1, 5, 2) and half - x == QuadraticSurd(0, -1, 5, 2)
+    assert x * half == half * x == QuadraticSurd(1, 1, 5, 4)
+    assert x + True == True + x == QuadraticSurd(3, 1, 5, 2)
+    assert x - True == QuadraticSurd(-1, 1, 5, 2) and True - x == QuadraticSurd(1, -1, 5, 2)
+    assert x * True == x and x * False == 0
+    assert Fraction(8, 5) < x < Fraction(13, 8) and x > half >= QuadraticSurd(1, 0, 0, 2)
+    assert not x <= Fraction(8, 5) and not x >= Fraction(13, 8)
+    assert True < x and x > True and False < x and QuadraticSurd(1) == True and QuadraticSurd(0) == False
+    assert QuadraticSurd(1, 0, 0, 2) == half and half == QuadraticSurd(1, 0, 0, 2) and x != half
+    with pytest.raises(TypeError, match="cannot combine QuadraticSurd with float"):
+        x + 0.5
+    assert x != 0.5
+
+
+def test_a_rational_surd_hashes_as_its_fraction():
+    assert hash(QuadraticSurd(1, 0, 0, 2)) == hash(Fraction(1, 2))
+    assert hash(QuadraticSurd(-6, 0, 0, 3)) == hash(Fraction(-2)) == hash(-2)
+    assert {QuadraticSurd(2, 0, 0, 4): "half"}[Fraction(1, 2)] == "half"
+
+
+@pytest.mark.parametrize("spec", [
+    "mechanical:(3-sqrt(5))/2:(5-sqrt(5))/2",  # R = A + 1
+    "mechanical-upper:(3-sqrt(5))/2:(5-sqrt(5))/2",
+    "mechanical:(3-sqrt(5))/2:(-1-sqrt(5))/2",  # R = A - 2
+])
+def test_an_integer_intercept_offset_gives_the_characteristic_word(spec, monkeypatch):
+    """R - A an integer: the word is read off the standard words of A, and no floor is taken."""
+    alpha = QuadraticSurd(3, -1, 5, 2)
+    expected = bytes(letter for letter, _ in zip(floor_letters(alpha, alpha), range(3000)))
+    monkeypatch.setattr(generators, "_floor_differences", None)
+    assert word_from_spec(spec).prefix_bytes(3000) == expected
+
+
+def test_a_fractional_intercept_offset_takes_the_floors():
+    alpha = QuadraticSurd(3, -1, 5, 2)
+    rho = alpha + Fraction(1, 2)
+    expected = bytes(letter for letter, _ in zip(floor_letters(alpha, rho), range(3000)))
+    assert word_from_spec("mechanical:(3-sqrt(5))/2:(4-sqrt(5))/2").prefix_bytes(3000) == expected
 
 
 def test_incompatible_radicands():

@@ -170,9 +170,9 @@ class Report:
             self.lines.append(f"detail: {_dumps(v.detail)}")
         return self
 
-    def boolean(self, value: bool, obj: dict | None = None) -> "Report":
+    def boolean(self, value: bool, obj: dict) -> "Report":
         self.code = 0 if value else 1
-        self.obj = obj if obj is not None else {"result": value}
+        self.obj = obj
         self.lines.append("true" if value else "false")
         return self
 

@@ -40,27 +40,28 @@ def _digit_source(args, shifts_plus_precision: int) -> DigitExpansion:
 
 
 def add_leaves(mod, leaf: str | None = None) -> None:
-    # the digit sources of frac-parts, cover and classify: exactly one of three
-    source = argparse.ArgumentParser(add_help=False)
-    one = source.add_mutually_exclusive_group(required=True)
-    one.add_argument("--xi")
-    one.add_argument("--xi-digits", dest="xi_digits")
-    one.add_argument("--word")
-    source.add_argument("--base", type=int, default=None)
     if m := _leaf(mod, "digits", leaf):
         m.add_argument("--xi", required=True, help="rational p/q in (0,1)")
         m.add_argument("--base", type=int, default=2)
         m.add_argument("--n", type=int, default=32)
-    if m := _leaf(mod, "frac-parts", leaf, parents=[source]):
-        m.add_argument("--N", type=int, default=50)
-        m.add_argument("--L", type=int, default=64)
-        m.add_argument("--csv", action="store_true")
-    if m := _leaf(mod, "cover", leaf, parents=[source]):
-        m.add_argument("--N", type=int, default=200)
-        m.add_argument("--L", type=int, default=256)
-        m.add_argument("--linear", action="store_true")
-    if m := _leaf(mod, "classify", leaf, parents=[source]):
-        m.add_argument("--prefix", type=int, default=200)
+    if leaf in (None, "frac-parts", "cover", "classify"):
+        # the digit sources of these three leaves: exactly one of three
+        source = argparse.ArgumentParser(add_help=False)
+        one = source.add_mutually_exclusive_group(required=True)
+        one.add_argument("--xi")
+        one.add_argument("--xi-digits", dest="xi_digits")
+        one.add_argument("--word")
+        source.add_argument("--base", type=int, default=None)
+        if m := _leaf(mod, "frac-parts", leaf, parents=[source]):
+            m.add_argument("--N", type=int, default=50)
+            m.add_argument("--L", type=int, default=64)
+            m.add_argument("--csv", action="store_true")
+        if m := _leaf(mod, "cover", leaf, parents=[source]):
+            m.add_argument("--N", type=int, default=200)
+            m.add_argument("--L", type=int, default=256)
+            m.add_argument("--linear", action="store_true")
+        if m := _leaf(mod, "classify", leaf, parents=[source]):
+            m.add_argument("--prefix", type=int, default=200)
     if m := _leaf(mod, "self-sturmian", leaf):
         m.add_argument("--word", required=True)
         m.add_argument("--K", type=int, default=200)

@@ -224,7 +224,11 @@ def _names(alphabet: Alphabet, data: bytes) -> str:
     return "".join(alphabet.names[c] for c in data)
 
 
-def _check_bounds(K: int, L: int) -> None:
+def _check_bounds(K: int, L: int, **words: InfiniteWord) -> None:
+    """Refuse the first of ``words`` (named by its keyword) that is not binary, then K < 0 or L < 1."""
+    for name, w in words.items():
+        if w.alphabet.size != 2:
+            raise ValueError(f"binary words required: {name} has {w.alphabet.size} letters")
     if K < 0 or L < 1:
         raise ValueError("bounds must be positive (K >= 0 shifts, L >= 1 depth)")
 
@@ -238,11 +242,11 @@ def _shift_witness(alphabet: Alphabet, data: bytes, k: int, name: str, bound: by
 def _shift_chain_check(s: InfiniteWord, lower: bytes, upper: bytes, K: int, L: int) -> BoundedVerdict:
     """Verify lower <= T^k(s) <= upper for all k <= K at comparison depth L, letters in their natural order.
 
-    Each bound has L letters.  Each shift costs one slice comparison per bound
-    (``words._first_violation``), and the depth of the first difference is
-    found for a witness only.  ``oracle.shift_chain_by_letters`` is the reference.
+    Each bound has L letters, and the callers check K and L.  Each shift costs
+    one slice comparison per bound (``words._first_violation``), and the depth of
+    the first difference is found for a witness only.
+    ``oracle.shift_chain_by_letters`` is the reference.
     """
-    _check_bounds(K, L)
     data = s.prefix_bytes(K + L)
     found, undecided = _first_violation(data, lower, upper, K, L)
     if found is None:
@@ -255,19 +259,13 @@ def _shift_chain_check(s: InfiniteWord, lower: bytes, upper: bytes, K: int, L: i
 
 def check_sturmian_extremal(s: InfiniteWord, u: InfiniteWord, K: int, L: int) -> BoundedVerdict:
     """Bounded check of 0u <= T^k(s) <= 1u for all k <= K at depth L (binary)."""
-    if s.alphabet.size != 2 or u.alphabet.size != 2:
-        raise ValueError("binary words required")
-    _check_bounds(K, L)
+    _check_bounds(K, L, s=s, u=u)
     up = u.prefix_bytes(L - 1)
-    lower = bytes([0]) + up
-    upper = bytes([1]) + up
-    return _shift_chain_check(s, lower, upper, K, L)
+    return _shift_chain_check(s, b"\x00" + up, b"\x01" + up, K, L)
 
 
 def characteristic_check(s: InfiniteWord, K: int, L: int) -> BoundedVerdict:
     """Bounded check of a.s <= T^k(s) <= b.s for all k <= K at depth L (binary)."""
-    if s.alphabet.size != 2:
-        raise ValueError("binary word required")
     return check_sturmian_extremal(s, s, K, L)
 
 
@@ -610,9 +608,7 @@ def _local_balance_verdict(
 
 def gamma_membership(u: InfiniteWord, K: int, L: int) -> BoundedVerdict:
     """Bounded check of complement(u) <= T^k(u) <= u for all k <= K at depth L."""
-    if u.alphabet.size != 2:
-        raise ValueError("binary word required")
-    _check_bounds(K, L)
+    _check_bounds(K, L, u=u)
     data = u.prefix_bytes(L)
     return _shift_chain_check(u, data.translate(_SWAP), data, K, L)
 
@@ -624,9 +620,7 @@ def allowed_pair_check(r: InfiniteWord, s: InfiniteWord, K: int, L: int) -> Boun
     side too: equality of infinite words is never proven at a finite depth.
     So each word is checked with the non-strict bounds r <= T^i(.) <= s.
     """
-    if r.alphabet.size != 2 or s.alphabet.size != 2:
-        raise ValueError("binary words required")
-    _check_bounds(K, L)
+    _check_bounds(K, L, r=r, s=s)
     rp = r.prefix_bytes(L)
     sp = s.prefix_bytes(L)
     if rp == sp:
@@ -650,10 +644,7 @@ def sigma_xy_member(
     s: InfiniteWord, x: InfiniteWord, y: InfiniteWord, K: int, L: int
 ) -> BoundedVerdict:
     """Bounded membership of s in the set of words with x <= T^i(s) <= y for all i."""
-    for name, w in (("s", s), ("x", x), ("y", y)):
-        if w.alphabet.size != 2:
-            raise ValueError(f"binary words required: {name} has {w.alphabet.size} letters")
-    _check_bounds(K, L)
+    _check_bounds(K, L, s=s, x=x, y=y)
     return _shift_chain_check(s, x.prefix_bytes(L), y.prefix_bytes(L), K, L)
 
 
@@ -710,9 +701,7 @@ def gan_phi_approx(
     """
     from .generators import iterated_pal
 
-    if x.alphabet.size != 2:
-        raise ValueError("binary word required")
-    _check_bounds(K, L)
+    _check_bounds(K, L, x=x)
     if not 0 <= P <= MAX_PHI_DEPTH:
         raise ValueError(f"P must be between 0 and {MAX_PHI_DEPTH}, got {P}")
     label = f"candidate at bounds (P={P}, K={K}, L={L})"

@@ -249,7 +249,7 @@ def _standard_word(alpha: QuadraticSurd):
     return grow
 
 
-def _mechanical(alpha, rho, use_ceiling: bool, alphabet: Alphabet, kind: str) -> InfiniteWord:
+def _mechanical(alpha, rho, use_ceiling: bool, kind: str) -> InfiniteWord:
     alpha = _as_surd(alpha)
     rho = _as_surd(rho)
     if alpha.compare(0) <= 0:
@@ -257,10 +257,10 @@ def _mechanical(alpha, rho, use_ceiling: bool, alphabet: Alphabet, kind: str) ->
     if alpha.is_rational:
         # slope p/q: the letter sequence repeats with period q from the start;
         # the whole period is buffered, so it must fit under the cap
-        q = alpha.as_fraction().denominator
-        _check_cap(q, f"period {q} of slope {alpha.as_fraction()}")
+        q = alpha.r
+        _check_cap(q, f"period {q} of slope {alpha.p}" + (f"/{q}" if q != 1 else ""))
         period = bytes(_floor_differences(alpha, rho, use_ceiling)(q)[:q])
-        return UltimatelyPeriodicWord.purely_periodic(FiniteWord(period, alphabet))
+        return UltimatelyPeriodicWord.purely_periodic(FiniteWord(period, BINARY))
     offset = rho - alpha
     if offset.is_rational and offset.r == 1:
         # rho = alpha + m: the floors (and ceilings) of (k+2)*alpha + m differ
@@ -268,27 +268,27 @@ def _mechanical(alpha, rho, use_ceiling: bool, alphabet: Alphabet, kind: str) ->
         grow = _standard_word(alpha)
     else:
         grow = _floor_differences(alpha, rho, use_ceiling)
-    return InfiniteWord(grow, alphabet, f"{kind}({alpha!r},{rho!r})")
+    return InfiniteWord(grow, BINARY, f"{kind}({alpha!r},{rho!r})")
 
 
-def mechanical_lower(alpha, rho, alphabet: Alphabet = BINARY) -> InfiniteWord:
+def mechanical_lower(alpha, rho) -> InfiniteWord:
     """Letters from floor differences of n*alpha + rho; Sturmian when alpha is irrational."""
-    return _mechanical(alpha, rho, False, alphabet, "mechanical_lower")
+    return _mechanical(alpha, rho, False, "mechanical_lower")
 
 
-def mechanical_upper(alpha, rho, alphabet: Alphabet = BINARY) -> InfiniteWord:
+def mechanical_upper(alpha, rho) -> InfiniteWord:
     """Ceiling-difference variant of the mechanical construction."""
-    return _mechanical(alpha, rho, True, alphabet, "mechanical_upper")
+    return _mechanical(alpha, rho, True, "mechanical_upper")
 
 
-def characteristic(alpha, alphabet: Alphabet = BINARY) -> InfiniteWord:
+def characteristic(alpha) -> InfiniteWord:
     """The mechanical word with intercept equal to its slope.
 
     Irrational slopes give characteristic Sturmian words; rational slopes are
     routed to the periodic constructor and come back as purely periodic
     characteristic balanced words.
     """
-    return mechanical_lower(alpha, alpha, alphabet)
+    return mechanical_lower(alpha, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +362,6 @@ class Morphism(_FrozenRecord):
             raise ValueError("alphabet mismatch")
         return Morphism(self.alphabet, tuple(self.apply(im) for im in inner.images))
 
-    def text(self) -> str:
-        names = self.alphabet.names
-        return ",".join(f"{names[c]}>{im.as_str()}" for c, im in enumerate(self.images))
-
 
 # ---------------------------------------------------------------------------
 # named families
@@ -379,10 +375,8 @@ class _ThueMorseWord(InfiniteWord):
         return bin(n).count("1") & 1
 
 
-def thue_morse(alphabet: Alphabet = BINARY) -> InfiniteWord:
+def thue_morse() -> InfiniteWord:
     """Fixed point starting with 0 of 0 -> 01, 1 -> 10: bit-parity of the index."""
-    if alphabet.size != 2:
-        raise ValueError("binary alphabet required")
     buf = bytearray(b"\x00")
 
     def grow(n: int) -> bytearray:
@@ -390,7 +384,7 @@ def thue_morse(alphabet: Alphabet = BINARY) -> InfiniteWord:
             buf.extend(buf.translate(_SWAP))
         return buf
 
-    return _ThueMorseWord(grow, alphabet, "thue_morse")
+    return _ThueMorseWord(grow, BINARY, "thue_morse")
 
 
 def skew_word(mu: Morphism, x: int, y: int, ell: int) -> UltimatelyPeriodicWord:

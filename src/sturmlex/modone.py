@@ -381,9 +381,7 @@ def self_sturmian_test(s: InfiniteWord, K: int, L: int) -> BoundedVerdict:
     from .analysis import complexity
     from .extremal import BoundedVerdict, _check_bounds, check_sturmian_extremal
 
-    if s.alphabet.size != 2:
-        raise ValueError("binary word required")
-    _check_bounds(K, L)
+    _check_bounds(K, L, s=s)
     head = s.prefix_bytes(2)
     if head != b"\x01\x01":
         return BoundedVerdict(

@@ -336,10 +336,6 @@ class LexOrder(_FrozenRecord):
         return LexOrder(tuple(letters))
 
     @property
-    def size(self) -> int:
-        return len(self.by_rank)
-
-    @property
     def table(self) -> bytes:
         """256-byte translation table mapping letters to their ranks."""
         return _rank_table(self.by_rank)

@@ -103,6 +103,11 @@ class TestAnalyze:
         obj = json.loads(out)
         assert obj["certificate"] == {"preperiod": "b", "period": "a"}
 
+    def test_period_of_an_aperiodic_prefix(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "analyze", "period", "--word", "fib", "--prefix", "10")
+        assert code == 0
+        assert json.loads(out) == {"word": "fib", "prefix": 10, "smallest_period": 5, "certificate": None}
+
 
 class TestExtremal:
     def test_characteristic_fib(self, capsys):
@@ -136,6 +141,11 @@ class TestExtremal:
         assert run(capsys, "extremal", "finite-epi", "--body", "aabab")[0] == 0
         assert run(capsys, "extremal", "finite-epi", "--body", "0011")[0] == 1
 
+    def test_finite_epi_of_the_empty_body(self, capsys):
+        code, out, err = run(capsys, "--format", "json", "extremal", "finite-epi", "--body", "")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"word": "", "episturmian": True, "certificate": ""}
+
     def test_gamma(self, capsys):
         code, _, _ = run(capsys, "extremal", "gamma", "--word",
                          "prepend:1:characteristic:(-1+1*sqrt(5))/2", "--K", "100", "--L", "200")
@@ -154,6 +164,10 @@ class TestExtremal:
                            "--K", "60", "--L", "120")
         obj = json.loads(out)
         assert code == 0 and obj["prefix"].startswith("101010")
+
+    def test_phi_approx_without_a_candidate(self, capsys):
+        code, out, err = run(capsys, "extremal", "phi-approx", "--word", "periodic:0")
+        assert (code, out, err) == (1, "no candidate found  [candidate at bounds (P=4, K=100, L=200)]\n", "")
 
 
 def digit_file(tmp_path):
@@ -272,6 +286,23 @@ class TestModone:
         assert code == 0 and out.split("\n")[0] == "consistent-with-sturmian"
         code, out, _ = run(capsys, "modone", "classify", "--xi", "1/3", "--prefix", "60")
         assert code == 0 and out.split("\n")[0] == "periodic-balanced"
+
+    @pytest.mark.parametrize("word, prefix, expected", [
+        # a rational intercept: no characteristic shift, and the interval refinement cannot decide
+        ("mechanical:(3-1*sqrt(5))/2:1/3", "60", {
+            "values": [0, 1], "low_digit": 0, "periodic_certificate": None,
+            "classification": "consistent-with-sturmian", "interval_refinement": "undetermined-at-bounds",
+            "characteristic_shift": None}),
+        # one value only
+        ("periodic:1", "10", {
+            "values": [1], "low_digit": 1, "periodic_certificate": {"preperiod": "", "period": "0"},
+            "classification": "periodic-balanced", "interval_refinement": "not-applicable",
+            "characteristic_shift": None}),
+    ])
+    def test_classify_report(self, capsys, word, prefix, expected):
+        code, out, _ = run(capsys, "--format", "json", "modone", "classify", "--word", word, "--prefix", prefix)
+        obj = json.loads(out)
+        assert code == 0 and {key: obj[key] for key in expected} == expected
 
     def test_self_sturmian(self, capsys):
         code, _, _ = run(capsys, "modone", "self-sturmian", "--word",
@@ -410,6 +441,12 @@ def test_malformed_max_len_is_a_usage_error(cap):
 ])
 def test_every_int_text_is_a_cap(cap, expected):
     assert child(GENERATE, cap) == expected
+
+
+@pytest.mark.parametrize("alpha, cap, period", [("1/3", "2", "3"), ("2", "0", "1")])
+def test_a_rational_slope_names_its_period_over_the_cap(alpha, cap, period):
+    argv = ["-m", "sturmlex.cli", "generate", "mechanical", "--alpha", alpha, "--len", "1"]
+    assert child(argv, cap) == (2, "", f"error: period {period} of slope {alpha} exceeds cap {cap} (STURMLEX_MAX_LEN)\n")
 
 
 def test_the_prefix_cap_bounds_the_doubling_orbit():

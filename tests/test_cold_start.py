@@ -174,6 +174,7 @@ def test_words_without_a_slope_load_no_rationals(argv):
 
 @pytest.mark.parametrize("argv", [
     ["generate", "mechanical", "--alpha", "(3-1*sqrt(5))/2", "--rho", "1/3", "--len", "100"],
+    ["generate", "mechanical", "--alpha", "1/3", "--len", "10"],
     ["extremal", "characteristic", "--word", "fib", "--K", "20", "--L", "40"],
     ["analyze", "complexity", "--word", "fib", "--k-max", "4", "--prefix", "100"],
 ])

@@ -301,6 +301,14 @@ def run(argv):
     ("modone cover --word fib --base 0", "error: base must be at least 2, got 0\n"),
     ("modone classify --word fib --base 0", "error: base must be at least 2, got 0\n"),
     ("modone classify --word fib --prefix 0", "error: need at least two digits\n"),
+    ("extremal characteristic --word tribonacci", "error: binary words required: s has 3 letters\n"),
+    ("extremal gamma --word tribonacci", "error: binary words required: u has 3 letters\n"),
+    ("extremal allowed-pair --r fib --s tribonacci", "error: binary words required: s has 3 letters\n"),
+    ("extremal allowed-pair --r tribonacci --s kbonacci:4", "error: binary words required: r has 3 letters\n"),
+    ("extremal phi-approx --word tribonacci", "error: binary words required: x has 3 letters\n"),
+    ("modone self-sturmian --word tribonacci", "error: binary words required: s has 3 letters\n"),
+    ("extremal finite-epi --body abcde", "error: certificate search supported for alphabets of size <= 4\n"),
+    ("modone veerman --alpha (1+1*sqrt(5))/2", "error: slope must lie in (0, 1)\n"),
 ])
 def test_out_of_domain_arguments_are_usage_errors(argv, message):
     assert run(argv.split()) == (2, "", message)
@@ -328,6 +336,20 @@ def test_bounds_are_checked_after_the_alphabet():
             check()
     with pytest.raises(ValueError, match="^binary words required: s has 3 letters$"):
         sigma_xy_member(tri, FIB, FIB, -1, 0)
+
+
+def test_the_alphabet_refusal_names_the_first_word_not_binary():
+    tri = kbonacci(3)
+    for check, name in ((lambda: characteristic_check(tri, 5, 0), "s"),
+                        (lambda: check_sturmian_extremal(FIB, tri, 5, 0), "u"),
+                        (lambda: gamma_membership(tri, -1, 5), "u"),
+                        (lambda: allowed_pair_check(tri, kbonacci(4), 5, 0), "r"),
+                        (lambda: allowed_pair_check(FIB, tri, 5, 0), "s"),
+                        (lambda: sigma_xy_member(FIB, FIB, tri, -1, 0), "y"),
+                        (lambda: gan_phi_approx(tri, 99, -1, 0), "x"),
+                        (lambda: self_sturmian_test(tri, -3, -3), "s")):
+        with pytest.raises(ValueError, match=f"^binary words required: {name} has 3 letters$"):
+            check()
 
 
 def test_phi_depth_range():

@@ -99,8 +99,10 @@ def run(args) -> Report:
             )
     elif args.what == "cover":
         d = _digit_source(args, args.N + args.L)
-        parts = modone.fractional_parts(d, args.N, args.L)
-        length, arc = modone.min_covering_interval(parts, circular=not args.linear)
+        # every orbit point spans one unit over base^L: the arc needs only the sorted numerators
+        starts, den = modone._numerators(d, args.N, args.L)
+        starts.sort()
+        length, arc = modone._arc(starts, starts, den, not args.linear, width=1)
         rep.obj = {
             "base": d.base,
             "N": args.N,

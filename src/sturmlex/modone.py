@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import attrgetter, indexOf, sub
 from typing import TYPE_CHECKING, Iterator
 
 from . import words
@@ -68,17 +70,17 @@ class RationalInterval(_FrozenRecord):
         if lo > hi:
             raise ValueError("interval endpoints out of order")
         den = math.lcm(lo.denominator, hi.denominator)
-        object.__setattr__(self, "_lo", lo.numerator * (den // lo.denominator))
-        object.__setattr__(self, "_hi", hi.numerator * (den // hi.denominator))
-        object.__setattr__(self, "_den", den)
+        _set_lo(self, lo.numerator * (den // lo.denominator))
+        _set_hi(self, hi.numerator * (den // hi.denominator))
+        _set_den(self, den)
 
     @classmethod
     def _over(cls, lo: int, hi: int, den: int) -> RationalInterval:
         """[lo/den, hi/den] for integers lo <= hi and den > 0, with no Fraction built."""
         self = object.__new__(cls)
-        object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_hi", hi)
-        object.__setattr__(self, "_den", den)
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_den(self, den)
         return self
 
     @property
@@ -105,6 +107,10 @@ class RationalInterval(_FrozenRecord):
 
     def __repr__(self):
         return f"RationalInterval({self.lo}, {self.hi})"
+
+
+# bound once: a frozen record refuses setattr
+_set_lo, _set_hi, _set_den = (RationalInterval.__dict__[name].__set__ for name in RationalInterval.__slots__)
 
 
 class DigitExpansion(_FrozenRecord):
@@ -156,11 +162,11 @@ def real_bounds_from_digits(d: DigitExpansion, n: int | None = None) -> Rational
     return RationalInterval._over(value, value + 1, d.base ** len(digits))
 
 
-def fractional_parts(d: DigitExpansion, shifts: int, precision: int) -> list[RationalInterval]:
-    """Intervals around the first ``shifts`` orbit points, each of width base^-precision.
+def _numerators(d: DigitExpansion, shifts: int, precision: int) -> tuple[list[int], int]:
+    """The first ``shifts`` orbit numerators over base^precision, and base^precision.
 
     One numerator slides along the digits: dropping the leading digit and
-    appending the next takes v to (v - d_n.b^(P-1)).b + d_(n+P).
+    appending the next takes v to v.b + d_(n+P) - d_n.b^P.
     """
     if precision < 1:
         raise ValueError(f"precision must be at least 1 digit, got {precision}")
@@ -169,26 +175,47 @@ def fractional_parts(d: DigitExpansion, shifts: int, precision: int) -> list[Rat
     data = d.prefix_digits(shifts + precision)
     base = d.base
     scale = base**precision
-    top = base ** (precision - 1)
     value = 0
     for digit in data[:precision]:
         value = value * base + digit
-    out = []
-    for n in range(shifts):
-        if n:
-            value = (value - data[n - 1] * top) * base + data[n + precision - 1]
-        out.append(RationalInterval._over(value, value + 1, scale))
-    return out
+    out = [value] if shifts else []
+    append = out.append
+    for lead, digit in zip(data, data[precision : shifts + precision - 1]):
+        value = value * base + digit
+        if lead:
+            value -= lead * scale
+        append(value)
+    return out, scale
 
 
-def _endpoints(items: list[RationalInterval] | list[Fraction]) -> Iterator[tuple[int, int, int]]:
-    """(lo, hi, den) per point or interval: integer numerators over a positive denominator."""
-    for it in items:
-        if isinstance(it, RationalInterval):
-            yield it._lo, it._hi, it._den
-        else:
-            x = Fraction(it)
-            yield x.numerator, x.numerator, x.denominator
+def fractional_parts(d: DigitExpansion, shifts: int, precision: int) -> list[RationalInterval]:
+    """Intervals around the first ``shifts`` orbit points, each of width base^-precision."""
+    values, scale = _numerators(d, shifts, precision)
+    over = RationalInterval._over
+    return [over(v, v + 1, scale) for v in values]
+
+
+def _arc(
+    starts: list[int], reach: list[int], den: int, circular: bool, width: int = 0
+) -> tuple[Fraction, RationalInterval]:
+    """The arc covering intervals over ``den``: starts ascend, reach[i] + width ends the first i + 1.
+
+    On the circle the widest gap from a reach to the next start is left out:
+    the first of equal gaps, the gap through 0 only if wider.
+    """
+    if not starts:
+        raise ValueError("no points or intervals to cover")
+    lo, hi = starts[0], reach[-1] + width
+    if circular:
+        if not 0 <= lo <= starts[-1] < den:
+            raise ValueError("points must lie in [0, 1)")
+        gap, later = lo + den - reach[-1], starts[1:]
+        if later and (inner := max(map(sub, later, reach))) >= gap:
+            lo, gap = later[indexOf(map(sub, later, reach), inner)], inner
+        if gap <= width:
+            return Fraction(1), RationalInterval._over(0, 1, 1)
+        hi = lo + den + width - gap
+    return Fraction(hi - lo, den), RationalInterval._over(lo, hi, den)
 
 
 def min_covering_interval(
@@ -200,42 +227,15 @@ def min_covering_interval(
     point, and each interval's start, must lie in [0, 1), and the result
     interval may have hi > 1 to represent an arc wrapping through 0.
     """
-    # integer numerators over the common denominator (base^precision for
-    # fractional parts, which share it); the endpoints are read twice rather
-    # than stored
-    den = math.lcm(*{d for _, _, d in _endpoints(items)})
-
-    # (start, length) sorts as (start, end); an orbit interval's length is
-    # the shared small int 1, so the sorted list costs little beyond its tuples
-    intervals = []
-    for lo, hi, d in _endpoints(items):
-        if d != den:
-            lo, hi = lo * (den // d), hi * (den // d)
-        intervals.append((lo, hi - lo))
-    intervals.sort()
-    if not intervals:
-        raise ValueError("empty input")
-    if not circular:
-        lo = intervals[0][0]
-        hi = max(a + b for a, b in intervals)
-        return Fraction(hi - lo, den), RationalInterval._over(lo, hi, den)
-    if not 0 <= intervals[0][0] <= intervals[-1][0] < den:
-        raise ValueError("points must lie in [0, 1)")
-    # the largest gap between an interval's start and the furthest end before
-    # it, the gap through 0 last; the first of equal gaps wins
-    best_gap, best_start = None, 0
-    max_hi = sum(intervals[0])
-    for i in range(1, len(intervals)):
-        lo, length = intervals[i]
-        if best_gap is None or lo - max_hi > best_gap:
-            best_gap, best_start = lo - max_hi, i
-        max_hi = max(max_hi, lo + length)
-    if best_gap is None or intervals[0][0] + den - max_hi > best_gap:
-        best_gap, best_start = intervals[0][0] + den - max_hi, 0
-    if best_gap <= 0:
-        return Fraction(1), RationalInterval._over(0, 1, 1)
-    lo = intervals[best_start][0]
-    return Fraction(den - best_gap, den), RationalInterval._over(lo, lo + den - best_gap, den)
+    if not all(map(isinstance, items, repeat(RationalInterval))):
+        items = [it if isinstance(it, RationalInterval) else RationalInterval(it, it) for it in items]
+    los, his, dens = (list(map(attrgetter(name), items)) for name in RationalInterval.__slots__)
+    den = math.lcm(*set(dens))
+    if dens.count(den) < len(dens):
+        los, his = ([v * (den // d) for v, d in zip(vs, dens)] for vs in (los, his))
+    order = sorted(range(len(los)), key=los.__getitem__)
+    starts = list(map(los.__getitem__, order))
+    return _arc(starts, list(accumulate(map(his.__getitem__, order), max)), den, circular)
 
 
 # ---------------------------------------------------------------------------

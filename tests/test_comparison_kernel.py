@@ -299,6 +299,7 @@ def run(argv):
     ("modone digits --xi 1/3 --base 0 --n 5", "error: digit alphabets supported for bases 2..10, got 0\n"),
     ("modone frac-parts --xi 1/3 --base 0", "error: digit alphabets supported for bases 2..10, got 0\n"),
     ("modone cover --word fib --base 0", "error: base must be at least 2, got 0\n"),
+    ("modone cover --word fib --N 0", "error: no points or intervals to cover\n"),
     ("modone classify --word fib --base 0", "error: base must be at least 2, got 0\n"),
     ("modone classify --word fib --prefix 0", "error: need at least two digits\n"),
     ("extremal characteristic --word tribonacci", "error: binary words required: s has 3 letters\n"),

@@ -211,7 +211,7 @@ def test_cover_on_unrelated_rationals():
     assert min_covering_interval(mixed) == covering_by_fractions(mixed)
     full = [RationalInterval(Fraction(0), Fraction(3, 5)), RationalInterval(Fraction(1, 2), Fraction(1))]
     assert min_covering_interval(full) == covering_by_fractions(full) == (Fraction(1), RationalInterval(0, 1))
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="^no points or intervals to cover$"):
         min_covering_interval([])
 
 

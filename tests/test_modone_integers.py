@@ -17,14 +17,17 @@ from sturmlex.modone import (
     DigitExpansion,
     RationalInterval,
     _doubling_points,
+    _frac_str,
     digits_from_rational,
     fractional_parts,
     gamma_tilde_member,
     gamma_tilde_orbit,
+    min_covering_interval,
     real_bounds_from_digits,
     thue_morse_constant,
 )
 from sturmlex.oracle import (
+    covering_by_fractions,
     digits_by_fractions,
     doubling_orbit_by_fractions,
     gamma_tilde_by_fractions,
@@ -222,3 +225,107 @@ def test_negative_digit_counts_are_refused(digits):
             d.prefix_digits(n)
         with pytest.raises(ValueError, match=rf"^prefix length must be non-negative, got {n}$"):
             real_bounds_from_digits(d, n)
+
+
+# ---------------------------------------------------------------------------
+# covering arcs: the tie rules of the gap scan against the Fraction reference
+
+# small grids, so that equal starts and equal gaps are common
+denominators = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12])
+
+
+@st.composite
+def circle_points(draw):
+    q = draw(denominators)
+    return Fraction(draw(st.integers(0, q - 1)), q)
+
+
+@st.composite
+def circle_intervals(draw, start=circle_points()):
+    lo = draw(start)
+    r = draw(denominators)  # the width's denominator, often unlike the start's
+    return RationalInterval(lo, lo + Fraction(draw(st.integers(0, 2 * r)), r))
+
+
+def agrees_with_oracle(items):
+    results = []
+    for circular in (True, False):
+        got = min_covering_interval(items, circular)
+        want = covering_by_fractions(items, circular)
+        assert got == want and repr(got) == repr(want), (items, circular)
+        results.append(got)
+    return results
+
+
+@given(st.lists(st.one_of(circle_points(), circle_intervals(), st.just(0)), min_size=1, max_size=12))
+@settings(max_examples=500, deadline=None)
+def test_cover_of_points_and_intervals_over_mixed_denominators(items):
+    agrees_with_oracle(items)
+
+
+@given(circle_points(), st.lists(st.integers(0, 24), min_size=2, max_size=5, unique=True),
+       st.lists(st.one_of(circle_points(), circle_intervals()), max_size=6), st.randoms())
+@settings(max_examples=300, deadline=None)
+def test_cover_with_duplicate_starts_of_different_widths(start, widths, others, rnd):
+    items = [RationalInterval(start, start + Fraction(w, 12)) for w in widths] + others
+    rnd.shuffle(items)
+    agrees_with_oracle(items)
+
+
+@given(st.integers(1, 8), st.integers(0, 11), st.integers(0, 11), st.booleans(), st.randoms())
+@settings(max_examples=300, deadline=None)
+def test_gap_through_zero_equal_to_the_inner_gaps(k, offset, width, as_points, rnd):
+    # k starts 1/k apart: every gap, the one through 0 included, has the same size
+    starts = [Fraction(offset, 12 * k) + Fraction(j, k) for j in range(k)]
+    w = Fraction(width, 12 * k)
+    items = starts if as_points else [RationalInterval(x, x + w) for x in starts]
+    items = items + items[: rnd.randrange(k + 1)]  # repeats change no gap
+    rnd.shuffle(items)
+    length, arc = agrees_with_oracle(items)[0]
+    if as_points or w < Fraction(1, k):
+        # the first inner gap wins: the arc starts at the second start; with
+        # one start, only the gap through 0 is left out
+        assert arc.lo == starts[min(1, k - 1)]
+        assert length == (1 - Fraction(1, k) + (0 if as_points else w) if k > 1 else (0 if as_points else w))
+    else:
+        assert (length, arc) == (1, RationalInterval(0, 1))
+
+
+@given(st.lists(st.integers(1, 11), max_size=6, unique=True), st.integers(0, 4),
+       st.lists(st.one_of(circle_points(), circle_intervals()), max_size=4), st.randoms())
+@settings(max_examples=300, deadline=None)
+def test_cover_of_the_whole_circle(cuts, overlap, others, rnd):
+    # intervals from each cut to past the next one leave no gap on the circle
+    ends = [Fraction(0)] + sorted(Fraction(c, 12) for c in cuts) + [Fraction(1)]
+    items = [RationalInterval(a, b + Fraction(overlap, 24)) for a, b in zip(ends, ends[1:])] + others
+    rnd.shuffle(items)
+    assert agrees_with_oracle(items)[0] == (Fraction(1), RationalInterval(0, 1))
+
+
+@st.composite
+def cover_arguments(draw):
+    base = draw(st.integers(2, 10))
+    L = draw(st.integers(1, 40))
+    N = draw(st.integers(1, 300))
+    # a periodic digit word repeats numerators and gaps; a free one rarely does
+    block = draw(st.lists(st.integers(0, base - 1), min_size=1, max_size=N + L))
+    data = (block * (N + L))[: N + L]
+    return base, L, N, "".join(map(str, data))
+
+
+@given(cover_arguments())
+@settings(max_examples=150, deadline=None)
+def test_cover_command_equals_the_arc_of_the_fractional_parts(tmp_path_factory, case):
+    base, L, N, text = case
+    path = tmp_path_factory.mktemp("cover") / "digits.txt"
+    path.write_text(f"{base}\n{text}\n")
+    parts = fractional_parts(DigitExpansion(base, FiniteWord([int(c) for c in text], Alphabet.digits(base))), N, L)
+    for linear in ([], ["--linear"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--format", "json", "modone", "cover", "--xi-digits", str(path),
+                         "--N", str(N), "--L", str(L), *linear])
+        length, arc = min_covering_interval(parts, circular=not linear)
+        assert code == 0
+        assert json.loads(out.getvalue()) == {"base": base, "N": N, "L": L,
+                                              "covering_length": _frac_str(length), "interval": arc.to_obj()}

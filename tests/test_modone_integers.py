@@ -241,8 +241,8 @@ def circle_points(draw):
 
 
 @st.composite
-def circle_intervals(draw, start=circle_points()):
-    lo = draw(start)
+def circle_intervals(draw):
+    lo = draw(circle_points())
     r = draw(denominators)  # the width's denominator, often unlike the start's
     return RationalInterval(lo, lo + Fraction(draw(st.integers(0, 2 * r)), r))
 
@@ -277,16 +277,16 @@ def test_cover_with_duplicate_starts_of_different_widths(start, widths, others, 
 def test_gap_through_zero_equal_to_the_inner_gaps(k, offset, width, as_points, rnd):
     # k starts 1/k apart: every gap, the one through 0 included, has the same size
     starts = [Fraction(offset, 12 * k) + Fraction(j, k) for j in range(k)]
-    w = Fraction(width, 12 * k)
+    w = Fraction(0 if as_points else width, 12 * k)
     items = starts if as_points else [RationalInterval(x, x + w) for x in starts]
     items = items + items[: rnd.randrange(k + 1)]  # repeats change no gap
     rnd.shuffle(items)
     length, arc = agrees_with_oracle(items)[0]
-    if as_points or w < Fraction(1, k):
+    if w < Fraction(1, k):
         # the first inner gap wins: the arc starts at the second start; with
         # one start, only the gap through 0 is left out
         assert arc.lo == starts[min(1, k - 1)]
-        assert length == (1 - Fraction(1, k) + (0 if as_points else w) if k > 1 else (0 if as_points else w))
+        assert length == (1 - Fraction(1, k) if k > 1 else 0) + w
     else:
         assert (length, arc) == (1, RationalInterval(0, 1))
 

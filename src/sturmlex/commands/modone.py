@@ -87,16 +87,12 @@ def run(args) -> Report:
         parts = modone.fractional_parts(d, args.N, args.L)
         if args.csv:
             rep.lines.append("n,lo,hi")
-            rep.lines.extend(
-                f"{n},{modone._frac_str(p.lo)},{modone._frac_str(p.hi)}" for n, p in enumerate(parts)
-            )
+            rep.lines.extend(f"{n},{p.lo},{p.hi}" for n, p in enumerate(parts))
             rep.obj = {"csv": "\n".join(rep.lines)}
         else:
             rep.obj = {"base": d.base, "N": args.N, "L": args.L,
                        "parts": [p.to_obj() for p in parts]}
-            rep.lines.extend(
-                f"{n}: [{modone._frac_str(p.lo)}, {modone._frac_str(p.hi)}]" for n, p in enumerate(parts)
-            )
+            rep.lines.extend(f"{n}: [{p.lo}, {p.hi}]" for n, p in enumerate(parts))
     elif args.what == "cover":
         d = _digit_source(args, args.N + args.L)
         # every orbit point spans one unit over base^L: the arc needs only the sorted numerators
@@ -107,11 +103,11 @@ def run(args) -> Report:
             "base": d.base,
             "N": args.N,
             "L": args.L,
-            "covering_length": modone._frac_str(length),
+            "covering_length": str(length),
             "interval": arc.to_obj(),
         }
-        rep.lines.append(f"covering length = {modone._frac_str(length)} ~= {float(length):.12f}")
-        rep.lines.append(f"interval [{modone._frac_str(arc.lo)}, {modone._frac_str(arc.hi)}]")
+        rep.lines.append(f"covering length = {length} ~= {float(length):.12f}")
+        rep.lines.append(f"interval [{arc.lo}, {arc.hi}]")
     elif args.what == "classify":
         n = args.prefix
         d = _digit_source(args, n)
@@ -126,14 +122,14 @@ def run(args) -> Report:
     elif args.what == "gamma-tilde":
         x = _rational(args.x)
         member, orbit_size = modone._gamma_tilde_walk(x)
-        rep.boolean(member, {"x": modone._frac_str(x), "member": member, "orbit_size": orbit_size})
+        rep.boolean(member, {"x": str(x), "member": member, "orbit_size": orbit_size})
     elif args.what == "veerman":
         from ..surds import parse_surd
 
         r0, r1 = modone.veerman_interval(parse_surd(args.alpha), args.L)
         gap = r1.lo - r0.lo
-        rep.obj = {"L": args.L, "r0": r0.to_obj(), "r1": r1.to_obj(), "difference": modone._frac_str(gap)}
-        rep.lines.append(f"r0 in [{modone._frac_str(r0.lo)}, {modone._frac_str(r0.hi)}]")
-        rep.lines.append(f"r1 in [{modone._frac_str(r1.lo)}, {modone._frac_str(r1.hi)}]")
-        rep.lines.append(f"r1.lo - r0.lo = {modone._frac_str(gap)}")
+        rep.obj = {"L": args.L, "r0": r0.to_obj(), "r1": r1.to_obj(), "difference": str(gap)}
+        rep.lines.append(f"r0 in [{r0.lo}, {r0.hi}]")
+        rep.lines.append(f"r1 in [{r1.lo}, {r1.hi}]")
+        rep.lines.append(f"r1.lo - r0.lo = {gap}")
     return rep

@@ -371,10 +371,10 @@ def check_epistandard_ineq(
     when some window is (a.s) truncated and no tail behind a ranks below it.
     ``oracle.epistandard_ineq_by_order`` is the per-order reference.
     """
-    factors = _material(s, material, default_material(K))
-    data = s.prefix_bytes(max(len(factors), K + L))
     pairs = acceptable_pairs(s.alphabet)
     _check_bounds(K, L)
+    factors = _material(s, material, default_material(K))
+    data = s.prefix_bytes(max(len(factors), K + L))
     _check_factor_length(factors, K)
     shift_ties, shift_first = _first_differences(data, data[: L - 1], K + 1)
     head_ties, head_first = _first_differences(factors, data[: K - 1], len(factors) - K + 1)
@@ -407,62 +407,43 @@ def check_epistandard_ineq(
 def finite_episturmian_test(w: FiniteWord) -> tuple[bool, FiniteWord | None]:
     """Decide whether some word u satisfies a.u_{|m|-1} <= m for every acceptable pair.
 
-    Here m = min(w) under the pair's order.  The certificate u is built by
-    backtracking letter by letter, consuming one <=-constraint per order;
-    letters are tried in canonical order, so the first certificate found is
-    the least.  The search keeps its own stack, so its depth is not limited
-    by the interpreter's recursion limit.  Returns (True, u) or (False, None).
+    Here m = min(w) under the pair's order, so u is bounded by m[1:].  The
+    search keeps one explicit stack, not limited by the recursion limit: u,
+    and after each prefix of u the orders whose bound u still equals.  An
+    order whose bound u falls below, or runs past, holds for every longer u
+    and is dropped.  Letters are tried in canonical order and a dead end
+    resumes at the popped letter + 1, so the first certificate found is the
+    least (``oracle.finite_episturmian_by_enumeration``).  Returns (True, u)
+    or (False, None).
     """
     if len(w) == 0:
         return True, FiniteWord(b"", w.alphabet)
     if w.alphabet.size > 4:
         raise ValueError("certificate search supported for alphabets of size <= 4")
-    pairs = acceptable_pairs(w.alphabet)
-    constraints = []  # (ranked target m[1:], that is, the part u must stay <= to)
-    for pair in pairs:
-        m = min_finite(w, pair)
-        constraints.append(m.data[1:].translate(pair.table))
-    size = w.alphabet.size
-    length = max((len(c) for c in constraints), default=0)
-    # state per constraint: position while tight; SAT once strictly below or fully matched
-    SAT = -1
-    ranks = [pair.table for pair in pairs]
-
-    def step(states: list[int], letter: int, i: int) -> list[int] | None:
-        """The constraint states after appending ``letter`` at index i, or None if one is broken."""
-        nxt = []
-        for c, rank, target in zip(states, ranks, constraints):
-            if c == SAT or i >= len(target):
-                nxt.append(SAT)
-            elif rank[letter] < target[i]:
-                nxt.append(SAT)
-            elif rank[letter] == target[i]:
-                nxt.append(c + 1)
-            else:
-                return None
-        return nxt
-
-    # depth-first search on an explicit stack: u, the states after each
-    # prefix of u, and the next letter to try at each depth
+    bounds = [(p.table, min_finite(w, p).data[1:].translate(p.table)) for p in acceptable_pairs(w.alphabet)]
+    length = max(len(m) for _, m in bounds)
     u: list[int] = []
-    states = [[0] * len(constraints)]
-    next_letter = [0]
+    tight = [[(rank, m) for rank, m in bounds if m]]
+    letter = 0
     while len(u) < length:
         i = len(u)
-        for letter in range(next_letter[-1], size):
-            nxt = step(states[-1], letter, i)
-            if nxt is not None:
-                next_letter[-1] = letter + 1
+        for letter in range(letter, w.alphabet.size):
+            nxt = []
+            for rank, m in tight[-1]:
+                if rank[letter] > m[i]:
+                    break
+                if rank[letter] == m[i] and i + 1 < len(m):
+                    nxt.append((rank, m))
+            else:
+                tight.append(nxt)
                 u.append(letter)
-                states.append(nxt)
-                next_letter.append(0)
+                letter = 0
                 break
         else:
             if not u:
                 return False, None
-            u.pop()
-            states.pop()
-            next_letter.pop()
+            tight.pop()
+            letter = u.pop() + 1
     return True, FiniteWord(u, w.alphabet)
 
 

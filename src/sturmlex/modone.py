@@ -50,10 +50,6 @@ __all__ = [
 ]
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 class RationalInterval(_FrozenRecord):
     """A closed interval [lo, hi] with exact rational endpoints.
 
@@ -103,7 +99,7 @@ class RationalInterval(_FrozenRecord):
         return self.lo <= x <= self.hi
 
     def to_obj(self) -> dict:
-        return {"lo": _frac_str(self.lo), "hi": _frac_str(self.hi)}
+        return {"lo": str(self.lo), "hi": str(self.hi)}
 
     def __repr__(self):
         return f"RationalInterval({self.lo}, {self.hi})"
@@ -172,7 +168,8 @@ def _numerators(d: DigitExpansion, shifts: int, precision: int) -> tuple[list[in
         raise ValueError(f"precision must be at least 1 digit, got {precision}")
     if shifts < 0:
         raise ValueError(f"shift count must be non-negative, got {shifts}")
-    data = d.prefix_digits(shifts + precision)
+    # point N-1 reads digits N-1..N+P-2
+    data = d.prefix_digits(shifts + precision - 1 if shifts else 0)
     base = d.base
     scale = base**precision
     value = 0

@@ -73,6 +73,7 @@ __all__ = [
     "smallest_period_by_shifts",
     "extremal_factor_by_windows",
     "finite_extremal_by_chain",
+    "finite_episturmian_by_enumeration",
     "fractional_parts_by_shift",
     "covering_by_fractions",
     "digits_by_fractions",
@@ -296,10 +297,12 @@ def epistandard_ineq_by_order(
     s: InfiniteWord, K: int, L: int, material: int | None = None
 ) -> EpistandardReport:
     """check_epistandard_ineq recomputed with a full shift-chain check and factor scan per order."""
+    pairs = acceptable_pairs(s.alphabet)
+    _check_bounds(K, L)
     factors = _material(s, material, default_material(K))
     data = s.prefix_bytes(max(len(factors), K + L))
     results = []
-    for pair in acceptable_pairs(s.alphabet):
+    for pair in pairs:
         prefixed = bytes([pair.by_rank[0]]) + data[: max(L, K) - 1]
         verdict = shift_chain_by_letters(s, prefixed[:L], None, K, L, pair)
         m = extremal_factor_by_windows(factors, K, pair, want_max=False)
@@ -421,9 +424,23 @@ def finite_extremal_by_chain(w: FiniteWord, order: LexOrder, want_max: bool) -> 
     return FiniteWord(prev, w.alphabet)
 
 
+def finite_episturmian_by_enumeration(w: FiniteWord) -> tuple[bool, FiniteWord | None]:
+    """finite_episturmian_test recomputed: the first u of length max|m| - 1 with a.u <= m for every m."""
+    if len(w) == 0:
+        return True, FiniteWord(b"", w.alphabet)
+    mins = []
+    for order in itertools.permutations(range(w.alphabet.size)):
+        mins.append((order.index, finite_extremal_by_chain(w, LexOrder(order), False).data))
+    for u in itertools.product(range(w.alphabet.size), repeat=max(len(m) for _, m in mins) - 1):
+        # a.u cut to |m| letters, in ranks (a ranks 0)
+        if all([0, *map(rank, u[: len(m) - 1])] <= list(map(rank, m)) for rank, m in mins):
+            return True, FiniteWord(bytes(u), w.alphabet)
+    return False, None
+
+
 def fractional_parts_by_shift(d: DigitExpansion, shifts: int, precision: int) -> list[RationalInterval]:
     """fractional_parts recomputed with a fresh numerator from ``precision`` digits per shift."""
-    data = d.prefix_digits(shifts + precision)
+    data = d.prefix_digits(shifts + precision - 1 if shifts else 0)
     scale = d.base**precision
     out = []
     for n in range(shifts):

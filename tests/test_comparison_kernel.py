@@ -286,6 +286,8 @@ def run(argv):
      "error: binary words required: y has 3 letters\n"),
     ("extremal characteristic --word fib --L 0", "error: bounds must be positive (K >= 0 shifts, L >= 1 depth)\n"),
     ("extremal phi-approx --word fib --L 0", "error: bounds must be positive (K >= 0 shifts, L >= 1 depth)\n"),
+    ("extremal epistandard-ineq --word tribonacci --K -100",
+     "error: bounds must be positive (K >= 0 shifts, L >= 1 depth)\n"),
     ("extremal allowed-pair --r fib --s fib --L 0",
      "error: bounds must be positive (K >= 0 shifts, L >= 1 depth)\n"),
     ("modone self-sturmian --word fib --K -3 --L -3",
@@ -326,6 +328,13 @@ def test_digit_file_base_contradicts_base_zero(tmp_path):
     path.write_text("2\n0100101001001010\n")
     argv = ["modone", "classify", "--xi-digits", str(path), "--base", "0", "--prefix", "16"]
     assert run(argv) == (2, "", "error: digit file base 2 contradicts --base 0\n")
+
+
+def test_digit_file_of_one_line(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("2\n")
+    argv = ["modone", "frac-parts", "--xi-digits", str(path)]
+    assert run(argv) == (2, "", "error: digit file must have two lines: base, digits\n")
 
 
 def test_bounds_are_checked_after_the_alphabet():

@@ -41,6 +41,7 @@ from sturmlex.extremal import (
     not_balanced_witness,
     sigma_xy_member,
 )
+from sturmlex.oracle import finite_episturmian_by_enumeration
 
 A3 = Alphabet.of_size(3)
 
@@ -246,6 +247,14 @@ class TestFiniteEpisturmian:
                 w = FiniteWord(bytes(bits), BINARY)
                 ok, _ = finite_episturmian_test(w)
                 assert ok == is_balanced(w), w.as_str()
+
+    @pytest.mark.parametrize("size, n_max", [(2, 10), (3, 6), (4, 5)])
+    def test_verdict_and_least_certificate_match_enumeration(self, size, n_max):
+        alphabet = Alphabet(tuple("abcd"[:size]))
+        for n in range(n_max + 1):
+            for letters in itertools.product(range(size), repeat=n):
+                w = FiniteWord(bytes(letters), alphabet)
+                assert finite_episturmian_test(w) == finite_episturmian_by_enumeration(w), w.as_str()
 
 
 class TestNotBalancedWitness:

@@ -17,7 +17,6 @@ from sturmlex.modone import (
     DigitExpansion,
     RationalInterval,
     _doubling_points,
-    _frac_str,
     digits_from_rational,
     fractional_parts,
     gamma_tilde_member,
@@ -30,6 +29,7 @@ from sturmlex.oracle import (
     covering_by_fractions,
     digits_by_fractions,
     doubling_orbit_by_fractions,
+    fractional_parts_by_shift,
     gamma_tilde_by_fractions,
     thue_morse_constant_by_sum,
 )
@@ -202,6 +202,26 @@ def test_digits_of_a_finite_word_are_read_whole():
         d.prefix_digits(4)
 
 
+def test_orbit_points_read_n_plus_p_minus_one_digits(tmp_path):
+    d = DigitExpansion(2, FiniteWord(bytes([1, 0, 1, 1]), Alphabet.digits(2)))
+    parts = [RationalInterval(Fraction(5, 8), Fraction(6, 8)), RationalInterval(Fraction(3, 8), Fraction(4, 8))]
+    assert fractional_parts(d, 2, 3) == parts == fractional_parts_by_shift(d, 2, 3)
+    assert fractional_parts(d, 0, 40) == [] == fractional_parts_by_shift(d, 0, 40)
+    for refused in (fractional_parts, fractional_parts_by_shift):
+        with pytest.raises(ValueError, match="^only 4 digits available, 5 requested$"):
+            refused(d, 2, 4)
+    path = tmp_path / "digits.txt"
+    path.write_text("2\n1011\n")
+    for argv, text in (
+        (["frac-parts", "--N", "1", "--L", "4"], "0: [11/16, 3/4]\n"),
+        (["cover", "--N", "2", "--L", "3"], "covering length = 3/8 ~= 0.375000000000\ninterval [3/8, 3/4]\n"),
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["modone", *argv[:1], "--xi-digits", str(path), *argv[1:]])
+        assert (code, out.getvalue()) == (0, text)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 65, 1000])
 def test_thue_morse_constant_matches_fraction_sum(n):
     same_interval(thue_morse_constant(n), thue_morse_constant_by_sum(n))
@@ -328,4 +348,4 @@ def test_cover_command_equals_the_arc_of_the_fractional_parts(tmp_path_factory, 
         length, arc = min_covering_interval(parts, circular=not linear)
         assert code == 0
         assert json.loads(out.getvalue()) == {"base": base, "N": N, "L": L,
-                                              "covering_length": _frac_str(length), "interval": arc.to_obj()}
+                                              "covering_length": str(length), "interval": arc.to_obj()}

@@ -159,6 +159,7 @@ def error_of(fn, *args):
     "args,message",
     [
         ((-1, 5), "bounds must be positive"),
+        ((-100, 5), "bounds must be positive"),
         ((5, 0), "bounds must be positive"),
         ((-1, 0, 3), "bounds must be positive"),
         ((0, 5), "factor length must be positive"),

@@ -10,9 +10,16 @@ from fractions import Fraction
 
 import pytest
 
-from sturmlex.extremal import BoundedVerdict, EpistandardReport, GanCandidate, PairInequality
-from sturmlex.generators import DirectiveWord, Morphism, kbonacci
-from sturmlex.modone import ClassifyReport, DigitExpansion, RationalInterval, min_covering_interval
+from sturmlex.extremal import BoundedVerdict, EpistandardReport, GanCandidate, PairInequality, not_balanced_witness
+from sturmlex.generators import DirectiveWord, Morphism, kbonacci, skew_word, thue_morse
+from sturmlex.modone import (
+    ClassifyReport,
+    DigitExpansion,
+    RationalInterval,
+    digits_from_rational,
+    min_covering_interval,
+    thue_morse_constant,
+)
 from sturmlex.oracle import OracleCorpus
 from sturmlex.words import (
     BINARY,
@@ -23,6 +30,7 @@ from sturmlex.words import (
     LexOrder,
     Relation,
     UltimatelyPeriodicWord,
+    word_to_text,
 )
 
 AB = FiniteWord.from_str("ab")
@@ -172,6 +180,13 @@ def test_hash_and_freezing(cls):
     (lambda: DigitExpansion(2, FiniteWord.from_str("abc")),
      "digit word uses letters outside the base range"),
     (lambda: min_covering_interval([Fraction(1, 2), Fraction(1)]), r"points must lie in \[0, 1\)"),
+    (lambda: not_balanced_witness(FiniteWord.from_str("abc")), "binary alphabet required"),
+    (lambda: thue_morse_constant(0), "need at least one term"),
+    (lambda: digits_from_rational(Fraction(1, 3), 2, 0), "need at least one digit"),
+    (lambda: skew_word(Morphism.from_text("a>,b>b", BINARY_AB), 0, 1, 2), "erasing morphism"),
+    (lambda: skew_word(Morphism.from_text("a>ab,b>ab", BINARY_AB), 0, 1, 2),
+     "degenerate morphism: image collapsed to a periodic word"),
+    (lambda: word_to_text(thue_morse()), "only finite and ultimately periodic words serialize to text"),
 ])
 def test_validation_messages(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

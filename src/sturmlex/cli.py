@@ -92,6 +92,10 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Python 3.11 (and 3.10.7) refuses int/str conversions past 4300 digits;
+        # STURMLEX_MAX_LEN already bounds the digits read and printed
+        sys.set_int_max_str_digits(0)
     argv = _join_negative_values(argv)
     # the first token naming a group, and the token after it, pick the leaves
     # to build; with no group (--help, a bad group) the full parser reports it

@@ -19,7 +19,7 @@ def add_leaves(orc, leaf: str | None = None) -> None:
 
 
 def run(args) -> Report:
-    from .. import extremal, oracle
+    from .. import oracle
 
     rep = Report()
     if args.what == "enumerate":
@@ -41,6 +41,8 @@ def run(args) -> Report:
                    "count": corpus.count()}
     elif args.what == "diff":
         import random
+
+        from .. import extremal
 
         rng = random.Random(args.seed)
         mismatches = 0

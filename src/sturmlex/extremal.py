@@ -12,7 +12,7 @@ extremal factor is attained inside the material.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterator
 
 # analysis, generators and surds are imported where they are used, so a
 # shift-chain check loads no factor analysis, and a check of a word with no
@@ -23,6 +23,7 @@ from .words import (
     InfiniteWord,
     LexOrder,
     UltimatelyPeriodicWord,
+    _check_cap,
     _first_difference,
     _first_violation,
     _material,
@@ -64,6 +65,17 @@ MAX_PHI_DEPTH = 12
 def default_material(k: int) -> int:
     """Material length used for length-k extremal factors when none is given."""
     return 8 * k + 256
+
+
+def _factor_material(
+    w: FiniteWord | InfiniteWord, k: int, given: int | None, option: str, name: str = "K"
+) -> bytes:
+    """The material for length-k factors: ``given`` letters, else default_material(k),
+    whose refusal over the cap names k, the rule and the option that sets the material."""
+    n = default_material(k)
+    if given is None and not isinstance(w, FiniteWord):
+        _check_cap(n, f"default material 8{name} + 256 = {{}} for {name} = {k}", f"; {option} sets the material")
+    return _material(w, given, n)
 
 
 def acceptable_pairs(alphabet: Alphabet) -> list[LexOrder]:
@@ -154,10 +166,9 @@ def _extremal_bytes(data: bytes, k: int, order: LexOrder, want_max: bool) -> byt
 def _extremal_factor(w, k: int, order: LexOrder | None, prefix_length: int | None, want_max: bool):
     if isinstance(w, UltimatelyPeriodicWord):
         # every factor of u v^w occurs inside u v . first k-1 letters of v^w
-        default = len(w.preperiod) + len(w.period) + k - 1
+        data = _material(w, prefix_length, len(w.preperiod) + len(w.period) + k - 1)
     else:
-        default = default_material(k)
-    data = _material(w, prefix_length, default)
+        data = _factor_material(w, k, prefix_length, "--prefix", "k")
     order = order or LexOrder.natural(w.alphabet.size)
     return FiniteWord(_extremal_bytes(data, k, order, want_max), w.alphabet)
 
@@ -373,7 +384,7 @@ def check_epistandard_ineq(
     """
     pairs = acceptable_pairs(s.alphabet)
     _check_bounds(K, L)
-    factors = _material(s, material, default_material(K))
+    factors = _factor_material(s, K, material, "--material")
     data = s.prefix_bytes(max(len(factors), K + L))
     _check_factor_length(factors, K)
     shift_ties, shift_first = _first_differences(data, data[: L - 1], K + 1)
@@ -415,6 +426,13 @@ def finite_episturmian_test(w: FiniteWord) -> tuple[bool, FiniteWord | None]:
     resumes at the popped letter + 1, so the first certificate found is the
     least (``oracle.finite_episturmian_by_enumeration``).  Returns (True, u)
     or (False, None).
+
+    On two letters a dead end means no certificate.  The two orders are
+    reverses, so while u equals both bounds the only letter both allow is
+    their common bound letter, and any other letter drops one order for good;
+    one order alone never dead-ends.  So a dead end needs 0 under 0<1 and 1
+    under 1<0 after a common prefix u, which is ``_unbalanced_core``'s 0u0 and
+    1u1, and no earlier letter had another choice.
     """
     if len(w) == 0:
         return True, FiniteWord(b"", w.alphabet)
@@ -472,55 +490,34 @@ def fine_test(t: InfiniteWord, K: int, material: int | None = None) -> BoundedVe
     window and x the least tail behind c.  So with b.t the first pair's
     min-word, another pair agrees iff some window c.t occurs and no tail behind
     c first differs from t at a letter its order ranks lower: one table of
-    tails against t (``_first_differences``) decides every order.  A
-    disagreement inside the horizon is a definitive failure, witnessed by one
-    more scan; agreement holds at the recorded bounds.
-    ``oracle.fine_by_order`` is the per-order reference.
+    tails against t (``_first_differences``) decides every order.  A pair that
+    disagrees has a least tail that differs from t inside the K-1 letters, a
+    definitive failure, witnessed by one more scan; agreement holds at the
+    recorded bounds.  ``oracle.fine_by_order`` is the per-order reference.
     """
-    data = _material(t, material, default_material(K))
+    data = _factor_material(t, K, material, "--material")
     orders = _orders(t.alphabet)
     base_pair = next(orders)
     base = _extremal_bytes(data, K, base_pair, want_max=False)
     windows = len(data) - K + 1
     ties, first = _first_differences(data, base[1:], windows)
     leads = set(data[:windows])
-    mins = [(base_pair, base)]
     for pair in orders:
         rank = pair.by_rank.index
         c = min(leads, key=rank)
         if not ties[c] or _earliest_below(first[c], rank) is not None:
-            mins.append((pair, _extremal_bytes(data, K, pair, want_max=False)))
-            break
-    return _fine_verdict(t.alphabet, K, len(data), mins)
-
-
-def _fine_verdict(
-    alphabet: Alphabet, K: int, material: int, mins: list[tuple[LexOrder, bytes]]
-) -> BoundedVerdict:
-    """The fine verdict on the min-words of every pair: the first disagreement after their first letter."""
-    base_pair, base = mins[0]
-    for pair, m in mins[1:]:
-        i = 1 + _first_difference(m[1:], base[1:])
-        if i < K:
-            return BoundedVerdict(
-                False,
-                None,
-                K,
-                witness={
-                    "pair_a": _pair_text(base_pair, alphabet),
-                    "pair_b": _pair_text(pair, alphabet),
-                    "depth": i,
-                    "expected": _names(alphabet, base[: i + 1]),
-                    "found": _names(alphabet, m[: i + 1]),
-                },
-                detail={"material": material},
-            )
-    return BoundedVerdict(
-        True,
-        None,
-        K,
-        detail={"material": material, "common_tail": _names(alphabet, base[1:21])},
-    )
+            m = _extremal_bytes(data, K, pair, want_max=False)
+            i = 1 + _first_difference(m[1:], base[1:])
+            witness = {
+                "pair_a": _pair_text(base_pair, t.alphabet),
+                "pair_b": _pair_text(pair, t.alphabet),
+                "depth": i,
+                "expected": _names(t.alphabet, base[: i + 1]),
+                "found": _names(t.alphabet, m[: i + 1]),
+            }
+            return BoundedVerdict(False, None, K, witness=witness, detail={"material": len(data)})
+    common_tail = _names(t.alphabet, base[1:21])
+    return BoundedVerdict(True, None, K, detail={"material": len(data), "common_tail": common_tail})
 
 
 def local_balance_check(
@@ -531,56 +528,34 @@ def local_balance_check(
     Also records whether the weaker palindromic-factors-only variant holds.
     The distinct length-(m+2) factors are the (m+2)-prefixes of one key set
     (``analysis._factor_keys``), so the material is sliced once, not once per m.
+    ``oracle.local_balance_by_length`` is the per-window reference.
     """
     from .analysis import _factor_keys
 
-    data = _local_balance_material(t, n_max, prefix_length)
-    keys = _factor_keys(data, n_max + 2)
-    windows = ({key[: m + 2] for key in keys if len(key) >= m + 2} for m in range(n_max + 1))
-    return _local_balance_verdict(t.alphabet, n_max, len(data), windows)
-
-
-def _local_balance_material(t: InfiniteWord | FiniteWord, n_max: int, prefix_length: int | None) -> bytes:
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     data = _material(t, prefix_length, 2000)
     if len(data) < n_max + 2:
         raise ValueError("material too short for the requested factor length")
-    return data
-
-
-def _local_balance_verdict(
-    alphabet: Alphabet, n_max: int, material: int, windows: Iterable[Iterable[bytes]]
-) -> BoundedVerdict:
-    """The local-balance verdict from the length-(m+2) windows of the material, for m = 0..n_max in turn."""
+    keys = _factor_keys(data, n_max + 2)
+    alphabet = t.alphabet
+    detail = {"n_max": n_max, "material": len(data)}
     palindromic_ok = True
     verdict = None
-    for length_windows in windows:
+    for m in range(n_max + 1):
         ext: dict[bytes, set[tuple[int, int]]] = {}
-        for window in length_windows:
+        for window in {key[: m + 2] for key in keys if len(key) >= m + 2}:
             ext.setdefault(window[1:-1], set()).add((window[0], window[-1]))
         for u, sides in sorted(ext.items()):
             if not any(all(x == a or y == a for x, y in sides) for a in range(alphabet.size)):
                 if verdict is None:
-                    verdict = BoundedVerdict(
-                        False,
-                        None,
-                        None,
-                        witness={
-                            "factor": _names(alphabet, u),
-                            "extensions": sorted(
-                                _names(alphabet, bytes([x])) + "_" + _names(alphabet, bytes([y]))
-                                for x, y in sides
-                            ),
-                        },
-                        detail={"n_max": n_max, "material": material},
-                    )
+                    extensions = sorted(f"{alphabet.names[x]}_{alphabet.names[y]}" for x, y in sides)
+                    witness = {"factor": _names(alphabet, u), "extensions": extensions}
+                    verdict = BoundedVerdict(False, None, None, witness=witness, detail=detail)
                 if u == u[::-1]:
                     palindromic_ok = False
-    if verdict is None:
-        verdict = BoundedVerdict(True, None, None, detail={"n_max": n_max, "material": material})
-    verdict.detail["palindromic_variant_holds"] = palindromic_ok
-    return verdict
+    detail["palindromic_variant_holds"] = palindromic_ok
+    return BoundedVerdict(True, None, None, detail=detail) if verdict is None else verdict
 
 
 # ---------------------------------------------------------------------------

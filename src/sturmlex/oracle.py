@@ -9,10 +9,11 @@ time (epistandard words by one palindromic closure per directive letter,
 mechanical words by one surd floor per letter), floors along a progression
 by one isqrt per term, shift-chain checks by one ranked slice per shift and
 bound, compared letter by letter, the all-orders extremal checks by one such
-check and one min over every window per acceptable pair, distinct windows
-by one slice per position, factor complexity by one set of factors per
-length, special factors and local balance by one entry per window, the
-block condition by one factor set per length, finite
+check and one min over every window per acceptable pair, fine words by
+those mins compared letter by letter, distinct windows by one slice per
+position, factor complexity by one set of factors per length, special
+factors and local balance by one entry per window (local balance as one set
+inclusion per letter), the block condition by one factor set per length, finite
 min/max words by one such min per prefix length, balance witnesses by one
 count array per length, periodic certificates by one backward scan per
 period, the canonical form of u v^omega by one letter per step, smallest
@@ -20,33 +21,31 @@ periods by one slice comparison per shift, fractional parts and covering
 arcs by one numerator per shift and Fraction arithmetic, and rational
 digits, doubling orbits and the Thue-Morse constant by Fraction arithmetic
 step by step.
+
+A reference shares with the code it checks only records (``BoundedVerdict``,
+``PairInequality``, ``EpistandardReport``), argument and material rules
+(``_check_bounds``, ``_check_factor_length``, ``acceptable_pairs``,
+``default_material``, ``words._material``) and witness text (``_names``,
+``_pair_text``), never a verdict rule.  Each layer is imported inside the
+references that use it, so enumerating balanced words loads none.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
-from fractions import Fraction
 from operator import sub
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .extremal import (
-    BoundedVerdict,
-    EpistandardReport,
-    PairInequality,
-    _check_bounds,
-    _check_factor_length,
-    _fine_verdict,
-    _local_balance_material,
-    _local_balance_verdict,
-    _names,
-    acceptable_pairs,
-    default_material,
-)
-from .generators import DirectiveWord, _pal_closure_bytes, epistandard, kbonacci, thue_morse
-from .modone import DigitExpansion, RationalInterval
-from .surds import QuadraticSurd, _floor
 from .words import Alphabet, FiniteWord, InfiniteWord, LexOrder, _check_cap, _material, _Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .extremal import BoundedVerdict, EpistandardReport
+    from .generators import DirectiveWord
+    from .modone import DigitExpansion, RationalInterval
+    from .surds import QuadraticSurd
 
 __all__ = [
     "closure_letters",
@@ -91,6 +90,8 @@ def closure_letters(delta: DirectiveWord) -> Iterator[int]:
     Quadratic in the prefix length.  Ends after the last closure of a finite
     directive.
     """
+    from .generators import _pal_closure_bytes
+
     pal = b""
     i = 0
     while True:
@@ -106,6 +107,8 @@ def closure_letters(delta: DirectiveWord) -> Iterator[int]:
 
 def floor_letters(alpha: QuadraticSurd, rho: QuadraticSurd, use_ceiling: bool = False) -> Iterator[int]:
     """The letters of the lower (or upper) mechanical word: one surd floor (or ceiling) per letter."""
+    from .surds import QuadraticSurd
+
     floor_alpha = alpha.floor()
     value = QuadraticSurd.ceil if use_ceiling else QuadraticSurd.floor
     acc = rho
@@ -119,6 +122,8 @@ def floor_letters(alpha: QuadraticSurd, rho: QuadraticSurd, use_ceiling: bool = 
 
 def progression_floors_by_term(alpha: QuadraticSurd, rho: QuadraticSurd, start: int, stop: int) -> list[int]:
     """The floors behind surds.progression_letters, by one exact surd floor (isqrt) each."""
+    from .surds import _floor
+
     alpha, rho = alpha._common(rho)
     d, r = alpha.d or rho.d, alpha.r * rho.r
     # k*alpha + rho = (k*ap + bp + (k*aq + bq)*sqrt(d)) / r
@@ -152,6 +157,8 @@ def enumerate_balanced(n: int) -> set[FiniteWord]:
 
 def default_roster() -> list[InfiniteWord]:
     """Epistandard words used as the corpus generators: k-bonacci plus sampled directives."""
+    from .generators import DirectiveWord, epistandard, kbonacci
+
     roster: list[InfiniteWord] = [kbonacci(2), kbonacci(3), kbonacci(4)]
     for text in ("aab*", "abb*", "ab|ba", "abcb*", "a|ab"):
         roster.append(epistandard(DirectiveWord.from_text(text)))
@@ -234,6 +241,8 @@ def naive_min_max(
 
 def extremal_factor_by_windows(data: bytes, k: int, order: LexOrder, want_max: bool) -> bytes:
     """The least (greatest) length-k factor of data under the order, by one min (max) over every window."""
+    from .extremal import _check_factor_length
+
     _check_factor_length(data, k)
     ranked = data.translate(order.table)
     best = (max if want_max else min)(ranked[i : i + k] for i in range(len(data) - k + 1))
@@ -268,6 +277,8 @@ def shift_chain_by_letters(
     s: InfiniteWord, lower: bytes | None, upper: bytes | None, K: int, L: int, order: LexOrder
 ) -> BoundedVerdict:
     """extremal._shift_chain_check recomputed shift by shift, each comparison letter by letter."""
+    from .extremal import BoundedVerdict, _check_bounds, _names
+
     _check_bounds(K, L)
     data = s.prefix_bytes(K + L)
     table = order.table
@@ -297,6 +308,8 @@ def epistandard_ineq_by_order(
     s: InfiniteWord, K: int, L: int, material: int | None = None
 ) -> EpistandardReport:
     """check_epistandard_ineq recomputed with a full shift-chain check and factor scan per order."""
+    from .extremal import EpistandardReport, PairInequality, _check_bounds, acceptable_pairs, default_material
+
     pairs = acceptable_pairs(s.alphabet)
     _check_bounds(K, L)
     factors = _material(s, material, default_material(K))
@@ -318,11 +331,27 @@ def epistandard_ineq_by_order(
 
 
 def fine_by_order(t: InfiniteWord, K: int, material: int | None = None) -> BoundedVerdict:
-    """fine_test recomputed with a full factor scan per order."""
+    """fine_test recomputed: the first pair whose min-word, by a full factor scan, differs letter by letter
+    from the first pair's after the first letter fails at that letter."""
+    from .extremal import BoundedVerdict, _names, _pair_text, acceptable_pairs, default_material
+
     data = _material(t, material, default_material(K))
     pairs = acceptable_pairs(t.alphabet)
-    mins = [(pair, extremal_factor_by_windows(data, K, pair, want_max=False)) for pair in pairs]
-    return _fine_verdict(t.alphabet, K, len(data), mins)
+    base = extremal_factor_by_windows(data, K, pairs[0], want_max=False)
+    for pair in pairs[1:]:
+        m = extremal_factor_by_windows(data, K, pair, want_max=False)
+        for i in range(1, K):
+            if m[i] != base[i]:
+                witness = {
+                    "pair_a": _pair_text(pairs[0], t.alphabet),
+                    "pair_b": _pair_text(pair, t.alphabet),
+                    "depth": i,
+                    "expected": _names(t.alphabet, base[: i + 1]),
+                    "found": _names(t.alphabet, m[: i + 1]),
+                }
+                return BoundedVerdict(False, None, K, witness=witness, detail={"material": len(data)})
+    common_tail = _names(t.alphabet, base[1:21])
+    return BoundedVerdict(True, None, K, detail={"material": len(data), "common_tail": common_tail})
 
 
 def factor_windows_by_position(data: bytes, n: int) -> set[bytes]:
@@ -348,12 +377,36 @@ def special_factors_by_window(data: bytes, n: int, side: str) -> set[bytes]:
 def local_balance_by_length(
     t: InfiniteWord | FiniteWord, n_max: int, prefix_length: int | None = None
 ) -> BoundedVerdict:
-    """local_balance_check recomputed from every window of every length m + 2, m = 0..n_max."""
-    data = _local_balance_material(t, n_max, prefix_length)
-    windows = (
-        (data[i : i + m + 2] for i in range(len(data) - m - 1)) for m in range(n_max + 1)
-    )
-    return _local_balance_verdict(t.alphabet, n_max, len(data), windows)
+    """local_balance_check recomputed from every window x.u.y of every length m + 2, m = 0..n_max.
+
+    A factor u fails when no letter a gives {(x, y)} ⊆ {a} × A ∪ A × {a}, the pairs of auA ∪ Aua;
+    the first failing u, by length and then in bytes order, is the witness.
+    """
+    from .extremal import BoundedVerdict, _names
+
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
+    data = _material(t, prefix_length, 2000)
+    if len(data) < n_max + 2:
+        raise ValueError("material too short for the requested factor length")
+    letters = range(t.alphabet.size)
+    failing = []
+    for m in range(n_max + 1):
+        sides: dict[bytes, set[tuple[int, int]]] = {}
+        for i in range(len(data) - m - 1):
+            sides.setdefault(data[i + 1 : i + m + 1], set()).add((data[i], data[i + m + 1]))
+        for u in sorted(sides):
+            if not any(sides[u] <= {(a, y) for y in letters} | {(x, a) for x in letters} for a in letters):
+                failing.append((u, sides[u]))
+    detail = {"n_max": n_max, "material": len(data)}
+    verdict = BoundedVerdict(True, None, None, detail=detail)
+    if failing:
+        u, pairs = failing[0]
+        extensions = sorted(_names(t.alphabet, bytes([x])) + "_" + _names(t.alphabet, bytes([y])) for x, y in pairs)
+        witness = {"factor": _names(t.alphabet, u), "extensions": extensions}
+        verdict = BoundedVerdict(False, None, None, witness=witness, detail=detail)
+    detail["palindromic_variant_holds"] = all(u != bytes(reversed(u)) for u, _ in failing)
+    return verdict
 
 
 def block_violation_by_length(data: bytes) -> bytes | None:
@@ -440,6 +493,10 @@ def finite_episturmian_by_enumeration(w: FiniteWord) -> tuple[bool, FiniteWord |
 
 def fractional_parts_by_shift(d: DigitExpansion, shifts: int, precision: int) -> list[RationalInterval]:
     """fractional_parts recomputed with a fresh numerator from ``precision`` digits per shift."""
+    from fractions import Fraction
+
+    from .modone import RationalInterval
+
     data = d.prefix_digits(shifts + precision - 1 if shifts else 0)
     scale = d.base**precision
     out = []
@@ -455,6 +512,10 @@ def covering_by_fractions(
     items: list[RationalInterval] | list[Fraction], circular: bool = True
 ) -> tuple[Fraction, RationalInterval]:
     """min_covering_interval recomputed on sorted Fraction pairs."""
+    from fractions import Fraction
+
+    from .modone import RationalInterval
+
     intervals = [
         (it.lo, it.hi) if isinstance(it, RationalInterval) else (Fraction(it), Fraction(it))
         for it in items
@@ -519,6 +580,8 @@ def doubling_orbit_by_fractions(x: Fraction) -> list[Fraction]:
 
 def gamma_tilde_by_fractions(x: Fraction) -> bool:
     """modone.gamma_tilde_member recomputed by comparing every Fraction orbit point with x and 1 - x."""
+    from fractions import Fraction
+
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError("x must lie in [0, 1]")
@@ -527,6 +590,11 @@ def gamma_tilde_by_fractions(x: Fraction) -> bool:
 
 def thue_morse_constant_by_sum(n_terms: int) -> RationalInterval:
     """modone.thue_morse_constant recomputed as a sum of n_terms Fractions t_n / 2^n."""
+    from fractions import Fraction
+
+    from .generators import thue_morse
+    from .modone import RationalInterval
+
     digits = thue_morse().prefix_bytes(n_terms)
     value = sum(Fraction(d, 2**n) for n, d in enumerate(digits))
     return RationalInterval(value, value + Fraction(2, 2**n_terms))

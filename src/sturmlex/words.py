@@ -49,10 +49,10 @@ CHUNK = 4096
 _LETTER_POOL = "abcdefgh"
 
 
-def _check_cap(n: int, what: str = "prefix request {}") -> None:
-    """ValueError naming what (n fills its {}) if n letters are more than one word may buffer."""
+def _check_cap(n: int, what: str = "prefix request {}", hint: str = "") -> None:
+    """ValueError naming what (n fills its {}), then the hint, if n letters are more than one word may buffer."""
     if n > MAX_PREFIX:
-        raise ValueError(f"{what.format(n)} exceeds cap {MAX_PREFIX} (STURMLEX_MAX_LEN)")
+        raise ValueError(f"{what.format(n)} exceeds cap {MAX_PREFIX} (STURMLEX_MAX_LEN){hint}")
 
 
 class _Record:

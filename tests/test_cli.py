@@ -340,6 +340,35 @@ class TestModone:
         assert err == "error: digit request 101 exceeds cap 100 (STURMLEX_MAX_LEN)\n"
 
 
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default limit on int/str conversions (4300 digits) where it has one, restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("argv", [
+    ["veerman", "--alpha", "(3-1*sqrt(5))/2", "--L", "15000"],
+    ["frac-parts", "--word", "fib", "--N", "1", "--L", "15000"],
+    ["cover", "--word", "fib", "--N", "2", "--L", "15000"],
+])
+def test_exact_values_print_past_the_interpreter_digit_limit(capsys, digit_limit, argv):
+    code, out, err = run(capsys, "--format", "json", "modone", *argv)
+    assert (code, err) == (0, "")
+    if argv[0] == "veerman":
+        assert json.loads(out)["difference"] == "1/2"
+
+
+def test_inputs_read_past_the_interpreter_digit_limit(capsys, digit_limit):
+    code, out, err = run(capsys, "modone", "digits", "--xi", "1/1" + "0" * 5000, "--n", "8")
+    assert (code, out, err) == (0, "00000000\n", "")
+
+
 class TestOracle:
     def test_enumerate(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "oracle", "enumerate", "--n", "4")

@@ -110,7 +110,7 @@ COMMANDS = [
     (["modone", "veerman", "--alpha", "(3-1*sqrt(5))/2", "--L", "16"], [*SLOPE, "sturmlex.modone"]),
     (["modone", "self-sturmian", "--word", "prepend:1:characteristic:(-1+1*sqrt(5))/2",
       "--K", "100", "--L", "200"], [*SLOPES, "sturmlex.extremal", "sturmlex.modone"]),
-    (["oracle", "enumerate", "--n", "4"], [*SLOPE, "sturmlex.extremal", "sturmlex.modone", "sturmlex.oracle"]),
+    (["oracle", "enumerate", "--n", "4"], ["sturmlex.oracle"]),
     (["--help"], []),
     (["modone", "classify", "--word", "fib", "--prefix", "300"], [*SLOPES, "sturmlex.modone"]),
     (["analyze", "block-condition", "--word", "fib", "--prefix", "100"], SLOPES),
@@ -179,6 +179,11 @@ def test_words_without_a_slope_load_no_rationals(argv):
     ["analyze", "complexity", "--word", "fib", "--k-max", "4", "--prefix", "100"],
 ])
 def test_surds_load_no_rationals(argv):
+    assert fresh(STDLIB.format(argv=argv, modules=["fractions", "decimal"])) == [0, []]
+
+
+def test_oracle_enumerate_loads_no_rationals():
+    argv = ["oracle", "enumerate", "--n", "4"]
     assert fresh(STDLIB.format(argv=argv, modules=["fractions", "decimal"])) == [0, []]
 
 

@@ -11,6 +11,7 @@ errors at the end guard the entry points' argument checks.
 import contextlib
 import io
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -312,9 +313,24 @@ def run(argv):
     ("modone self-sturmian --word tribonacci", "error: binary words required: s has 3 letters\n"),
     ("extremal finite-epi --body abcde", "error: certificate search supported for alphabets of size <= 4\n"),
     ("modone veerman --alpha (1+1*sqrt(5))/2", "error: slope must lie in (0, 1)\n"),
+    ("extremal fine --word fib --K 200000", "error: default material 8K + 256 = 1600256 for K = 200000 "
+     "exceeds cap 1000000 (STURMLEX_MAX_LEN); --material sets the material\n"),
+    ("extremal epistandard-ineq --word fib --K 200000 --L 10", "error: default material 8K + 256 = 1600256 "
+     "for K = 200000 exceeds cap 1000000 (STURMLEX_MAX_LEN); --material sets the material\n"),
+    ("extremal min-max --word fib --k 200000", "error: default material 8k + 256 = 1600256 for k = 200000 "
+     "exceeds cap 1000000 (STURMLEX_MAX_LEN); --prefix sets the material\n"),
 ])
 def test_out_of_domain_arguments_are_usage_errors(argv, message):
     assert run(argv.split()) == (2, "", message)
+
+
+def test_a_material_under_the_cap_keeps_working_at_a_large_k():
+    code, out, err = run(["--format", "json", "extremal", "fine", "--word", "fib", "--K", "200000",
+                          "--material", "1000000"])
+    assert (code, err, json.loads(out)["detail"]["material"]) == (0, "", 1000000)
+    code, out, err = run(["--format", "json", "extremal", "min-max", "--word", "fib", "--k", "200000",
+                          "--prefix", "1000000"])
+    assert (code, err, len(json.loads(out)["min"])) == (0, "", 200000)
 
 
 def test_negative_trials_are_a_usage_error():

@@ -418,50 +418,48 @@ def check_epistandard_ineq(
 def finite_episturmian_test(w: FiniteWord) -> tuple[bool, FiniteWord | None]:
     """Decide whether some word u satisfies a.u_{|m|-1} <= m for every acceptable pair.
 
-    Here m = min(w) under the pair's order, so u is bounded by m[1:].  The
-    search keeps one explicit stack, not limited by the recursion limit: u,
-    and after each prefix of u the orders whose bound u still equals.  An
+    Here m = min(w) under the pair's order, so u is bounded by m[1:].  One
+    greedy pass builds u and keeps the orders whose bound u still equals; an
     order whose bound u falls below, or runs past, holds for every longer u
-    and is dropped.  Letters are tried in canonical order and a dead end
-    resumes at the popped letter + 1, so the first certificate found is the
-    least (``oracle.finite_episturmian_by_enumeration``).  Returns (True, u)
-    or (False, None).
+    and is dropped.  Each letter of u is the least one that every kept order
+    allows, and the pass returns (False, None) at the first position where no
+    letter is allowed; else (True, u).  ``oracle.finite_episturmian_by_enumeration``
+    is the reference, verdict and least certificate alike.
 
-    On two letters a dead end means no certificate.  The two orders are
-    reverses, so while u equals both bounds the only letter both allow is
-    their common bound letter, and any other letter drops one order for good;
-    one order alone never dead-ends.  So a dead end needs 0 under 0<1 and 1
-    under 1<0 after a common prefix u, which is ``_unbalanced_core``'s 0u0 and
-    1u1, and no earlier letter had another choice.
+    A dead end is final.  Say it comes after u with kept orders T.  For p in
+    T let a_p be the p-least letter of w and b_p the bound letter after u:
+    a_p.u.b_p is a prefix of min_p(w), a suffix of w, so a factor of w.  The
+    dead end says every letter c has some p in T with c >_p b_p >=_p a_p, so
+    c is neither end of that factor, and no letter c has
+    AuA ∩ F(w) ⊆ cuA ∪ Auc.  But every factor u of an episturmian word has
+    such a letter.  w is a factor of an epistandard t = L_a(t'), with
+    L_a: a -> a, b -> ab, and in t every letter other than a is preceded and
+    followed by a.  So c = a serves when u is empty, or starts or ends with a
+    letter other than a.  Otherwise u = L_a(v).a, and x.u.y is a factor of t
+    iff x.v.y is a factor of t', so induction on |u| gives c.  A dead end
+    therefore proves w is not episturmian, and by the criterion no
+    certificate exists.  When one exists, each letter the pass takes is the
+    least that any certificate could have there, so u is the least one.
     """
     if len(w) == 0:
         return True, FiniteWord(b"", w.alphabet)
-    if w.alphabet.size > 4:
-        raise ValueError("certificate search supported for alphabets of size <= 4")
     bounds = [(p.table, min_finite(w, p).data[1:].translate(p.table)) for p in acceptable_pairs(w.alphabet)]
-    length = max(len(m) for _, m in bounds)
     u: list[int] = []
-    tight = [[(rank, m) for rank, m in bounds if m]]
-    letter = 0
-    while len(u) < length:
-        i = len(u)
-        for letter in range(letter, w.alphabet.size):
+    tight = [(rank, m) for rank, m in bounds if m]
+    for i in range(max(len(m) for _, m in bounds)):
+        for letter in range(w.alphabet.size):
             nxt = []
-            for rank, m in tight[-1]:
+            for rank, m in tight:
                 if rank[letter] > m[i]:
                     break
                 if rank[letter] == m[i] and i + 1 < len(m):
                     nxt.append((rank, m))
             else:
-                tight.append(nxt)
+                tight = nxt
                 u.append(letter)
-                letter = 0
                 break
         else:
-            if not u:
-                return False, None
-            tight.pop()
-            letter = u.pop() + 1
+            return False, None
     return True, FiniteWord(u, w.alphabet)
 
 

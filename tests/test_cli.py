@@ -146,6 +146,13 @@ class TestExtremal:
         assert (code, err) == (0, "")
         assert json.loads(out) == {"word": "", "episturmian": True, "certificate": ""}
 
+    @pytest.mark.parametrize("body, certificate", [("abcde", None), ("abacabadabacabae", "abacabadaaaaaaa")])
+    def test_finite_epi_over_five_letters(self, capsys, body, certificate):
+        code, out, err = run(capsys, "--format", "json", "extremal", "finite-epi", "--body", body)
+        ok = certificate is not None
+        assert (code, err) == (0 if ok else 1, "")
+        assert json.loads(out) == {"word": body, "episturmian": ok, "certificate": certificate}
+
     def test_gamma(self, capsys):
         code, _, _ = run(capsys, "extremal", "gamma", "--word",
                          "prepend:1:characteristic:(-1+1*sqrt(5))/2", "--K", "100", "--L", "200")

@@ -112,7 +112,7 @@ LEAVES = {
         "characteristic": [("--word", WORD), ("--K", KL), ("--L", KL)],
         "epistandard-ineq": [("--word", WORD), ("--K", KL), ("--L", KL), ("--material", PREFIX)],
         "fine": [("--word", WORD), ("--K", KL), ("--material", PREFIX)],
-        "finite-epi": [("--body", st.text("abc01", min_size=1, max_size=30))],
+        "finite-epi": [("--body", st.text("abcde01", min_size=1, max_size=30))],
         "gamma": [("--word", WORD), ("--K", KL), ("--L", KL)],
         "allowed-pair": [("--r", WORD), ("--s", WORD), ("--K", KL), ("--L", KL)],
         "sigma": [("--word", WORD), ("--x", WORD), ("--y", WORD), ("--K", KL), ("--L", KL)],

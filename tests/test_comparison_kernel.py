@@ -311,7 +311,7 @@ def run(argv):
     ("extremal allowed-pair --r tribonacci --s kbonacci:4", "error: binary words required: r has 3 letters\n"),
     ("extremal phi-approx --word tribonacci", "error: binary words required: x has 3 letters\n"),
     ("modone self-sturmian --word tribonacci", "error: binary words required: s has 3 letters\n"),
-    ("extremal finite-epi --body abcde", "error: certificate search supported for alphabets of size <= 4\n"),
+    ("extremal finite-epi --body 012345678", "error: order enumeration capped at alphabet size 8\n"),
     ("modone veerman --alpha (1+1*sqrt(5))/2", "error: slope must lie in (0, 1)\n"),
     ("extremal fine --word fib --K 200000", "error: default material 8K + 256 = 1600256 for K = 200000 "
      "exceeds cap 1000000 (STURMLEX_MAX_LEN); --material sets the material\n"),

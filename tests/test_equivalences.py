@@ -4,6 +4,11 @@ characterization never contradict each other where both are decided.
 - Finite binary words: Sturmian = balanced = episturmian on two letters, so
   ``finite_episturmian_test`` and ``is_balanced`` agree, and the least
   certificate is max(w)[1:] followed by the least letter.
+- Finite words over 3 to 5 letters: episturmian = locally balanced, so
+  ``finite_episturmian_test`` agrees with ``local_balance_check`` at every
+  length (every factor u has a letter c with AuA ∩ F(w) ⊆ cuA ∪ Auc).  A dead
+  end of the certificate search is a factor with no such letter, which is why
+  the search never backtracks.
 - Binary infinite words: ``characteristic`` and ``epistandard-ineq`` state one
   inequality, 0.s <= T^k(s) <= 1.s (Pirillo, TCS 341, 2005): the pair
   (0, 0<1) is its lower half and (1, 1<0) its upper half.
@@ -21,6 +26,7 @@ from sturmlex.extremal import (
     characteristic_check,
     check_epistandard_ineq,
     finite_episturmian_test,
+    local_balance_check,
     max_finite,
     min_finite,
 )
@@ -39,6 +45,15 @@ def test_finite_episturmian_is_balanced_on_two_letters(length):
             # a.u <= m under 0<1 bounds u by min(w)[1:] from above, under 1<0 by max(w)[1:] from below
             n = max(len(min_finite(w)), len(max_finite(w))) - 1
             assert certificate.data == (max_finite(w).data[1:] + b"\x00" * n)[:n], w
+
+
+@pytest.mark.parametrize("size, n_max", [(3, 8), (4, 6), (5, 5)])
+def test_finite_episturmian_is_locally_balanced(size, n_max):
+    alphabet = Alphabet.of_size(size)
+    for n in range(2, n_max + 1):
+        for letters in itertools.product(range(size), repeat=n):
+            w = FiniteWord(bytes(letters), alphabet)
+            assert finite_episturmian_test(w)[0] == local_balance_check(w, n - 2).holds, w
 
 
 # binary specs, views included: aperiodic balanced, periodic, and unbalanced words

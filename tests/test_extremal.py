@@ -248,9 +248,9 @@ class TestFiniteEpisturmian:
                 ok, _ = finite_episturmian_test(w)
                 assert ok == is_balanced(w), w.as_str()
 
-    @pytest.mark.parametrize("size, n_max", [(2, 10), (3, 6), (4, 5)])
+    @pytest.mark.parametrize("size, n_max", [(2, 10), (3, 6), (4, 5), (5, 4)])
     def test_verdict_and_least_certificate_match_enumeration(self, size, n_max):
-        alphabet = Alphabet(tuple("abcd"[:size]))
+        alphabet = Alphabet(tuple("abcde"[:size]))
         for n in range(n_max + 1):
             for letters in itertools.product(range(size), repeat=n):
                 w = FiniteWord(bytes(letters), alphabet)

@@ -21,6 +21,8 @@ from .words import (
     LexOrder,
     Relation,
     UltimatelyPeriodicWord,
+    _check_binary,
+    _check_factor_length,
     _first_difference,
     _material,
 )
@@ -45,11 +47,8 @@ _CHUNK = 64
 
 def factors(w: FiniteWord | InfiniteWord, n: int, prefix_length: int | None = None) -> set[FiniteWord]:
     """The set of distinct length-n factors of the supplied material."""
-    if n < 1:
-        raise ValueError("factor length must be positive")
     data = _material(w, prefix_length)
-    if n > len(data):
-        raise ValueError(f"factor length {n} exceeds available material {len(data)}")
+    _check_factor_length(data, n)
     alphabet = w.alphabet
     return {FiniteWord(f, alphabet) for f in _factor_bytes(data, n)}
 
@@ -148,16 +147,15 @@ def is_balanced(w: FiniteWord | InfiniteWord, prefix_length: int | None = None) 
     return _unbalanced_core(_binary_material(w, prefix_length)) is None
 
 
-def _binary_material(w: FiniteWord | InfiniteWord, prefix_length: int | None, what: str = "balance") -> bytes:
+def _binary_material(w: FiniteWord | InfiniteWord, prefix_length: int | None) -> bytes:
     data = _material(w, prefix_length)
-    if w.alphabet.size != 2:
-        raise ValueError(f"{what} is defined for binary alphabets only")
+    _check_binary(w=w)
     return data
 
 
 def block_condition(w: FiniteWord | InfiniteWord, prefix_length: int | None = None) -> bool:
     """True iff no word u has both 0u0 and 1u1 among the material's factors."""
-    return _unbalanced_core(_binary_material(w, prefix_length, "the block condition")) is None
+    return _unbalanced_core(_binary_material(w, prefix_length)) is None
 
 
 def _unbalanced_core(data: bytes) -> bytes | None:

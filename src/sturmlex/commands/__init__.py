@@ -21,6 +21,7 @@ from ..words import (
     InfiniteWord,
     UltimatelyPeriodicWord,
     _image,
+    _LETTER_POOL,
     complement,
     prepend,
     shift,
@@ -44,13 +45,13 @@ def _rational(text: str) -> Fraction:
 def _widen(w, letters: str):
     """w over the default names of the larger alphabet ``letters`` call for (indices unchanged), else w.
 
-    They call for ``Alphabet.for_text(letters)`` when its greatest letter is
-    one of them, not only its two-letter floor.  Letters a..h re-embed any
-    word; digits only extend a word over 0..n-1.  So a file word keeps its own
-    names unless letters a..h past its size are added.
+    They call for ``Alphabet.for_text`` of their default names when its greatest
+    letter is one of them, not only its two-letter floor.  Letters a..h re-embed
+    any word; digits only extend a word over 0..n-1.  So a file word keeps its
+    own names unless letters a..h past its size are added.
     """
     names = w.alphabet.names
-    target = Alphabet.for_text(letters)
+    target = Alphabet.for_text("".join(c for c in letters if c in "0123456789" + _LETTER_POOL))
     if target.size <= len(names) or target.names[-1] not in letters:
         return w
     if target.names[0] == "0" and target.names[: len(names)] != names:

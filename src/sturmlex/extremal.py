@@ -23,7 +23,9 @@ from .words import (
     InfiniteWord,
     LexOrder,
     UltimatelyPeriodicWord,
+    _check_binary,
     _check_cap,
+    _check_factor_length,
     _first_difference,
     _first_violation,
     _material,
@@ -142,13 +144,6 @@ class BoundedVerdict(_Record):
 # extremal factors
 
 
-def _check_factor_length(data: bytes, k: int) -> None:
-    if k < 1:
-        raise ValueError("factor length must be positive")
-    if k > len(data):
-        raise ValueError(f"factor length {k} exceeds available material {len(data)}")
-
-
 def _ranked(data: bytes, order: LexOrder, want_max: bool) -> bytes:
     """data as ranks under the order, reversed for max so that the greatest letter ranks least."""
     return data.translate(_rank_table(order.by_rank[::-1] if want_max else order.by_rank))
@@ -205,8 +200,7 @@ def min_finite(w: FiniteWord, order: LexOrder | None = None) -> FiniteWord:
 
 def max_finite(w: FiniteWord, order: LexOrder | None = None) -> FiniteWord:
     """max(w) for finite binary w, dual to min_finite: the max(w) of the paper's balance criterion."""
-    if w.alphabet.size != 2:
-        raise ValueError("finite max is defined for binary alphabets only")
+    _check_binary(w=w)
     return _finite_extremal(w, order, want_max=True)
 
 
@@ -237,9 +231,7 @@ def _names(alphabet: Alphabet, data: bytes) -> str:
 
 def _check_bounds(K: int, L: int, **words: InfiniteWord) -> None:
     """Refuse the first of ``words`` (named by its keyword) that is not binary, then K < 0 or L < 1."""
-    for name, w in words.items():
-        if w.alphabet.size != 2:
-            raise ValueError(f"binary words required: {name} has {w.alphabet.size} letters")
+    _check_binary(**words)
     if K < 0 or L < 1:
         raise ValueError("bounds must be positive (K >= 0 shifts, L >= 1 depth)")
 
@@ -470,8 +462,7 @@ def not_balanced_witness(w: FiniteWord) -> FiniteWord | None:
     """
     from .analysis import _unbalanced_core
 
-    if w.alphabet.size != 2:
-        raise ValueError("binary alphabet required")
+    _check_binary(w=w)
     u = _unbalanced_core(w.data)
     return None if u is None else FiniteWord(u, w.alphabet)
 

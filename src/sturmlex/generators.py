@@ -25,6 +25,7 @@ from .words import (
     FiniteWord,
     InfiniteWord,
     UltimatelyPeriodicWord,
+    _check_binary,
     _check_cap,
     _FrozenRecord,
     _image,
@@ -390,7 +391,8 @@ def thue_morse() -> InfiniteWord:
 def skew_word(mu: Morphism, x: int, y: int, ell: int) -> UltimatelyPeriodicWord:
     """mu(x^ell y x^omega): ultimately periodic, non-periodic, with balanced factors."""
     alphabet = mu.alphabet
-    if alphabet.size != 2 or {x, y} != {0, 1}:
+    _check_binary(mu=mu)
+    if {x, y} != {0, 1}:
         raise ValueError("x, y must be the two letters of a binary alphabet")
     if mu.is_erasing:
         raise ValueError("erasing morphism")
@@ -406,8 +408,8 @@ def skew_word(mu: Morphism, x: int, y: int, ell: int) -> UltimatelyPeriodicWord:
 
 def periodic_balanced(v: FiniteWord, x: int, y: int) -> UltimatelyPeriodicWord:
     """The purely periodic word (Pal(v) x y)^omega."""
-    alphabet = v.alphabet
-    if alphabet.size != 2 or x == y or not {x, y} <= {0, 1}:
-        raise ValueError("x, y must be the two distinct letters of a binary alphabet")
-    period = iterated_pal(v) + FiniteWord([x, y], alphabet)
+    _check_binary(v=v)
+    if {x, y} != {0, 1}:
+        raise ValueError("x, y must be the two letters of a binary alphabet")
+    period = iterated_pal(v) + FiniteWord([x, y], v.alphabet)
     return UltimatelyPeriodicWord.purely_periodic(period)

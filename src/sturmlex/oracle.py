@@ -24,8 +24,8 @@ step by step.
 
 A reference shares with the code it checks only records (``BoundedVerdict``,
 ``PairInequality``, ``EpistandardReport``), argument and material rules
-(``_check_bounds``, ``_check_factor_length``, ``acceptable_pairs``,
-``default_material``, ``words._material``) and witness text (``_names``,
+(``_check_bounds``, ``words._check_factor_length``, ``acceptable_pairs``,
+``_factor_material``, ``words._material``) and witness text (``_names``,
 ``_pair_text``), never a verdict rule.  Each layer is imported inside the
 references that use it, so enumerating balanced words loads none.
 """
@@ -37,7 +37,7 @@ from array import array
 from operator import sub
 from typing import TYPE_CHECKING, Iterator
 
-from .words import Alphabet, FiniteWord, InfiniteWord, LexOrder, _check_cap, _material, _Record
+from .words import Alphabet, FiniteWord, InfiniteWord, LexOrder, _check_cap, _check_factor_length, _material, _Record
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -225,8 +225,7 @@ def naive_min_max(
 ) -> tuple[FiniteWord, FiniteWord]:
     """Extremal length-k factors recomputed by sorting the full factor list."""
     data = _material(w, prefix_length)
-    if k < 1 or k > len(data):
-        raise ValueError("factor length out of range")
+    _check_factor_length(data, k)
     order = order or LexOrder.natural(w.alphabet.size)
     table = order.table
     ranked = sorted(
@@ -241,8 +240,6 @@ def naive_min_max(
 
 def extremal_factor_by_windows(data: bytes, k: int, order: LexOrder, want_max: bool) -> bytes:
     """The least (greatest) length-k factor of data under the order, by one min (max) over every window."""
-    from .extremal import _check_factor_length
-
     _check_factor_length(data, k)
     ranked = data.translate(order.table)
     best = (max if want_max else min)(ranked[i : i + k] for i in range(len(data) - k + 1))
@@ -308,11 +305,11 @@ def epistandard_ineq_by_order(
     s: InfiniteWord, K: int, L: int, material: int | None = None
 ) -> EpistandardReport:
     """check_epistandard_ineq recomputed with a full shift-chain check and factor scan per order."""
-    from .extremal import EpistandardReport, PairInequality, _check_bounds, acceptable_pairs, default_material
+    from .extremal import EpistandardReport, PairInequality, _check_bounds, _factor_material, acceptable_pairs
 
     pairs = acceptable_pairs(s.alphabet)
     _check_bounds(K, L)
-    factors = _material(s, material, default_material(K))
+    factors = _factor_material(s, K, material, "--material")
     data = s.prefix_bytes(max(len(factors), K + L))
     results = []
     for pair in pairs:
@@ -333,9 +330,9 @@ def epistandard_ineq_by_order(
 def fine_by_order(t: InfiniteWord, K: int, material: int | None = None) -> BoundedVerdict:
     """fine_test recomputed: the first pair whose min-word, by a full factor scan, differs letter by letter
     from the first pair's after the first letter fails at that letter."""
-    from .extremal import BoundedVerdict, _names, _pair_text, acceptable_pairs, default_material
+    from .extremal import BoundedVerdict, _factor_material, _names, _pair_text, acceptable_pairs
 
-    data = _material(t, material, default_material(K))
+    data = _factor_material(t, K, material, "--material")
     pairs = acceptable_pairs(t.alphabet)
     base = extremal_factor_by_windows(data, K, pairs[0], want_max=False)
     for pair in pairs[1:]:

@@ -113,8 +113,12 @@ class Alphabet(_FrozenRecord):
 
     @staticmethod
     def for_text(text: str) -> "Alphabet":
-        """Digits 0..max for all-digit text, else letters a..max; at least two."""
-        pool = "0123456789" if set(text) <= set("0123456789") else _LETTER_POOL
+        """Digits 0..max for all-digit text, else letters a..max; at least two.  Other names are refused."""
+        digits = "0123456789"
+        if stray := set(text) - set(digits + _LETTER_POOL):
+            rule = "default names are digits 0-9 for all-digit text, else letters a-h"
+            raise ValueError(f"unknown letter {min(stray, key=text.index)!r}: {rule}")
+        pool = digits if set(text) <= set(digits) else _LETTER_POOL
         return Alphabet(tuple(pool[: max(2, 1 + max(map(pool.find, text), default=0))]))
 
     @staticmethod
@@ -347,12 +351,8 @@ class LexOrder(_FrozenRecord):
         return f"LexOrder({'<'.join(map(str, self.by_rank))})"
 
 
-@lru_cache(maxsize=None)
 def _rank_table(by_rank: tuple[int, ...]) -> bytes:
-    table = bytearray(range(256))
-    for rank, letter in enumerate(by_rank):
-        table[letter] = rank
-    return bytes(table)
+    return bytes.maketrans(bytes(by_rank), bytes(range(len(by_rank))))
 
 
 class Relation(Enum):
@@ -400,6 +400,20 @@ def _first_violation(data: bytes, lo: bytes, hi: bytes, K: int, L: int) -> tuple
     return None, undecided
 
 
+def _check_binary(**words) -> None:
+    """Refuse the first of ``words`` (named by its keyword) whose alphabet is not binary."""
+    for name, w in words.items():
+        if w.alphabet.size != 2:
+            raise ValueError(f"binary words required: {name} has {w.alphabet.size} letters")
+
+
+def _check_factor_length(data: bytes, k: int) -> None:
+    if k < 1:
+        raise ValueError("factor length must be positive")
+    if k > len(data):
+        raise ValueError(f"factor length {k} exceeds available material {len(data)}")
+
+
 def _material(w: FiniteWord | InfiniteWord, prefix_length: int | None, default: int | None = None) -> bytes:
     """The material of w: a finite word whole, else its first prefix_length (or default) letters."""
     if (prefix_length or 0) < 0:
@@ -433,8 +447,7 @@ _SWAP = bytes([1, 0]) + bytes(range(2, 256))
 
 def complement(w: FiniteWord | InfiniteWord):
     """Exchange the two letters of a binary word."""
-    if w.alphabet.size != 2:
-        raise ValueError("complement requires a binary alphabet")
+    _check_binary(w=w)
     return _image(w, lambda block: block.translate(_SWAP), w.alphabet, "complement({})".format)
 
 

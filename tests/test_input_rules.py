@@ -29,6 +29,7 @@ from sturmlex.oracle import naive_min_max
 from sturmlex.words import Alphabet, FiniteWord, Relation, word_from_text
 
 FIB = characteristic(fibonacci_slope())
+NAMING_RULE = "default names are digits 0-9 for all-digit text, else letters a-h"
 
 
 @pytest.mark.parametrize("argv", [
@@ -62,11 +63,27 @@ def test_digit_letters_name_the_widened_word():
     ("h", "abcdefgh"),
     ("a1b", "ab"),           # mixed text reads as letters; 1 is b's alias
     ("01c", "abc"),
-    ("xy", "ab"),            # names outside both pools name no letter
-    ("xyc", "abc"),
 ])
 def test_names_for_text(text, names):
     assert "".join(Alphabet.for_text(text).names) == names
+
+
+@pytest.mark.parametrize("text, letter", [("xy", "x"), ("xyc", "x"), ("abz", "z"), ("0 1", " ")])
+def test_names_outside_both_pools_are_refused(text, letter):
+    with pytest.raises(ValueError) as info:
+        Alphabet.for_text(text)
+    assert str(info.value) == f"unknown letter {letter!r}: {NAMING_RULE}"
+
+
+@pytest.mark.parametrize("argv, letter", [
+    (["extremal", "finite-epi", "--body", "fabdice"], "i"),
+    (["generate", "epistandard", "--directive", "abi*"], "i"),
+    (["extremal", "min-max", "--word", "periodic:abz", "--k", "2"], "z"),
+    (["extremal", "min-max", "--word", "up:ab|xy", "--k", "2"], "x"),
+])
+def test_commands_refuse_names_outside_both_pools(capsys, argv, letter):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: unknown letter {letter!r}: {NAMING_RULE}\n")
 
 
 def test_widening_keeps_custom_names_unless_letters_are_added():

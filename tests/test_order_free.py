@@ -167,6 +167,7 @@ def error_of(fn, *args):
         ((5, 5, -1), "prefix length must be non-negative, got -1"),
         ((5, 5, -3), "prefix length must be non-negative, got -3"),
         ((-100, 5), "bounds must be positive"),
+        ((200000, 5), "default material 8K + 256 = 1600256 for K = 200000 exceeds cap"),
     ],
 )
 def test_epistandard_ineq_errors(args, message):
@@ -176,7 +177,7 @@ def test_epistandard_ineq_errors(args, message):
     assert fast.startswith(message)
 
 
-@pytest.mark.parametrize("args", [(-1,), (0,), (200, 100), (5, 0), (5, -3), (5, -1)])
+@pytest.mark.parametrize("args", [(-1,), (0,), (200, 100), (5, 0), (5, -3), (5, -1), (200000,)])
 def test_fine_errors(args):
     w = kbonacci(3)
     assert error_of(fine_test, w, *args) == error_of(fine_by_order, w, *args)

@@ -180,7 +180,7 @@ def test_hash_and_freezing(cls):
     (lambda: DigitExpansion(2, FiniteWord.from_str("abc")),
      "digit word uses letters outside the base range"),
     (lambda: min_covering_interval([Fraction(1, 2), Fraction(1)]), r"points must lie in \[0, 1\)"),
-    (lambda: not_balanced_witness(FiniteWord.from_str("abc")), "binary alphabet required"),
+    (lambda: not_balanced_witness(FiniteWord.from_str("abc")), "binary words required: w has 3 letters"),
     (lambda: thue_morse_constant(0), "need at least one term"),
     (lambda: digits_from_rational(Fraction(1, 3), 2, 0), "need at least one digit"),
     (lambda: skew_word(Morphism.from_text("a>,b>b", BINARY_AB), 0, 1, 2), "erasing morphism"),

@@ -1,5 +1,7 @@
 """Word-core operations: examples and structural invariants."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,6 +211,14 @@ class TestLexCompare:
     def test_depth_required_for_infinite(self, fib):
         with pytest.raises(ValueError):
             lex_compare(fib, fib)
+
+    def test_rank_table_maps_letters_to_ranks(self):
+        for size in range(1, 5):
+            for by_rank in itertools.permutations(range(size)):
+                table = bytearray(range(256))
+                for rank, letter in enumerate(by_rank):
+                    table[letter] = rank
+                assert LexOrder(by_rank).table == bytes(table)
 
 
 class TestPeriods:
